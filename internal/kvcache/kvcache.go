@@ -9,7 +9,11 @@
 // it (no dangling prefixes).
 package kvcache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // Stats counts cache activity since construction.
 type Stats struct {
@@ -64,6 +68,11 @@ type Manager struct {
 
 	subs    []func(ChangeEvent)
 	pending ChangeEvent
+
+	// scratch collects the blocks an InsertH or PinH walk touches, so a
+	// walk does not grow a fresh slice block by block. It holds no
+	// pointers between calls.
+	scratch []*block
 }
 
 // ChangeEvent describes the cache-membership changes of one operation:
@@ -160,21 +169,26 @@ func (m *Manager) CapacityTokens() int {
 // blocks are never shared), matching vLLM. The hash is deterministic, so
 // chains computed once per request are valid for every Manager with the
 // same block size.
+//
+// The kernel is XXH64 over the block's tokens as 64-bit words, seeded with
+// the parent block's hash: four multiply-rotate lanes consume four tokens
+// per stripe, and one avalanche finishes the block. The chain is
+// prefix-closed (equal leading blocks give equal leading hashes) and never
+// contains 0, which is reserved for "no parent". Beyond that, hashes are
+// only ever compared for equality: nothing exports, persists or orders on
+// them. So the hash function can change without changing any simulated
+// outcome, as long as it keeps those two properties and stays
+// collision-free in practice.
 func BlockHashes(tokens []uint64, blockTokens int) []uint64 {
 	if blockTokens <= 0 {
 		panic("kvcache: blockTokens must be positive")
 	}
-	n := len(tokens) / blockTokens
-	hashes := make([]uint64, n)
+	hashes := make([]uint64, len(tokens)/blockTokens)
 	var parent uint64
-	for i := 0; i < n; i++ {
-		h := parent ^ 0xcbf29ce484222325 // FNV offset basis
-		for _, tok := range tokens[i*blockTokens : (i+1)*blockTokens] {
-			h = mix(h, tok)
-		}
-		// Reserve 0 as "no parent".
+	for i := range hashes {
+		h := hashBlock(parent, tokens[i*blockTokens:(i+1)*blockTokens])
 		if h == 0 {
-			h = 1
+			h = 1 // 0 is reserved for "no parent"
 		}
 		parent = h
 		hashes[i] = h
@@ -182,18 +196,61 @@ func BlockHashes(tokens []uint64, blockTokens int) []uint64 {
 	return hashes
 }
 
-// mix folds one token into a chained hash (FNV-1a over the 8 bytes,
-// followed by an avalanche step).
-func mix(h, tok uint64) uint64 {
-	const prime = 0x100000001b3
-	for i := 0; i < 8; i++ {
-		h ^= tok >> (8 * i) & 0xff
-		h *= prime
+// XXH64's primes.
+const (
+	prime1 = 0x9e3779b185ebca87
+	prime2 = 0xc2b2ae3d27d4eb4f
+	prime3 = 0x165667b19e3779f9
+	prime4 = 0x85ebca77c2b2ae63
+	prime5 = 0x27d4eb2f165667c5
+)
+
+// hashBlock is XXH64 of one block's tokens, read as little-endian 64-bit
+// words, with the given seed.
+func hashBlock(seed uint64, toks []uint64) uint64 {
+	var h uint64
+	i := 0
+	if len(toks) >= 4 {
+		v1, v2, v3, v4 := seed+prime1+prime2, seed+prime2, seed, seed-prime1
+		for ; i+4 <= len(toks); i += 4 {
+			s := toks[i : i+4]
+			v1 = round(v1, s[0])
+			v2 = round(v2, s[1])
+			v3 = round(v3, s[2])
+			v4 = round(v4, s[3])
+		}
+		h = bits.RotateLeft64(v1, 1) + bits.RotateLeft64(v2, 7) +
+			bits.RotateLeft64(v3, 12) + bits.RotateLeft64(v4, 18)
+		h = mergeRound(h, v1)
+		h = mergeRound(h, v2)
+		h = mergeRound(h, v3)
+		h = mergeRound(h, v4)
+	} else {
+		h = seed + prime5
+	}
+	h += uint64(len(toks)) * 8
+	for ; i < len(toks); i++ {
+		h ^= round(0, toks[i])
+		h = bits.RotateLeft64(h, 27)*prime1 + prime4
 	}
 	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
+	h *= prime2
+	h ^= h >> 29
+	h *= prime3
+	h ^= h >> 32
 	return h
+}
+
+// round folds one 64-bit word into a lane.
+func round(acc, word uint64) uint64 {
+	acc += word * prime2
+	return bits.RotateLeft64(acc, 31) * prime1
+}
+
+// mergeRound folds a finished lane into the block hash.
+func mergeRound(h, lane uint64) uint64 {
+	h ^= round(0, lane)
+	return h*prime1 + prime4
 }
 
 func (m *Manager) blockHashes(tokens []uint64) []uint64 {
@@ -298,8 +355,7 @@ func (m *Manager) Pin(tokens []uint64, now float64) (int, func()) {
 // toward the hit-rate statistics (engines pin instead of looking up).
 func (m *Manager) PinH(hashes []uint64, now float64) (int, func()) {
 	m.stats.LookupTokens += int64(len(hashes) * m.blockTokens)
-	var pinned []*block
-	hit := 0
+	walk := m.scratch[:0]
 	for _, hash := range hashes {
 		b, ok := m.blocks[hash]
 		if !ok {
@@ -310,10 +366,14 @@ func (m *Manager) PinH(hashes []uint64, now float64) (int, func()) {
 			m.lru.remove(b)
 		}
 		b.lastUsed = now
-		pinned = append(pinned, b)
-		hit += m.blockTokens
+		walk = append(walk, b)
 	}
+	hit := len(walk) * m.blockTokens
 	m.stats.HitTokens += int64(hit)
+	// The release outlives this call: copy the hit prefix out of the
+	// scratch at its exact size (nothing on a miss).
+	pinned := slices.Clone(walk)
+	m.releaseScratch(walk)
 	released := false
 	return hit, func() {
 		if released {
@@ -360,13 +420,7 @@ func (m *Manager) InsertH(hashes []uint64, now float64) int {
 	defer m.flushChanges()
 	cached := 0
 	var parent *block
-	var path []*block
-	defer func() {
-		for _, b := range path {
-			b.pins--
-			m.maybeEvictable(b)
-		}
-	}()
+	path := m.scratch[:0]
 	for _, hash := range hashes {
 		if b, ok := m.blocks[hash]; ok {
 			b.lastUsed = now
@@ -403,7 +457,19 @@ func (m *Manager) InsertH(hashes []uint64, now float64) int {
 		cached += m.blockTokens
 		parent = b
 	}
+	for _, b := range path {
+		b.pins--
+		m.maybeEvictable(b)
+	}
+	m.releaseScratch(path)
 	return cached
+}
+
+// releaseScratch hands a walk's slice back as the scratch, cleared so it
+// keeps no block alive.
+func (m *Manager) releaseScratch(walk []*block) {
+	clear(walk)
+	m.scratch = walk[:0]
 }
 
 // reclaim evicts LRU blocks until free bytes >= need. Returns false when

@@ -93,10 +93,11 @@ type Calibrated struct {
 	// waiting request's weight is baked into its key.
 	weights [NumClasses]float64
 
-	chain  func(*Request) []uint64
-	h      entryHeap
-	seq    uint64
-	byHash map[uint64]map[*entry]struct{}
+	chain func(*Request) []uint64
+	h     entryHeap
+	seq   uint64
+	idx   hashIndex
+	epoch uint64 // OnCacheChange calls so far; dedupes rekeys per call
 }
 
 // uniformWeights is the class-blind default: every class weighs 1.
@@ -167,7 +168,6 @@ func (c *Calibrated) SetHashChain(chain func(*Request) []uint64) {
 		panic("sched: SetHashChain with requests already waiting")
 	}
 	c.chain = chain
-	c.byHash = make(map[uint64]map[*entry]struct{})
 }
 
 // Enqueue implements Scheduler.
@@ -176,14 +176,7 @@ func (c *Calibrated) Enqueue(r *Request) {
 	c.seq++
 	if c.chain != nil {
 		e.hashes = c.chain(r)
-		for _, h := range e.hashes {
-			set := c.byHash[h]
-			if set == nil {
-				set = make(map[*entry]struct{})
-				c.byHash[h] = set
-			}
-			set[e] = struct{}{}
-		}
+		c.idx.add(e)
 	}
 	c.h.push(e)
 }
@@ -223,13 +216,7 @@ func (c *Calibrated) Next(now float64) *Request {
 	if e == nil {
 		return nil
 	}
-	for _, h := range e.hashes {
-		set := c.byHash[h]
-		delete(set, e)
-		if len(set) == 0 {
-			delete(c.byHash, h)
-		}
-	}
+	c.idx.remove(e)
 	e.r.EstimatedSeconds = c.estimateOf(e)
 	return e.r
 }
@@ -244,30 +231,27 @@ func (c *Calibrated) estimateOf(e *entry) float64 {
 // OnCacheChange rekeys the waiting requests whose hash chains include any
 // of the inserted or evicted blocks. Wire it to the owning cache's change
 // feed (kvcache.Manager.Subscribe); a request's JCT can only move when a
-// block of its own chain enters or leaves the cache.
+// block of its own chain enters or leaves the cache. Each affected request
+// is rekeyed once per call: the epoch stamp marks the ones already done.
+// Rekey order only permutes the heap's internal array; pop order is a
+// strict total order on (key, len desc, seq), so dispatch does not depend
+// on it — pinned by the sweep-oracle property test.
 func (c *Calibrated) OnCacheChange(inserted, evicted []uint64) {
 	if c.chain == nil {
 		return
 	}
-	var affected map[*entry]struct{}
+	c.epoch++
 	for _, hs := range [2][]uint64{inserted, evicted} {
 		for _, h := range hs {
-			//prefill:allow(simdeterminism): set union into `affected`; membership is order-insensitive
-			for e := range c.byHash[h] {
-				if affected == nil {
-					affected = make(map[*entry]struct{})
+			for _, w := range c.idx.waiting(h) {
+				if w.e.epoch == c.epoch {
+					continue
 				}
-				affected[e] = struct{}{}
+				w.e.epoch = c.epoch
+				w.e.key = c.key(w.e.r)
+				c.h.fix(w.e)
 			}
 		}
-	}
-	// Rekey order only permutes the heap's internal array; pop order is a
-	// strict total order on (key, len desc, seq), so dispatch stays
-	// byte-identical — pinned by the sweep-oracle property test.
-	//prefill:allow(simdeterminism): per-entry rekey+fix commutes; heap pop order is a strict total order
-	for e := range affected {
-		e.key = c.key(e.r)
-		c.h.fix(e)
 	}
 }
 

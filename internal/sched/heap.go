@@ -3,13 +3,15 @@ package sched
 // entry is one waiting request inside a keyed scheduler: the request, its
 // ordering key, its enqueue sequence number (the final tie-breaker), and —
 // when the scheduler indexes requests by prefix hash chain — the chain it
-// was indexed under.
+// was indexed under with where each block sits in the index.
 type entry struct {
 	r      *Request
 	key    float64
 	seq    uint64
 	hashes []uint64
-	idx    int // position in the heap; -1 once removed
+	locs   []waiterLoc // locs[k] places hashes[k] in the hash index
+	epoch  uint64      // last OnCacheChange that rekeyed this entry
+	idx    int         // position in the heap; -1 once removed
 }
 
 // entryHeap is an indexed min-heap of entries ordered by key; ties prefer

@@ -317,3 +317,33 @@ func TestSchedulerNames(t *testing.T) {
 		}
 	}
 }
+
+// TestHashIndexReleasedWhenEmptied: once the last waiter leaves, an index
+// grown past drainKeep slots is released, while a small one is kept for
+// reuse.
+func TestHashIndexReleasedWhenEmptied(t *testing.T) {
+	for _, tc := range []struct {
+		blocks   int // distinct blocks per request
+		released bool
+	}{{blocks: 4, released: false}, {blocks: drainKeep, released: true}} {
+		c := NewCalibrated(lenJCT, 500)
+		c.SetHashChain(func(r *Request) []uint64 {
+			chain := make([]uint64, tc.blocks)
+			for i := range chain {
+				chain[i] = uint64(r.ID)<<32 | uint64(i) + 1
+			}
+			return chain
+		})
+		for id := int64(1); id <= 4; id++ {
+			c.Enqueue(req(id, 10, 0))
+		}
+		for c.Next(1) != nil {
+		}
+		if got := c.idx.lists == nil; got != tc.released {
+			t.Fatalf("%d blocks per request: index released = %v, want %v", tc.blocks, got, tc.released)
+		}
+		if len(c.idx.slot) != 0 {
+			t.Fatalf("%d blocks per request: %d hashes still indexed after draining", tc.blocks, len(c.idx.slot))
+		}
+	}
+}

@@ -62,6 +62,12 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// maxCompletionBody caps a /v1/completions request body. 16 MiB allows 128
+// bytes per token for a 131,072-token prompt; the tokenizer's pieces are at
+// most 6 runes, so any prompt an engine can admit fits far below the cap.
+// It only stops a client from making the server buffer an unbounded body.
+const maxCompletionBody = 16 << 20
+
 // rejectBody is the payload for typed request sheds — 429 for
 // admission-control rejects, 503 for fault-driven drops — the
 // human-readable error plus the structured decision, so clients can back
@@ -190,7 +196,13 @@ func (h *Handler) completions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CompletionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCompletionBody)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				apiError{fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, apiError{fmt.Sprintf("bad request body: %v", err)})
 		return
 	}

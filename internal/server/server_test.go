@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -94,6 +95,51 @@ func TestBackendCloseUnblocks(t *testing.T) {
 		t.Fatal("submit after close accepted")
 	}
 	b.Close() // idempotent
+}
+
+// TestHTTPCompletionsBodyLimit sends a normal body and one over the cap:
+// the first is served, the second is refused with 413 and the JSON error
+// body once the cap is reached, without the rest being read.
+func TestHTTPCompletionsBodyLimit(t *testing.T) {
+	h := NewHandler(testBackend(t), "prefillonly-test")
+	post := func(promptBytes int) *httptest.ResponseRecorder {
+		body := io.MultiReader(
+			strings.NewReader(`{"prompt":"`),
+			io.LimitReader(&repeatReader{word: "profile "}, int64(promptBytes)),
+			strings.NewReader(`Answer:","max_tokens":1}`),
+		)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/completions", body))
+		return rec
+	}
+
+	if rec := post(2000); rec.Code != http.StatusOK {
+		t.Fatalf("normal body: status %d, body %s", rec.Code, rec.Body)
+	}
+	rec := post(maxCompletionBody)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", rec.Code)
+	}
+	var e apiError
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "exceeds") {
+		t.Fatalf("oversized body: error body %q (%v)", rec.Body, err)
+	}
+}
+
+// repeatReader yields word over and over.
+type repeatReader struct {
+	word string
+	off  int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		c := copy(p[n:], r.word[r.off:])
+		n += c
+		r.off = (r.off + c) % len(r.word)
+	}
+	return n, nil
 }
 
 func TestHTTPCompletions(t *testing.T) {
