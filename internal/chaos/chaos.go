@@ -215,6 +215,9 @@ type stream struct {
 	gap     *sim.Poisson
 	victims *rand.Rand
 	armed   bool
+	// done marks a stream whose next gap passed HorizonSeconds: it has
+	// stopped for good, and Start must not revive it with a fresh gap.
+	done bool
 }
 
 // Injector schedules fault events on the sim clock. A nil *Injector is
@@ -275,15 +278,16 @@ func (in *Injector) Stats() Stats {
 	return in.stats
 }
 
-// Start arms every fault stream that is not already ticking. Idempotent;
-// call it whenever work is submitted (the streams park when the event
-// queue drains, mirroring the trace sampler's re-arm discipline).
+// Start arms every fault stream that is not already ticking or stopped
+// by the horizon. Idempotent; call it whenever work is submitted (without
+// a horizon the streams park when the event queue drains, mirroring the
+// trace sampler's re-arm discipline).
 func (in *Injector) Start() {
 	if in == nil {
 		return
 	}
 	for _, st := range in.streams {
-		if !st.armed {
+		if !st.armed && !st.done {
 			st.armed = true
 			st.rearm()
 		}
@@ -308,7 +312,7 @@ func (st *stream) rearm() {
 		if in.clock.Now()+gap <= in.cfg.HorizonSeconds {
 			in.clock.AfterFunc(gap, streamFire, st)
 		} else {
-			st.armed = false
+			st.armed, st.done = false, true
 		}
 		return
 	}

@@ -163,3 +163,38 @@ func TestOrphanAccounting(t *testing.T) {
 		t.Fatalf("in-flight %d after the run drained", inflight)
 	}
 }
+
+// TestStartAfterHorizonStopSchedulesNothing: a stream whose next gap
+// passed HorizonSeconds has stopped for good. A later Start — which a
+// fleet issues on every submit — must not revive it with a fresh gap
+// that lands before the horizon, so it schedules nothing and the stats
+// stay as the horizon left them.
+func TestStartAfterHorizonStopSchedulesNothing(t *testing.T) {
+	var s sim.Sim
+	rt := cluster(t, &s, 2)
+	inj := chaos.New(chaos.Config{
+		Seed:             3,
+		StragglerRate:    1,
+		StragglerSeconds: 1e-3,
+		HorizonSeconds:   50,
+	}, &s, rt, chaos.Options{})
+	inj.Start()
+	s.Run()
+	stopped := inj.Stats()
+	if stopped.Stragglers == 0 {
+		t.Fatal("scenario injected no faults before the horizon")
+	}
+	if now := s.Now(); now >= 50 {
+		t.Fatalf("stream stopped at %g, past the horizon; the check needs an earlier stop", now)
+	}
+	for i := 0; i < 100; i++ {
+		inj.Start()
+	}
+	if n := s.Pending(); n != 0 {
+		t.Fatalf("Start after the horizon stop scheduled %d events", n)
+	}
+	s.Run()
+	if st := inj.Stats(); st != stopped {
+		t.Fatalf("stats moved after the horizon stop:\nbefore %+v\nafter  %+v", stopped, st)
+	}
+}

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/hw"
 	"repro/internal/model"
@@ -57,17 +55,6 @@ func NewKernel(shards int, lookahead float64) *Kernel {
 	return &Kernel{sharded: sim.NewSharded(shards, lookahead)}
 }
 
-// Shards returns the shard count (1 in serial mode).
-func (k *Kernel) Shards() int {
-	if k.sharded == nil {
-		return 1
-	}
-	return k.sharded.Shards()
-}
-
-// Sharded reports whether the kernel runs the sharded scheduler.
-func (k *Kernel) Sharded() bool { return k.sharded != nil }
-
 // Clock returns the coordinator-side clock: arrivals, router interactions,
 // autoscale ticks and gauge samplers schedule here.
 func (k *Kernel) Clock() sim.Clock {
@@ -95,22 +82,22 @@ func (k *Kernel) Run() float64 {
 	return k.sharded.Run()
 }
 
+// RunUntil executes every event at or before the deadline and advances
+// the clock to it: the wall-clock server's stepping primitive. Only the
+// serial kernel supports it; it panics on a sharded kernel.
+func (k *Kernel) RunUntil(deadline float64) {
+	if k.sharded != nil {
+		panic("engine: RunUntil needs the serial kernel")
+	}
+	k.serial.RunUntil(deadline)
+}
+
 // Executed returns the total events executed (merged across shards).
 func (k *Kernel) Executed() uint64 {
 	if k.sharded == nil {
 		return k.serial.Executed()
 	}
 	return k.sharded.Executed()
-}
-
-// Stats returns the kernel's self-profile: windows advanced, bound-clamp
-// causes, window-width and barrier-stall histograms, and the per-shard
-// breakdown (degenerate — coordinator events only — in serial mode).
-func (k *Kernel) Stats() sim.KernelStats {
-	if k.sharded == nil {
-		return k.serial.Stats()
-	}
-	return k.sharded.Stats()
 }
 
 // CompletionSinks adapts a run's shared completion sink (router
@@ -202,14 +189,4 @@ func (m *completionMerger) flush() {
 		sc.buf = sc.buf[:0]
 		sc.pos = 0
 	}
-}
-
-// Validate that a Kernel is used consistently: sharded mode requires the
-// completion path to go through CompletionSinks, or router accounting
-// would race across shards. Run constructors call this after wiring.
-func (k *Kernel) Validate() error {
-	if k.sharded != nil && k.merger == nil {
-		return fmt.Errorf("engine: sharded kernel wired without CompletionSinks")
-	}
-	return nil
 }

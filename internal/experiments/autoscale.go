@@ -1,12 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/autoscale"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/router"
 	"repro/internal/workload"
@@ -93,126 +93,63 @@ func AutoscaleRun(rc AutoscaleRunConfig) (*AutoscaleRunResult, error) {
 	if err := rc.defaults(); err != nil {
 		return nil, err
 	}
-	initial := rc.MinInstances
-	if rc.FixedInstances > 0 {
-		initial = rc.FixedInstances
-	}
-	kern := engine.NewKernel(rc.Shards, engine.MinEventSeconds(rc.Scenario.Model, rc.Scenario.GPU))
 	var recs []engine.Record
-	var rt *router.Router
-	profLen := (rc.Dataset.MaxLen/1000 + 1) * 1000
-	cfg := engine.Config{
+	spec := fleet.Spec{
 		Model:         rc.Scenario.Model,
 		GPU:           rc.Scenario.GPU,
-		ProfileMaxLen: profLen,
+		ProfileMaxLen: profileLen(rc.Dataset),
+		Core:          core.Options{Lambda: rc.Lambda},
+		Instances:     rc.FixedInstances,
+		Router:        &router.Config{Policy: router.AffinityLoad{}, MaxBacklogSeconds: rc.MaxBacklogSeconds},
+		Shards:        rc.Shards,
+		OnComplete:    func(r engine.Record) { recs = append(recs, r) },
 	}
-	sinkFor := kern.CompletionSinks(func(r engine.Record) {
-		if rt != nil {
-			rt.Completed(r)
-		}
-		recs = append(recs, r)
-	})
-	// The factory serves both initial construction and mid-run scale-ups:
-	// built counts every instance ever created, so autoscaled additions
-	// continue the shard rotation deterministically.
-	built := 0
-	factory := func() (engine.Engine, error) {
-		c := cfg
-		c.Sim = kern.InstanceClock(built)
-		c.OnComplete = sinkFor(built)
-		built++
-		return core.New(c, core.Options{Lambda: rc.Lambda})
-	}
-	engines := make([]engine.Engine, initial)
-	for i := range engines {
-		e, err := factory()
-		if err != nil {
-			return nil, err
-		}
-		engines[i] = e
-	}
-	var err error
-	rt, err = router.New(router.Config{
-		Policy:            router.AffinityLoad{},
-		MaxBacklogSeconds: rc.MaxBacklogSeconds,
-	}, engines...)
-	if err != nil {
-		return nil, err
-	}
-
-	var ctl *autoscale.Controller
-	mode := fmt.Sprintf("fixed-%d", initial)
+	mode := fmt.Sprintf("fixed-%d", rc.FixedInstances)
 	if rc.FixedInstances <= 0 {
 		ccfg := rc.Controller
 		ccfg.MinInstances = rc.MinInstances
 		ccfg.MaxInstances = rc.MaxInstances
 		ccfg.Model = rc.Scenario.Model
 		ccfg.GPU = rc.Scenario.GPU
-		ctl, err = autoscale.New(ccfg, kern.Clock(), rt, factory)
-		if err != nil {
-			return nil, err
-		}
-		ctl.Start()
+		spec.Autoscale = &ccfg
 		mode = fmt.Sprintf("autoscale-%d:%d", rc.MinInstances, rc.MaxInstances)
+	}
+	f, err := fleet.New(spec)
+	if err != nil {
+		return nil, err
 	}
 
 	arrivals, err := workload.AssignOpenLoopArrivals(rc.Dataset, rc.Rate, rc.MaxRate, rc.Seed)
 	if err != nil {
 		return nil, err
 	}
-	rejected := 0
-	var submitErr error
-	clock := kern.Clock()
 	for _, a := range arrivals {
-		a := a
-		clock.At(a.Time, func() {
-			err := rt.Submit(a.Req)
-			if err == nil {
-				return
-			}
-			var rej *router.RejectError
-			if errors.As(err, &rej) {
-				rejected++
-			} else if submitErr == nil {
-				submitErr = err
-			}
-		})
+		f.SubmitAt(a.Time, a.Req)
 	}
-	end := kern.Run()
-	if submitErr != nil {
-		return nil, submitErr
-	}
-	if ctl != nil {
-		if err := ctl.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if len(recs)+rejected != len(rc.Dataset.Requests) {
-		return nil, fmt.Errorf("experiments: %d completed + %d rejected of %d requests",
-			len(recs), rejected, len(rc.Dataset.Requests))
+	end := f.Run()
+	if err := f.Check(len(rc.Dataset.Requests)); err != nil {
+		return nil, err
 	}
 
 	res := &AutoscaleRunResult{
 		Mode:            mode,
 		Dataset:         rc.Dataset.Name,
 		Completed:       len(recs),
-		Rejected:        rejected,
-		ShedRate:        float64(rejected) / float64(len(rc.Dataset.Requests)),
+		Rejected:        f.Rejected(),
+		ShedRate:        float64(f.Rejected()) / float64(len(rc.Dataset.Requests)),
+		GPUSeconds:      f.GPUSeconds(end),
 		MakespanSeconds: end,
-		PeakInstances:   initial,
-		TroughInstances: initial,
+		PeakInstances:   rc.FixedInstances,
+		TroughInstances: rc.FixedInstances,
 	}
 	_, res.Latency, res.ThroughputRPS = latencyStats(recs)
-	if ctl != nil {
+	if ctl := f.Autoscaler(); ctl != nil {
 		st := ctl.Stats()
-		res.GPUSeconds = ctl.GPUSeconds(end)
 		res.PeakInstances = st.PeakInstances
 		res.TroughInstances = st.MinInstances
 		res.ScaleUps = st.ScaleUps
 		res.ScaleDowns = st.ScaleDowns
 		res.ColdStartSeconds = st.ColdStartSeconds
-	} else {
-		res.GPUSeconds = float64(rt.GPUs()) * end
 	}
 	return res, nil
 }

@@ -1,16 +1,15 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/autoscale"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/router"
-	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -99,57 +98,6 @@ func ChaosRun(rc ChaosRunConfig) (*ChaosRunResult, error) {
 	if err := rc.defaults(); err != nil {
 		return nil, err
 	}
-	kern := engine.NewKernel(rc.Shards, engine.MinEventSeconds(rc.Scenario.Model, rc.Scenario.GPU))
-	var recs []engine.Record
-	var rt *router.Router
-	profLen := (rc.Dataset.MaxLen/1000 + 1) * 1000
-	cfg := engine.Config{
-		Model:         rc.Scenario.Model,
-		GPU:           rc.Scenario.GPU,
-		ProfileMaxLen: profLen,
-	}
-	sinkFor := kern.CompletionSinks(func(r engine.Record) {
-		if rt != nil {
-			rt.Completed(r)
-		}
-		recs = append(recs, r)
-	})
-	built := 0
-	factory := func() (engine.Engine, error) {
-		c := cfg
-		c.Sim = kern.InstanceClock(built)
-		c.OnComplete = sinkFor(built)
-		built++
-		return core.New(c, core.Options{Lambda: rc.Lambda})
-	}
-	engines := make([]engine.Engine, rc.MinInstances)
-	for i := range engines {
-		e, err := factory()
-		if err != nil {
-			return nil, err
-		}
-		engines[i] = e
-	}
-	var err error
-	rt, err = router.New(router.Config{
-		Policy:            router.AffinityLoad{},
-		MaxBacklogSeconds: rc.MaxBacklogSeconds,
-	}, engines...)
-	if err != nil {
-		return nil, err
-	}
-
-	ctl, err := autoscale.New(autoscale.Config{
-		MinInstances: rc.MinInstances,
-		MaxInstances: rc.MaxInstances,
-		Model:        rc.Scenario.Model,
-		GPU:          rc.Scenario.GPU,
-	}, kern.Clock(), rt, factory)
-	if err != nil {
-		return nil, err
-	}
-	ctl.Start()
-
 	qps := rc.QPS
 	arrivals, err := workload.AssignOpenLoopArrivals(rc.Dataset,
 		func(float64) float64 { return qps }, qps, rc.Seed)
@@ -162,53 +110,41 @@ func ChaosRun(rc ChaosRunConfig) (*ChaosRunResult, error) {
 	if ccfg.HorizonSeconds <= 0 && len(arrivals) > 0 {
 		ccfg.HorizonSeconds = arrivals[len(arrivals)-1].Time
 	}
-	orphanShed := 0
-	inj := chaos.New(ccfg, kern.Clock(), rt, chaos.Options{
-		Controller: ctl,
-		OnShed:     func(*sched.Request, *router.RejectError) { orphanShed++ },
+	var recs []engine.Record
+	f, err := fleet.New(fleet.Spec{
+		Model:         rc.Scenario.Model,
+		GPU:           rc.Scenario.GPU,
+		ProfileMaxLen: profileLen(rc.Dataset),
+		Core:          core.Options{Lambda: rc.Lambda},
+		Router:        &router.Config{Policy: router.AffinityLoad{}, MaxBacklogSeconds: rc.MaxBacklogSeconds},
+		Autoscale:     &autoscale.Config{MinInstances: rc.MinInstances, MaxInstances: rc.MaxInstances},
+		Chaos:         ccfg,
+		Shards:        rc.Shards,
+		OnComplete:    func(r engine.Record) { recs = append(recs, r) },
 	})
-	rejected := 0
-	var submitErr error
-	clock := kern.Clock()
-	for _, a := range arrivals {
-		a := a
-		clock.At(a.Time, func() {
-			err := rt.Submit(a.Req)
-			if err == nil {
-				return
-			}
-			var rej *router.RejectError
-			if errors.As(err, &rej) {
-				rejected++
-			} else if submitErr == nil {
-				submitErr = err
-			}
-		})
-	}
-	inj.Start()
-	end := kern.Run()
-	if submitErr != nil {
-		return nil, submitErr
-	}
-	if err := ctl.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	if len(recs)+rejected+orphanShed != len(rc.Dataset.Requests) {
-		return nil, fmt.Errorf("experiments: %d completed + %d rejected + %d orphan-shed of %d requests",
-			len(recs), rejected, orphanShed, len(rc.Dataset.Requests))
+	for _, a := range arrivals {
+		f.SubmitAt(a.Time, a.Req)
+	}
+	end := f.Run()
+	offered := len(rc.Dataset.Requests)
+	if err := f.Check(offered); err != nil {
+		return nil, err
 	}
 
-	st := ctl.Stats()
+	st := f.Autoscaler().Stats()
 	res := &ChaosRunResult{
 		Mode:            "chaos",
 		Dataset:         rc.Dataset.Name,
 		Completed:       len(recs),
-		Rejected:        rejected,
-		OrphanShed:      orphanShed,
-		ShedRate:        float64(rejected+orphanShed) / float64(len(rc.Dataset.Requests)),
+		Rejected:        f.Rejected(),
+		OrphanShed:      f.OrphanShed(),
+		ShedRate:        float64(f.Rejected()+f.OrphanShed()) / float64(offered),
 		MakespanSeconds: end,
-		GPUSeconds:      ctl.GPUSeconds(end),
-		Faults:          inj.Stats(),
+		GPUSeconds:      f.GPUSeconds(end),
+		Faults:          f.Chaos().Stats(),
 		ScaleUps:        st.ScaleUps,
 		Revives:         st.Revives,
 		Lost:            st.Lost,

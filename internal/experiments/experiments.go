@@ -8,44 +8,39 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/fleet"
 	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// scheduleArrivals schedules a dataset onto the clock through submit:
-// Poisson arrivals at qps > 0, or closed-loop saturation (everything at
-// t=0) otherwise. Arrivals always land on a kernel's coordinator clock —
-// submission routes across instances, which is cross-shard work.
-func scheduleArrivals(s sim.Clock, ds *workload.Dataset, qps float64, seed int64, submit func(*sched.Request)) error {
+// scheduleArrivals schedules a dataset's arrivals on the fleet: Poisson
+// arrivals at qps > 0, or closed-loop saturation (everything at t=0)
+// otherwise.
+func scheduleArrivals(f *fleet.Fleet, ds *workload.Dataset, qps float64, seed int64) error {
 	if qps > 0 {
 		arrivals, err := workload.AssignPoissonArrivals(ds, qps, seed)
 		if err != nil {
 			return err
 		}
 		for _, a := range arrivals {
-			a := a
-			s.At(a.Time, func() { submit(a.Req) })
+			f.SubmitAt(a.Time, a.Req)
 		}
 		return nil
 	}
 	for _, r := range ds.Requests {
 		r.ArrivalTime = 0
+		f.SubmitAt(0, r)
 	}
-	reqs := ds.Requests
-	s.At(0, func() {
-		for _, r := range reqs {
-			submit(r)
-		}
-	})
 	return nil
 }
+
+// profileLen is the profile-run length every experiment fleet uses: the
+// dataset's longest input rounded up to the next thousand tokens.
+func profileLen(ds *workload.Dataset) int { return (ds.MaxLen/1000 + 1) * 1000 }
 
 // latencyStats aggregates completion records: per-request latencies, their
 // summary, and throughput over the busy span (first arrival to last
@@ -63,22 +58,6 @@ func latencyStats(recs []engine.Record) (lats []float64, sum metrics.Summary, tp
 		tputRPS = float64(len(recs)) / span
 	}
 	return lats, sum, tputRPS
-}
-
-// clusterHitRate aggregates prefix-cache hit rate across engines.
-func clusterHitRate(engines []engine.Engine) float64 {
-	var lookup, hit int64
-	for _, e := range engines {
-		if c := e.Cache(); c != nil {
-			st := c.Stats()
-			lookup += st.LookupTokens
-			hit += st.HitTokens
-		}
-	}
-	if lookup == 0 {
-		return 0
-	}
-	return float64(hit) / float64(lookup)
 }
 
 // EngineKind enumerates the five systems of Figure 6.
@@ -120,9 +99,19 @@ func AllEngines() []EngineKind {
 	return []EngineKind{PrefillOnly, PagedAttention, ChunkedPrefill, PipelineParallel, TensorParallel}
 }
 
-// Parallel reports whether the engine spans both GPUs of a scenario.
-func (k EngineKind) Parallel() bool {
-	return k == PipelineParallel || k == TensorParallel
+// engine returns the fleet engine the kind names.
+func (k EngineKind) engine() fleet.Engine {
+	engines := [...]fleet.Engine{
+		PrefillOnly:      fleet.PrefillOnly,
+		PagedAttention:   fleet.PagedAttention,
+		ChunkedPrefill:   fleet.ChunkedPrefill,
+		PipelineParallel: fleet.PipelineParallel,
+		TensorParallel:   fleet.TensorParallel,
+	}
+	if k < 0 || int(k) >= len(engines) {
+		return fleet.Engine(k.String())
+	}
+	return engines[k]
 }
 
 // Scenario is one hardware/model row of Table 3.
@@ -227,93 +216,46 @@ type RunResult struct {
 	Records []engine.Record
 }
 
-// buildCluster constructs the engine instances for a run on the kernel's
-// shard clocks and returns the cluster; completions flow through the
-// kernel's merged sinks into onComplete.
-func buildCluster(rc RunConfig, kern *engine.Kernel, onComplete func(engine.Record)) (*cluster.Cluster, error) {
-	totalGPUs := rc.TotalGPUs
-	if totalGPUs <= 0 {
-		totalGPUs = 2
-	}
-	profLen := (rc.Dataset.MaxLen/1000 + 1) * 1000
-	cfg := engine.Config{
-		Model:         rc.Scenario.Model,
-		GPU:           rc.Scenario.GPU,
-		ProfileMaxLen: profLen,
-	}
-	sinkFor := kern.CompletionSinks(onComplete)
-	instance := func(i int) engine.Config {
-		c := cfg
-		c.Sim = kern.InstanceClock(i)
-		c.OnComplete = sinkFor(i)
-		return c
-	}
-	var engines []engine.Engine
-	if rc.Kind.Parallel() {
-		for g := 0; g < totalGPUs/2; g++ {
-			var e engine.Engine
-			var err error
-			if rc.Kind == TensorParallel {
-				e, err = engine.NewTensorParallel(instance(g))
-			} else {
-				e, err = engine.NewPipelineParallel(instance(g))
-			}
-			if err != nil {
-				return nil, err
-			}
-			engines = append(engines, e)
-		}
-	} else {
-		for g := 0; g < totalGPUs; g++ {
-			var e engine.Engine
-			var err error
-			switch rc.Kind {
-			case PrefillOnly:
-				e, err = core.New(instance(g), core.Options{Lambda: rc.Lambda})
-			case PagedAttention:
-				e, err = engine.NewPagedAttention(instance(g))
-			case ChunkedPrefill:
-				e, err = engine.NewChunkedPrefill(instance(g), 0)
-			default:
-				err = fmt.Errorf("experiments: unknown engine kind %v", rc.Kind)
-			}
-			if err != nil {
-				return nil, err
-			}
-			engines = append(engines, e)
-		}
-	}
-	return cluster.New(engines...)
-}
-
 // Run executes one serving run to completion and aggregates it.
 func Run(rc RunConfig) (*RunResult, error) {
 	if rc.Dataset == nil {
 		return nil, fmt.Errorf("experiments: RunConfig.Dataset is required")
 	}
-	kern := engine.NewKernel(rc.Shards, engine.MinEventSeconds(rc.Scenario.Model, rc.Scenario.GPU))
+	gpus := rc.TotalGPUs
+	if gpus <= 0 {
+		gpus = 2
+	}
+	eng := rc.Kind.engine()
 	var recs []engine.Record
-	cl, err := buildCluster(rc, kern, func(r engine.Record) { recs = append(recs, r) })
+	f, err := fleet.New(fleet.Spec{
+		Engine:        eng,
+		Model:         rc.Scenario.Model,
+		GPU:           rc.Scenario.GPU,
+		ProfileMaxLen: profileLen(rc.Dataset),
+		Core:          core.Options{Lambda: rc.Lambda},
+		Instances:     gpus / eng.GPUs(),
+		Shards:        rc.Shards,
+		OnComplete:    func(r engine.Record) { recs = append(recs, r) },
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	if err := scheduleArrivals(kern.Clock(), rc.Dataset, rc.QPS, rc.Seed, cl.Submit); err != nil {
+	if err := scheduleArrivals(f, rc.Dataset, rc.QPS, rc.Seed); err != nil {
 		return nil, err
 	}
-	kern.Run()
-
-	if len(recs) != len(rc.Dataset.Requests) {
-		return nil, fmt.Errorf("experiments: %d of %d requests completed", len(recs), len(rc.Dataset.Requests))
+	f.Run()
+	if err := f.Check(len(rc.Dataset.Requests)); err != nil {
+		return nil, err
 	}
 	res := &RunResult{
-		Kind:     rc.Kind,
-		Scenario: rc.Scenario.Name,
-		Dataset:  rc.Dataset.Name,
-		QPS:      rc.QPS,
-		Records:  recs,
+		Kind:         rc.Kind,
+		Scenario:     rc.Scenario.Name,
+		Dataset:      rc.Dataset.Name,
+		QPS:          rc.QPS,
+		Completed:    len(recs),
+		CacheHitRate: f.CacheHitRate(),
+		Records:      recs,
 	}
-	res.Completed = len(recs)
 	res.Latencies, res.Latency, res.ThroughputRPS = latencyStats(recs)
 	infeasible := 0
 	for _, r := range recs {
@@ -322,7 +264,6 @@ func Run(rc RunConfig) (*RunResult, error) {
 		}
 	}
 	res.InfeasibleFrac = float64(infeasible) / float64(len(recs))
-	res.CacheHitRate = clusterHitRate(cl.Instances())
 	return res, nil
 }
 

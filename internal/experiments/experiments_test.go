@@ -237,7 +237,7 @@ func TestEngineKindStrings(t *testing.T) {
 			t.Fatal("empty engine name")
 		}
 	}
-	if !TensorParallel.Parallel() || PrefillOnly.Parallel() {
-		t.Fatal("Parallel() wrong")
+	if TensorParallel.engine().GPUs() != 2 || PrefillOnly.engine().GPUs() != 1 {
+		t.Fatal("parallel kinds must span a GPU pair, serial kinds one GPU")
 	}
 }

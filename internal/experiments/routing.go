@@ -1,15 +1,14 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/router"
-	"repro/internal/sched"
 	"repro/internal/timeseries"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -68,7 +67,7 @@ type RoutingRunConfig struct {
 	// paths leave it nil so their cells stay deterministic and lean.
 	Tracer *trace.Recorder
 	// Timeseries, when non-nil, collects the run's windowed series. The
-	// run installs its own gauge sampler and boundary ticker on the
+	// fleet installs its gauge sampler and boundary ticker on the
 	// collector; callers just construct it with the interval they want.
 	Timeseries *timeseries.Collector
 	// Shards selects the event kernel: <= 1 serial, >= 2 the sharded
@@ -121,123 +120,41 @@ func RoutingRunPolicy(rc RoutingRunConfig, pol router.Policy) (*RoutingRunResult
 	if instances <= 0 {
 		instances = 4
 	}
-	kern := engine.NewKernel(rc.Shards, engine.MinEventSeconds(rc.Scenario.Model, rc.Scenario.GPU))
 	var recs []engine.Record
-	var rt *router.Router
-	profLen := (rc.Dataset.MaxLen/1000 + 1) * 1000
-	cfg := engine.Config{
+	f, err := fleet.New(fleet.Spec{
 		Model:         rc.Scenario.Model,
 		GPU:           rc.Scenario.GPU,
-		ProfileMaxLen: profLen,
+		ProfileMaxLen: profileLen(rc.Dataset),
+		Core:          core.Options{Lambda: rc.Lambda},
+		Instances:     instances,
+		Router:        &router.Config{Policy: pol, MaxBacklogSeconds: rc.MaxBacklogSeconds},
+		Shards:        rc.Shards,
 		Tracer:        rc.Tracer,
-	}
-	// Router accounting and the record slice are shared state: completions
-	// flow through the kernel's merged sinks so the sharded kernel applies
-	// them in the serial kernel's global finish order.
-	sinkFor := kern.CompletionSinks(func(r engine.Record) {
-		if rt != nil {
-			rt.Completed(r)
-		}
-		recs = append(recs, r)
-		// Pass the record's own finish time: under the sharded kernel this
-		// sink runs at window barriers, after the coordinator clock moved on.
-		rc.Timeseries.Complete(r.Finish, r.Req.Class, r.Latency())
+		SampleSeconds: 0.5,
+		Timeseries:    rc.Timeseries,
+		OnComplete:    func(r engine.Record) { recs = append(recs, r) },
 	})
-	engines := make([]engine.Engine, instances)
-	for i := range engines {
-		c := cfg
-		c.Sim = kern.InstanceClock(i)
-		c.OnComplete = sinkFor(i)
-		e, err := core.New(c, core.Options{Lambda: rc.Lambda})
-		if err != nil {
-			return nil, err
-		}
-		engines[i] = e
-	}
-	admission := &metrics.Admission{}
-	rt, err := router.New(router.Config{
-		Policy:            pol,
-		MaxBacklogSeconds: rc.MaxBacklogSeconds,
-		Admission:         admission,
-		Tracer:            rc.Tracer,
-	}, engines...)
 	if err != nil {
 		return nil, err
 	}
-
-	clock := kern.Clock()
-	if rc.Timeseries != nil {
-		instCount := instances
-		rc.Timeseries.SetSample(func(now float64) timeseries.Gauges {
-			var g timeseries.Gauges
-			for _, info := range rt.InstanceInfos() {
-				g.QueuedRequests += info.Load.QueuedRequests
-				g.BacklogSeconds += info.Load.BacklogSeconds
-			}
-			g.PoolSize = rt.Routable()
-			g.CacheHitRatio = clusterHitRate(engines)
-			g.GPUSeconds = now * float64(instCount)
-			return g
-		})
-		rc.Timeseries.Attach(clock)
-	}
-
-	rejected := 0
-	var submitErr error
-	submit := func(r *sched.Request) {
-		rc.Timeseries.Arrival(clock.Now(), r.Class)
-		rc.Timeseries.Start()
-		err := rt.Submit(r)
-		if err == nil {
-			return
-		}
-		// Only admission sheds count as rejections; anything else (e.g.
-		// a custom policy picking an out-of-range instance) is a
-		// programming error that must fail the run, not masquerade as
-		// load shedding.
-		var rej *router.RejectError
-		if errors.As(err, &rej) {
-			rejected++
-			rc.Timeseries.Reject(clock.Now(), rej.Class, rej.Reason)
-		} else if submitErr == nil {
-			submitErr = err
-		}
-	}
-	if err := scheduleArrivals(kern.Clock(), rc.Dataset, rc.QPS, rc.Seed, submit); err != nil {
+	if err := scheduleArrivals(f, rc.Dataset, rc.QPS, rc.Seed); err != nil {
 		return nil, err
 	}
-	if rc.Tracer != nil {
-		// Fleet gauges on sim ticks: router loads, pool size, cache
-		// residency. Armed after arrivals are scheduled so the sampler's
-		// drain discipline (stop when no other events remain) holds. The
-		// sampler reads fleet-wide state, so it ticks on the coordinator.
-		trace.NewSampler(kern.Clock(), 0.5, func(now float64) {
-			for _, info := range rt.InstanceInfos() {
-				rc.Tracer.LoadGauge(now, info.ID, info.Load.QueuedRequests, info.Load.BacklogSeconds)
-			}
-			rc.Tracer.PoolGauge(now, rt.Routable(), 0)
-			rc.Tracer.SampleCaches(now)
-		}).Start()
+	f.Run()
+	if err := f.Check(len(rc.Dataset.Requests)); err != nil {
+		return nil, err
 	}
-	kern.Run()
-
-	if submitErr != nil {
-		return nil, submitErr
-	}
-	if len(recs)+rejected != len(rc.Dataset.Requests) {
-		return nil, fmt.Errorf("experiments: %d completed + %d rejected of %d requests",
-			len(recs), rejected, len(rc.Dataset.Requests))
-	}
+	rt := f.Router()
 	res := &RoutingRunResult{
-		Policy:    pol.Name(),
-		Dataset:   rc.Dataset.Name,
-		QPS:       rc.QPS,
-		Completed: len(recs),
-		Rejected:  rejected,
-		Admission: admission.Policy(pol.Name()),
+		Policy:       pol.Name(),
+		Dataset:      rc.Dataset.Name,
+		QPS:          rc.QPS,
+		Completed:    len(recs),
+		Rejected:     f.Rejected(),
+		CacheHitRate: f.CacheHitRate(),
+		Admission:    rt.Admission().Policy(pol.Name()),
 	}
 	_, res.Latency, res.ThroughputRPS = latencyStats(recs)
-	res.CacheHitRate = clusterHitRate(engines)
 	minTok, maxTok := int64(math.MaxInt64), int64(0)
 	for _, l := range rt.Loads() {
 		res.RoutedTokens = append(res.RoutedTokens, l.RoutedTokens)

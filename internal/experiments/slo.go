@@ -19,11 +19,11 @@ package experiments
 // goodput and batch shed.
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/router"
 	"repro/internal/sched"
@@ -103,45 +103,36 @@ func SLORun(rc SLORunConfig) (*SLORunResult, error) {
 	if err := rc.defaults(); err != nil {
 		return nil, err
 	}
-	kern := engine.NewKernel(rc.Shards, engine.MinEventSeconds(rc.Scenario.Model, rc.Scenario.GPU))
-	var recs []engine.Record
-	var rt *router.Router
-	profLen := (rc.Dataset.MaxLen/1000 + 1) * 1000
-	cfg := engine.Config{
-		Model:         rc.Scenario.Model,
-		GPU:           rc.Scenario.GPU,
-		ProfileMaxLen: profLen,
-	}
-	sinkFor := kern.CompletionSinks(func(r engine.Record) {
-		if rt != nil {
-			rt.Completed(r)
-		}
-		recs = append(recs, r)
-	})
 	opts := core.Options{Lambda: rc.Lambda}
 	if rc.BatchWeight > 1 {
 		opts.ClassWeights = map[sched.Class]float64{sched.ClassBatch: rc.BatchWeight}
 	}
-	engines := make([]engine.Engine, rc.Instances)
-	for i := range engines {
-		c := cfg
-		c.Sim = kern.InstanceClock(i)
-		c.OnComplete = sinkFor(i)
-		e, err := core.New(c, opts)
-		if err != nil {
-			return nil, err
-		}
-		engines[i] = e
-	}
-	rcfg := router.Config{
+	rcfg := &router.Config{
 		Policy:            router.AffinityLoad{},
 		MaxBacklogSeconds: rc.MaxBacklogSeconds,
 	}
 	if rc.BatchBacklogSeconds > 0 {
 		rcfg.ClassBacklogSeconds = map[sched.Class]float64{sched.ClassBatch: rc.BatchBacklogSeconds}
 	}
-	var err error
-	rt, err = router.New(rcfg, engines...)
+	var interLats, batchLats []float64
+	var batchTokens int64
+	f, err := fleet.New(fleet.Spec{
+		Model:         rc.Scenario.Model,
+		GPU:           rc.Scenario.GPU,
+		ProfileMaxLen: profileLen(rc.Dataset),
+		Core:          opts,
+		Instances:     rc.Instances,
+		Router:        rcfg,
+		Shards:        rc.Shards,
+		OnComplete: func(r engine.Record) {
+			if r.Req.Class == sched.ClassBatch {
+				batchLats = append(batchLats, r.Latency())
+				batchTokens += int64(r.Req.Len())
+			} else {
+				interLats = append(interLats, r.Latency())
+			}
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -154,59 +145,25 @@ func SLORun(rc SLORunConfig) (*SLORunResult, error) {
 	if rc.classAware() {
 		res.Mode = "class-aware"
 	}
-	var submitErr error
-	clock := kern.Clock()
 	for _, a := range arrivals {
-		a := a
 		if a.Req.Class == sched.ClassBatch {
 			res.BatchOffered++
 		} else {
 			res.InteractiveOffered++
 		}
-		clock.At(a.Time, func() {
-			err := rt.Submit(a.Req)
-			if err == nil {
-				return
-			}
-			var rej *router.RejectError
-			if !errors.As(err, &rej) {
-				if submitErr == nil {
-					submitErr = err
-				}
-				return
-			}
-			if rej.Class == sched.ClassBatch {
-				res.BatchShed++
-			} else {
-				res.InteractiveShed++
-			}
-		})
+		f.SubmitAt(a.Time, a.Req)
 	}
-	end := kern.Run()
-	if submitErr != nil {
-		return nil, submitErr
+	end := f.Run()
+	if err := f.Check(len(rc.Dataset.Requests)); err != nil {
+		return nil, err
 	}
-	shed := res.BatchShed + res.InteractiveShed
-	if len(recs)+shed != len(rc.Dataset.Requests) {
-		return nil, fmt.Errorf("experiments: %d completed + %d shed of %d requests",
-			len(recs), shed, len(rc.Dataset.Requests))
-	}
-
-	var interLats, batchLats []float64
-	var batchTokens int64
-	for _, r := range recs {
-		if r.Req.Class == sched.ClassBatch {
-			batchLats = append(batchLats, r.Latency())
-			batchTokens += int64(r.Req.Len())
-		} else {
-			interLats = append(interLats, r.Latency())
-		}
-	}
+	res.BatchShed = f.RejectedClass(sched.ClassBatch)
+	res.InteractiveShed = f.Rejected() - res.BatchShed
 	res.Interactive = metrics.Summarize(interLats)
 	res.Batch = metrics.Summarize(batchLats)
-	res.Completed = len(recs)
+	res.Completed = f.Completed()
 	res.MakespanSeconds = end
-	res.GPUSeconds = float64(rt.GPUs()) * end
+	res.GPUSeconds = f.GPUSeconds(end)
 	if end > 0 {
 		res.BatchGoodputTPS = float64(batchTokens) / end
 	}

@@ -32,6 +32,16 @@ type Stats struct {
 	RejectedBlocks int64
 }
 
+// Add accumulates another pool's counters into s.
+func (s *Stats) Add(o Stats) {
+	s.LookupTokens += o.LookupTokens
+	s.HitTokens += o.HitTokens
+	s.InsertedBlocks += o.InsertedBlocks
+	s.EvictedBlocks += o.EvictedBlocks
+	s.OffloadedBlocks += o.OffloadedBlocks
+	s.RejectedBlocks += o.RejectedBlocks
+}
+
 // HitRate returns the fraction of looked-up tokens served from cache.
 func (s Stats) HitRate() float64 {
 	if s.LookupTokens == 0 {

@@ -16,7 +16,7 @@ import "strings"
 // set: they are the wall-clock side (HTTP frontend, sweep harness
 // timing) and may observe real time freely.
 var DeterministicPackages = []string{
-	"autoscale", "chaos", "cluster", "engine", "kvcache", "router",
+	"autoscale", "chaos", "engine", "fleet", "kvcache", "router",
 	"sched", "sim", "timeseries", "trace",
 }
 

@@ -10,8 +10,8 @@ import (
 // a slice over its own backing array, `q = q[1:]` and friends. The
 // popped prefix stays reachable through the backing array for the
 // queue's whole lifetime — the PR 4 defect class, found live in four
-// queues (sched FIFO, cluster user-eviction order, PP stage handoff,
-// host-tier eviction). internal/ringbuf.Ring is the one sanctioned
+// queues (sched FIFO, the §7.1 frontend's user-eviction order, PP stage
+// handoff, host-tier eviction). internal/ringbuf.Ring is the one sanctioned
 // pattern (bounded by peak depth, shrinks on drain, zeroes vacated
 // slots), so that package is exempt.
 var SliceRetain = &Analyzer{

@@ -7,7 +7,7 @@
 // stays reachable until the slice is regrown past it), so a long-lived
 // queue under churn pins memory proportional to everything ever enqueued,
 // not to what is waiting. PR 2 fixed that pattern in the scheduler's FIFO;
-// this package extracts the fix so the cluster routing table, the
+// this package extracts the fix so the §7.1 routing table, the
 // pipeline-parallel stage handoff and the host-tier eviction queue reuse
 // it instead of hand-copying a fourth variant.
 package ringbuf

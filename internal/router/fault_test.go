@@ -160,3 +160,54 @@ func TestCondemnBlocksUndrain(t *testing.T) {
 		t.Error("condemned an unknown instance")
 	}
 }
+
+// TestCacheStatsSurviveRemoveAndFail: CacheStats is cumulative over every
+// instance the router has held. Releasing an instance, gracefully or by a
+// crash, folds its lookups and hits into the total instead of dropping
+// them with the engine.
+func TestCacheStatsSurviveRemoveAndFail(t *testing.T) {
+	var s sim.Sim
+	engines, chain := killableCluster(t, &s, 3)
+	rt, err := New(Config{Policy: UserHash{}}, engines...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	*chain = rt.Completed
+	// Two requests per user, sharing their prompt: every instance looks
+	// up both and hits on the second.
+	id := int64(0)
+	for round := 0; round < 2; round++ {
+		for user := 0; user < 6; user++ {
+			id++
+			if err := rt.Submit(mkReq(id, user, 600)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Run()
+	}
+	for i, e := range engines {
+		if st := e.Cache().Stats(); st.LookupTokens == 0 || st.HitTokens == 0 {
+			t.Fatalf("instance %d saw no lookups or hits: %+v", i, st)
+		}
+	}
+	before := rt.CacheStats()
+	infos := rt.InstanceInfos()
+	if err := rt.Drain(infos[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Remove(infos[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.CacheStats(); got.LookupTokens != before.LookupTokens || got.HitTokens != before.HitTokens {
+		t.Fatalf("after Remove: lookups %d hits %d, want %d %d", got.LookupTokens, got.HitTokens, before.LookupTokens, before.HitTokens)
+	}
+	if _, err := rt.Fail(infos[1].ID); err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.CacheStats(); got.LookupTokens != before.LookupTokens || got.HitTokens != before.HitTokens {
+		t.Fatalf("after Fail: lookups %d hits %d, want %d %d", got.LookupTokens, got.HitTokens, before.LookupTokens, before.HitTokens)
+	}
+	if rt.Size() != 1 {
+		t.Fatalf("size %d after releasing two of three instances", rt.Size())
+	}
+}

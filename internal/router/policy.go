@@ -58,7 +58,7 @@ func homeOf(userID, n int) int { return int(hashUser(userID) % uint64(n)) }
 
 // UserHash is the paper's §7.1 baseline for ablation: every request of a
 // user goes to a fixed instance determined by hashing the user ID. Unlike
-// internal/cluster's first-appearance round-robin it keeps no per-user
+// internal/fleet's first-appearance round-robin it keeps no per-user
 // state, so it scales to millions of users, but it is load-blind: a hot
 // user or a long prompt swamps its home instance while neighbors idle.
 type UserHash struct{}

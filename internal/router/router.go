@@ -2,13 +2,13 @@
 // across engine instances by live load and prefix-cache affinity, and sheds
 // load when an instance's backlog exceeds an admission bound.
 //
-// It supersedes internal/cluster's static §7.1 user-id round-robin. The
-// router tracks, per instance, the requests and tokens it has routed but
-// not yet seen complete, plus an estimated backlog in seconds computed with
-// the instance's JCT estimator (the same estimator PrefillOnly's calibrated
-// scheduler uses). Routing policies are pluggable behind the Policy
-// interface; see policy.go for the three built-ins the experiments compare
-// (UserHash, LeastLoaded, AffinityLoad).
+// It is the alternative to internal/fleet's static §7.1 user-id
+// round-robin. The router tracks, per instance, the requests and tokens it
+// has routed but not yet seen complete, plus an estimated backlog in
+// seconds computed with the instance's JCT estimator (the same estimator
+// PrefillOnly's calibrated scheduler uses). Routing policies are pluggable
+// behind the Policy interface; see policy.go for the three built-ins the
+// experiments compare (UserHash, LeastLoaded, AffinityLoad).
 //
 // Membership is dynamic: instances can be added while the router runs
 // (AddInstance), marked draining (Drain) so policies stop offering them
@@ -30,6 +30,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/jct"
+	"repro/internal/kvcache"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -151,9 +152,6 @@ type Config struct {
 	// load ever is. A class entry of 0 disables admission control for
 	// that class; classes without an entry use MaxBacklogSeconds.
 	ClassBacklogSeconds map[sched.Class]float64
-	// Admission receives per-policy accept/reject counts. When nil the
-	// router allocates its own tally (see Router.Admission).
-	Admission *metrics.Admission
 	// EstimatorFor overrides JCT estimator resolution per instance. When
 	// nil (or when it returns nil), the router uses the engine's own
 	// estimator if it exposes one, calibrates a cache-miss proxy from the
@@ -215,6 +213,10 @@ type Router struct {
 	routableDirty bool
 	inflight      map[int64]pending
 	admission     *metrics.Admission
+	// released sums the prefix-cache statistics of removed and failed
+	// instances, so CacheStats stays cumulative while the router holds
+	// only live engines.
+	released kvcache.Stats
 }
 
 // estimatorEngine is satisfied by engines that expose a calibrated JCT
@@ -254,16 +256,12 @@ func New(cfg Config, instances ...engine.Engine) (*Router, error) {
 			return nil, fmt.Errorf("router: %s backlog budget must be non-negative, got %g", class, bound)
 		}
 	}
-	admission := cfg.Admission
-	if admission == nil {
-		admission = &metrics.Admission{}
-	}
 	rt := &Router{
 		cfg:           cfg,
 		byID:          make(map[int]*instanceState),
 		routableDirty: true,
 		inflight:      make(map[int64]pending),
-		admission:     admission,
+		admission:     &metrics.Admission{},
 	}
 	for _, e := range instances {
 		if _, err := rt.AddInstance(e); err != nil {
@@ -352,15 +350,24 @@ func (rt *Router) Remove(id int) error {
 	if st.load.QueuedRequests > 0 {
 		return fmt.Errorf("router: instance %d still has %d in-flight requests", id, st.load.QueuedRequests)
 	}
+	rt.release(st)
+	return nil
+}
+
+// release drops an instance from the membership, folding its cache
+// statistics into the released total.
+func (rt *Router) release(st *instanceState) {
+	if c := st.eng.Cache(); c != nil {
+		rt.released.Add(c.Stats())
+	}
 	for i, s := range rt.instances {
 		if s == st {
 			rt.instances = append(rt.instances[:i], rt.instances[i+1:]...)
 			break
 		}
 	}
-	delete(rt.byID, id)
+	delete(rt.byID, st.id)
 	rt.routableDirty = true
-	return nil
 }
 
 // Condemn marks an instance as irrevocably leaving (spot preemption
@@ -421,14 +428,7 @@ func (rt *Router) Fail(id int) ([]*sched.Request, error) {
 	for _, r := range orphans {
 		delete(rt.inflight, r.ID)
 	}
-	for i, s := range rt.instances {
-		if s == st {
-			rt.instances = append(rt.instances[:i], rt.instances[i+1:]...)
-			break
-		}
-	}
-	delete(rt.byID, id)
-	rt.routableDirty = true
+	rt.release(st)
 	return orphans, nil
 }
 
@@ -493,6 +493,19 @@ func (rt *Router) GPUs() int {
 		n += st.eng.GPUs()
 	}
 	return n
+}
+
+// CacheStats returns the prefix-cache statistics of every instance the
+// router has ever held: the live instances' current counters plus the
+// totals Remove and Fail folded in when they released an instance.
+func (rt *Router) CacheStats() kvcache.Stats {
+	total := rt.released
+	for _, st := range rt.instances {
+		if c := st.eng.Cache(); c != nil {
+			total.Add(c.Stats())
+		}
+	}
+	return total
 }
 
 // Policy returns the active routing policy.

@@ -10,28 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/hw"
-	"repro/internal/model"
 	"repro/internal/router"
 )
-
-func TestEnableChaosRequiresRoutedMode(t *testing.T) {
-	b, err := NewBackend(engine.Config{
-		Model: model.Llama31_8B(), GPU: hw.L4(), ProfileMaxLen: 4000,
-	}, core.Options{}, 1e7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := b.EnableChaos(chaos.Config{CrashRate: 1}); err == nil {
-		t.Fatal("single-engine backend accepted chaos")
-	}
-	if b.Chaos().Enabled() {
-		t.Fatal("injector armed despite the error")
-	}
-}
 
 // TestChaosCrashSurfaces drives the served path to total fleet loss: a
 // high crash rate kills both instances, in-flight work is orphaned and —
@@ -39,13 +19,10 @@ func TestEnableChaosRequiresRoutedMode(t *testing.T) {
 // submits shed with no-capacity. The fault activity must surface in
 // /v1/stats, /v1/metrics and the HTTP 503 contract.
 func TestChaosCrashSurfaces(t *testing.T) {
-	b := testRoutedBackend(t, 2, router.Config{Policy: router.LeastLoaded{}})
-	if err := b.EnableChaos(chaos.Config{Seed: 3, CrashRate: 50, RetryBudget: -1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.EnableChaos(chaos.Config{CrashRate: 1}); err == nil {
-		t.Fatal("EnableChaos accepted a second arming")
-	}
+	spec := testSpec(2)
+	spec.Router = &router.Config{Policy: router.LeastLoaded{}}
+	spec.Chaos = chaos.Config{Seed: 3, CrashRate: 50, RetryBudget: -1}
+	b := newTestBackend(t, spec)
 
 	// Submit until the injector has crashed the whole fleet and a typed
 	// reject comes back. Each submit re-arms the parked fault streams; at

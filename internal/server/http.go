@@ -25,8 +25,8 @@ type CompletionRequest struct {
 	User string `json:"user,omitempty"`
 	// SLOClass selects the request's SLO class ("interactive" default,
 	// "batch"): the class's admission budget, scheduling weight and
-	// autoscale treatment apply in routed mode. The X-SLO-Class header
-	// sets it too; the body field wins when both are present.
+	// autoscale treatment apply. The X-SLO-Class header sets it too; the
+	// body field wins when both are present.
 	SLOClass string `json:"slo_class,omitempty"`
 }
 

@@ -43,22 +43,25 @@ const (
 // Metrics renders a consistent snapshot of the serving cluster as a
 // Prometheus registry. Like Stats it holds the backend lock, so every
 // family in one scrape reflects the same instant. Families are always
-// declared — a mode that has no samples for one (e.g. single-engine mode
-// has no admission control) still exposes the family header, so scrapers
-// see a stable schema.
+// declared — a configuration that has no samples for one (e.g. no
+// autoscaler or no fault injector) still exposes the family header, so
+// scrapers see a stable schema.
 func (b *Backend) Metrics() *metrics.Registry {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	reg := metrics.NewRegistry()
-	now := b.sim.Now()
+	f := b.fleet
+	rt := f.Router()
+	now := f.Clock().Now()
+	executed := f.Kernel().Executed()
 
 	reg.Family(famSimSeconds, "Simulated time in seconds.", metrics.TypeGauge).Add(now)
 	reg.Family(famSimEvents, "Events executed by the simulation kernel.", metrics.TypeCounter).
-		Add(float64(b.sim.Executed()))
+		Add(float64(executed))
 	rate := reg.Family(famSimEventRate,
 		"Kernel event throughput: events executed per wall second of uptime.", metrics.TypeGauge)
 	if uptime := time.Since(b.started).Seconds(); uptime > 0 {
-		rate.Add(float64(b.sim.Executed()) / uptime)
+		rate.Add(float64(executed) / uptime)
 	}
 
 	admission := reg.Family(famAdmission,
@@ -72,44 +75,40 @@ func (b *Backend) Metrics() *metrics.Registry {
 	routed := reg.Family(famRouted,
 		"Requests ever routed to the instance.", metrics.TypeCounter)
 
-	if b.rt != nil {
-		byClass := b.rt.Admission().ClassSnapshot()
-		for _, pol := range metrics.SortedKeys(byClass) {
-			classes := byClass[pol]
-			for _, class := range metrics.SortedKeys(classes) {
-				c := classes[class]
-				labels := func(decision string) []metrics.Label {
-					return []metrics.Label{
-						{Name: "policy", Value: pol},
-						{Name: "class", Value: className(class)},
-						{Name: "decision", Value: decision},
-					}
-				}
-				admission.Add(float64(c.Accepted), labels("accepted")...)
-				admission.Add(float64(c.Rejected), labels("rejected")...)
-			}
-		}
-		reasons := b.rt.Admission().ReasonSnapshot()
-		for _, pol := range metrics.SortedKeys(reasons) {
-			for _, class := range metrics.SortedKeys(reasons[pol]) {
-				byReason := reasons[pol][class]
-				for _, reason := range metrics.SortedKeys(byReason) {
-					rejects.Add(float64(byReason[reason]),
-						metrics.Label{Name: "policy", Value: pol},
-						metrics.Label{Name: "class", Value: className(class)},
-						metrics.Label{Name: "reason", Value: reason})
+	byClass := rt.Admission().ClassSnapshot()
+	for _, pol := range metrics.SortedKeys(byClass) {
+		classes := byClass[pol]
+		for _, class := range metrics.SortedKeys(classes) {
+			c := classes[class]
+			labels := func(decision string) []metrics.Label {
+				return []metrics.Label{
+					{Name: "policy", Value: pol},
+					{Name: "class", Value: className(class)},
+					{Name: "decision", Value: decision},
 				}
 			}
+			admission.Add(float64(c.Accepted), labels("accepted")...)
+			admission.Add(float64(c.Rejected), labels("rejected")...)
 		}
-		for _, info := range b.rt.InstanceInfos() {
-			inst := metrics.Label{Name: "instance", Value: strconv.Itoa(info.ID)}
-			queueDepth.Add(float64(info.Load.QueuedRequests), inst)
-			backlog.Add(info.Load.BacklogSeconds, inst)
-			routed.Add(float64(info.Load.RoutedRequests), inst)
+	}
+	reasons := rt.Admission().ReasonSnapshot()
+	for _, pol := range metrics.SortedKeys(reasons) {
+		for _, class := range metrics.SortedKeys(reasons[pol]) {
+			byReason := reasons[pol][class]
+			for _, reason := range metrics.SortedKeys(byReason) {
+				rejects.Add(float64(byReason[reason]),
+					metrics.Label{Name: "policy", Value: pol},
+					metrics.Label{Name: "class", Value: className(class)},
+					metrics.Label{Name: "reason", Value: reason})
+			}
 		}
-	} else {
-		inst := metrics.Label{Name: "instance", Value: "0"}
-		queueDepth.Add(float64(len(b.waiters)), inst)
+	}
+	infos := rt.InstanceInfos()
+	for _, info := range infos {
+		inst := metrics.Label{Name: "instance", Value: strconv.Itoa(info.ID)}
+		queueDepth.Add(float64(info.Load.QueuedRequests), inst)
+		backlog.Add(info.Load.BacklogSeconds, inst)
+		routed.Add(float64(info.Load.RoutedRequests), inst)
 	}
 
 	lookup := reg.Family(famCacheLookup,
@@ -120,13 +119,15 @@ func (b *Backend) Metrics() *metrics.Registry {
 		"Bytes resident in the instance's prefix cache.", metrics.TypeGauge)
 	capacity := reg.Family(famCacheCapacity,
 		"The instance's prefix-cache pool size in bytes.", metrics.TypeGauge)
-	for i, eng := range b.engines {
+	// Live instances, labelled by router ID like the load families; a
+	// released instance's series ends with it.
+	for i, eng := range rt.Instances() {
 		c := eng.Cache()
 		if c == nil {
 			continue
 		}
 		st := c.Stats()
-		inst := metrics.Label{Name: "instance", Value: strconv.Itoa(i)}
+		inst := metrics.Label{Name: "instance", Value: strconv.Itoa(infos[i].ID)}
 		lookup.Add(float64(st.LookupTokens), inst)
 		hit.Add(float64(st.HitTokens), inst)
 		used.Add(float64(c.UsedBytes()), inst)
@@ -141,17 +142,12 @@ func (b *Backend) Metrics() *metrics.Registry {
 		"Scale-ups served by undraining a warm instance.", metrics.TypeCounter)
 	gpuSeconds := reg.Family(famGPUSeconds,
 		"GPU-seconds provisioned (cold starts and drains included).", metrics.TypeCounter)
-	switch {
-	case b.rt != nil:
-		pool.Add(float64(b.rt.Routable()))
-	default:
-		pool.Add(1)
-	}
+	pool.Add(float64(rt.Routable()))
 	// Monotonic in every mode: the controller's accrued integral when
 	// autoscaled, fleet size × sim time for a fixed fleet.
-	gpuSeconds.Add(b.gpuSeconds(now))
-	if b.ctl != nil {
-		st := b.ctl.Stats()
+	gpuSeconds.Add(f.GPUSeconds(now))
+	if ctl := f.Autoscaler(); ctl != nil {
+		st := ctl.Stats()
 		scaleUps.Add(float64(st.ScaleUps))
 		scaleDowns.Add(float64(st.ScaleDowns))
 		revives.Add(float64(st.Revives))
@@ -163,8 +159,8 @@ func (b *Backend) Metrics() *metrics.Registry {
 		"Fault-orphaned requests re-admitted through admission.", metrics.TypeCounter)
 	orphansShed := reg.Family(famOrphansShed,
 		"Fault-orphaned requests shed (retry budget or re-admission reject).", metrics.TypeCounter)
-	if b.inj.Enabled() {
-		st := b.inj.Stats()
+	if inj := f.Chaos(); inj.Enabled() {
+		st := inj.Stats()
 		for _, label := range chaos.Labels() {
 			faults.Add(float64(st.ByLabel(label)), metrics.Label{Name: "kind", Value: label})
 		}
@@ -186,19 +182,19 @@ func (b *Backend) Metrics() *metrics.Registry {
 		"Spans emitted into the flight recorder.", metrics.TypeCounter)
 	droppedF := reg.Family(famTraceDropped,
 		"Spans evicted from the flight-recorder ring.", metrics.TypeCounter)
-	if b.rec != nil {
+	if rec := f.Tracer(); rec != nil {
 		for _, k := range trace.Kinds() {
-			if n := b.rec.Emitted(k); n > 0 {
+			if n := rec.Emitted(k); n > 0 {
 				spans.Add(float64(n), metrics.Label{Name: "kind", Value: k.String()})
 			}
 		}
-		droppedF.Add(float64(b.rec.Dropped()))
+		droppedF.Add(float64(rec.Dropped()))
 	}
 
 	tsWindows := reg.Family(famTSWindows,
 		"Time-series windows closed by the collector.", metrics.TypeCounter)
-	if b.ts != nil {
-		tsWindows.Add(float64(b.ts.ClosedWindows()))
+	if ts := f.Timeseries(); ts != nil {
+		tsWindows.Add(float64(ts.ClosedWindows()))
 	}
 	return reg
 }

@@ -9,10 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/hw"
-	"repro/internal/model"
 	"repro/internal/router"
 	"repro/internal/trace"
 )
@@ -121,9 +117,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsSingleEngine checks the schema holds in single-engine mode
-// (no router): the admission family renders sampleless, the synthetic
-// instance row carries the queue depth, and the pool size is 1.
+// TestMetricsSingleEngine checks the schema holds for a one-instance
+// fleet: the admission family is declared, the instance row carries the
+// router's queue depth under router ID 0, and the pool size is 1.
 func TestMetricsSingleEngine(t *testing.T) {
 	b := testBackend(t)
 	srv := httptest.NewServer(NewHandler(b, "m"))
@@ -161,16 +157,9 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatalf("trace without recorder: status %d, want 404", resp.StatusCode)
 	}
 
-	on, err := NewBackend(engine.Config{
-		Model:         model.Llama31_8B(),
-		GPU:           hw.L4(),
-		ProfileMaxLen: 4000,
-		Tracer:        trace.New(0),
-	}, core.Options{}, 1e7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(on.Close)
+	spec := testSpec(1)
+	spec.Tracer = trace.New(0)
+	on := newTestBackend(t, spec)
 	if _, err := on.Submit("Approve this credit application now? Answer:", nil, 3); err != nil {
 		t.Fatal(err)
 	}

@@ -8,25 +8,14 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/hw"
-	"repro/internal/model"
 	"repro/internal/router"
 )
 
 func testRoutedBackend(t *testing.T, instances int, rcfg router.Config) *Backend {
 	t.Helper()
-	b, err := NewRoutedBackend(engine.Config{
-		Model:         model.Llama31_8B(),
-		GPU:           hw.L4(),
-		ProfileMaxLen: 4000,
-	}, core.Options{}, 1e7, instances, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(b.Close)
-	return b
+	spec := testSpec(instances)
+	spec.Router = &rcfg
+	return newTestBackend(t, spec)
 }
 
 func TestRoutedBackendSubmit(t *testing.T) {
@@ -60,10 +49,13 @@ func TestRoutedBackendSubmit(t *testing.T) {
 }
 
 func TestRoutedBackendValidation(t *testing.T) {
-	if _, err := NewRoutedBackend(engine.Config{
-		Model: model.Llama31_8B(), GPU: hw.L4(), ProfileMaxLen: 4000,
-	}, core.Options{}, 1e7, 0, router.Config{}); err == nil {
+	if _, err := NewBackend(testSpec(0), 1e7); err == nil {
 		t.Fatal("zero instances accepted")
+	}
+	spec := testSpec(1)
+	spec.Shards = 2
+	if _, err := NewBackend(spec, 1e7); err == nil {
+		t.Fatal("sharded kernel accepted on the served path")
 	}
 }
 

@@ -10,25 +10,35 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/engine"
+	"repro/internal/fleet"
 	"repro/internal/hw"
 	"repro/internal/model"
 )
 
-func testBackend(t *testing.T) *Backend {
-	t.Helper()
-	b, err := NewBackend(engine.Config{
+// testSpec is a fleet of instances on small profile runs.
+func testSpec(instances int) fleet.Spec {
+	return fleet.Spec{
 		Model:         model.Llama31_8B(),
 		GPU:           hw.L4(),
 		ProfileMaxLen: 4000,
-	}, core.Options{}, 1e7) // huge speedup: tests finish instantly
+		Instances:     instances,
+	}
+}
+
+// newTestBackend serves spec at a huge speedup, so tests finish
+// instantly.
+func newTestBackend(t *testing.T, spec fleet.Spec) *Backend {
+	t.Helper()
+	b, err := NewBackend(spec, 1e7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(b.Close)
 	return b
 }
+
+// testBackend is single-engine serving: a one-instance fleet.
+func testBackend(t *testing.T) *Backend { return newTestBackend(t, testSpec(1)) }
 
 func TestScoreProperties(t *testing.T) {
 	prompt := []uint64{1, 2, 3}

@@ -8,25 +8,13 @@ import (
 	"testing"
 
 	"repro/internal/autoscale"
-	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/hw"
-	"repro/internal/model"
 	"repro/internal/router"
 )
 
 func TestAutoscaledBackendStats(t *testing.T) {
-	b, err := NewAutoscaledBackend(engine.Config{
-		Model:         model.Llama31_8B(),
-		GPU:           hw.L4(),
-		ProfileMaxLen: 4000,
-	}, core.Options{}, 1e7, router.Config{}, autoscale.Config{
-		MinInstances: 1, MaxInstances: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(b.Close)
+	spec := testSpec(3)
+	spec.Autoscale = &autoscale.Config{MinInstances: 1}
+	b := newTestBackend(t, spec)
 	if b.Autoscaler() == nil {
 		t.Fatal("autoscaled backend has no controller")
 	}
@@ -148,18 +136,21 @@ func TestSLOClassFromRequestToStats(t *testing.T) {
 	}
 }
 
+// TestSingleEngineStats: single-engine serving is a one-instance routed
+// fleet, so its snapshot carries the router's load and admission tally.
 func TestSingleEngineStats(t *testing.T) {
-	b, err := NewBackend(engine.Config{
-		Model:         model.Llama31_8B(),
-		GPU:           hw.L4(),
-		ProfileMaxLen: 4000,
-	}, core.Options{}, 1e7)
-	if err != nil {
+	b := testBackend(t)
+	if _, err := b.Submit("Recommend this post to the user? Answer:", nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(b.Close)
 	snap := b.Stats()
 	if len(snap.Instances) != 1 || snap.Routable != 1 || snap.Autoscale != nil {
 		t.Fatalf("single-engine snapshot %+v", snap)
+	}
+	if snap.Instances[0].RoutedRequests != 1 {
+		t.Fatalf("instance row %+v, want one routed request", snap.Instances[0])
+	}
+	if tally := snap.Admission["affinity"]; tally.Accepted != 1 {
+		t.Fatalf("admission block %+v", snap.Admission)
 	}
 }

@@ -30,8 +30,10 @@ func TestTimeseriesEndpoint(t *testing.T) {
 	// The backend clock free-runs at 1e7 sim-seconds per wall second, so
 	// the window width must be sized to the speedup (as prefillserve's
 	// default does) for scrapes to land inside live windows.
-	on := testRoutedBackend(t, 2, router.Config{Policy: router.AffinityLoad{}})
-	on.EnableTimeseries(1e7)
+	spec := testSpec(2)
+	spec.Router = &router.Config{Policy: router.AffinityLoad{}}
+	spec.Timeseries = timeseries.New(timeseries.Config{IntervalSeconds: 1e7})
+	on := newTestBackend(t, spec)
 	prompt := "Here is the user profile: reads systems papers. Recommend this post? Answer:"
 	for i := 0; i < 3; i++ {
 		if _, err := on.Submit(prompt, nil, 7); err != nil {
@@ -98,32 +100,5 @@ func TestTimeseriesEndpoint(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("full exposition:\n%s", out)
-	}
-}
-
-// TestEnableTimeseriesIdempotent pins EnableTimeseries re-entry: the
-// first collector survives, so enabling twice cannot reset counters.
-func TestEnableTimeseriesIdempotent(t *testing.T) {
-	b := testBackend(t)
-	b.EnableTimeseries(1e7)
-	if _, err := b.Submit("Approve this credit application now? Answer:", nil, 3); err != nil {
-		t.Fatal(err)
-	}
-	first, ok := b.Timeseries()
-	if !ok {
-		t.Fatal("Timeseries() not ok after EnableTimeseries")
-	}
-	b.EnableTimeseries(5e7)
-	second, ok := b.Timeseries()
-	if !ok || second.IntervalSeconds != first.IntervalSeconds {
-		t.Fatalf("second EnableTimeseries replaced the collector: interval %g -> %g",
-			first.IntervalSeconds, second.IntervalSeconds)
-	}
-	var total uint64
-	for _, w := range second.Windows {
-		total += w.Completions
-	}
-	if total != 1 {
-		t.Fatalf("completions lost across re-enable: %d", total)
 	}
 }

@@ -7,9 +7,10 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/engine"
+	"repro/internal/fleet"
 	"repro/internal/router"
 	"repro/internal/server"
+	"repro/internal/timeseries"
 	"repro/internal/trace"
 )
 
@@ -31,9 +32,8 @@ type ServerConfig struct {
 	// ModelName is the name reported by /v1/models (defaults to the
 	// model config's name).
 	ModelName string
-	// Instances is the engine instance count (default 1). With more than
-	// one, requests route by live load and prefix-cache affinity through
-	// internal/router.
+	// Instances is the engine instance count (default 1). Requests route
+	// by live load and prefix-cache affinity through internal/router.
 	Instances int
 	// RoutingPolicy selects the multi-instance routing policy: "userhash",
 	// "leastloaded" or "affinity" (default). Requires Instances > 1.
@@ -111,17 +111,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.ModelName == "" {
 		cfg.ModelName = cfg.Model.Name
 	}
-	ecfg := engine.Config{
-		Model:         cfg.Model,
-		GPU:           cfg.GPU,
-		ProfileMaxLen: cfg.MaxInputLen,
-	}
-	if cfg.TraceSpans != 0 {
-		ecfg.Tracer = trace.New(cfg.TraceSpans)
-	}
-	opts := core.Options{Lambda: cfg.Lambda, ClassWeights: cfg.ClassWeights}
-	var b *server.Backend
-	var err error
 	chaosCfg := chaos.Config{
 		Seed:          cfg.ChaosSeed,
 		CrashRate:     cfg.ChaosCrashRate,
@@ -138,43 +127,39 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if !chaosCfg.Enabled() && cfg.ChaosSeed != 0 {
 		return nil, fmt.Errorf("prefillonly: ChaosSeed requires a chaos rate")
 	}
-	if cfg.Instances > 1 {
-		// A nil Policy lets router.New apply its default (AffinityLoad).
-		var pol router.Policy
-		if cfg.RoutingPolicy != "" {
-			pol, err = router.PolicyByName(cfg.RoutingPolicy)
-			if err != nil {
-				return nil, err
-			}
+	// A nil Policy lets router.New apply its default (AffinityLoad).
+	var pol router.Policy
+	if cfg.RoutingPolicy != "" {
+		var err error
+		if pol, err = router.PolicyByName(cfg.RoutingPolicy); err != nil {
+			return nil, err
 		}
-		rcfg := router.Config{
+	}
+	spec := fleet.Spec{
+		Model:         cfg.Model,
+		GPU:           cfg.GPU,
+		ProfileMaxLen: cfg.MaxInputLen,
+		Core:          core.Options{Lambda: cfg.Lambda, ClassWeights: cfg.ClassWeights},
+		Instances:     max(cfg.Instances, 1),
+		Router: &router.Config{
 			Policy:              pol,
 			MaxBacklogSeconds:   cfg.MaxBacklogSeconds,
 			ClassBacklogSeconds: cfg.ClassBacklogSeconds,
-		}
-		if cfg.Autoscale {
-			b, err = server.NewAutoscaledBackend(ecfg, opts, cfg.Speedup, rcfg, autoscale.Config{
-				MinInstances: cfg.MinInstances,
-				MaxInstances: cfg.Instances,
-			})
-		} else {
-			b, err = server.NewRoutedBackend(ecfg, opts, cfg.Speedup, cfg.Instances, rcfg)
-		}
-	} else {
-		b, err = server.NewBackend(ecfg, opts, cfg.Speedup)
+		},
+		Chaos: chaosCfg,
 	}
-	if err != nil {
-		return nil, err
+	if cfg.Autoscale {
+		spec.Autoscale = &autoscale.Config{MinInstances: cfg.MinInstances}
+	}
+	if cfg.TraceSpans != 0 {
+		spec.Tracer = trace.New(cfg.TraceSpans)
 	}
 	if cfg.TimeseriesSeconds > 0 {
-		b.EnableTimeseries(cfg.TimeseriesSeconds)
+		spec.Timeseries = timeseries.New(timeseries.Config{IntervalSeconds: cfg.TimeseriesSeconds})
 	}
-	// After EnableTimeseries: the injector captures the collector, so this
-	// order is what puts fault counts in the time-series windows.
-	if chaosCfg.Enabled() {
-		if err := b.EnableChaos(chaosCfg); err != nil {
-			return nil, err
-		}
+	b, err := server.NewBackend(spec, cfg.Speedup)
+	if err != nil {
+		return nil, err
 	}
 	return &Server{backend: b, handler: server.NewHandler(b, cfg.ModelName)}, nil
 }

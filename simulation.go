@@ -1,16 +1,12 @@
 package prefillonly
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/autoscale"
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/engine"
+	"repro/internal/fleet"
 	"repro/internal/router"
-	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/timeseries"
 	"repro/internal/tokenizer"
 	"repro/internal/trace"
@@ -59,7 +55,7 @@ type SimulationConfig struct {
 	// paper's default).
 	HostCacheBytes int64
 	// RoutingPolicy selects the cluster frontend. Empty keeps the paper's
-	// §7.1 first-appearance round-robin (internal/cluster); "userhash",
+	// §7.1 first-appearance round-robin (internal/fleet); "userhash",
 	// "leastloaded" or "affinity" route through internal/router by live
 	// load and prefix-cache affinity.
 	RoutingPolicy string
@@ -113,23 +109,11 @@ type SimulationConfig struct {
 
 // Simulation is a deterministic serving cluster on a virtual clock.
 type Simulation struct {
-	cfg             SimulationConfig
-	kern            *engine.Kernel
-	clock           sim.Clock             // the kernel's coordinator-side clock
-	cluster         *cluster.Cluster      // legacy §7.1 routing ("" policy)
-	router          *router.Router        // load/affinity routing (non-empty policy)
-	ctl             *autoscale.Controller // elastic pool (Autoscale config)
-	rec             *trace.Recorder       // flight recorder (TraceSpans config)
-	sampler         *trace.Sampler        // fleet-gauge ticks on the sim clock
-	ts              *timeseries.Collector // windowed series (TimeseriesSeconds config)
-	tok             *tokenizer.Tokenizer
-	records         []Record
-	rejected        int
-	rejectedByClass [sched.NumClasses]int
-	nextID          int64
-	// instances lists every engine ever created (autoscaled additions
-	// included, released ones retained) for cumulative cache statistics.
-	instances []engine.Engine
+	fleet   *fleet.Fleet
+	tok     *tokenizer.Tokenizer
+	records []Record
+	nextID  int64
+	offered int
 }
 
 // NewSimulation builds the cluster (running each engine's profile run and
@@ -154,12 +138,16 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 		cfg.MaxInputLen = 20000
 	}
 	// Validate routing config before the engines' expensive profile runs.
-	var pol router.Policy
+	var rcfg *router.Config
 	if cfg.RoutingPolicy != "" {
-		var err error
-		pol, err = router.PolicyByName(cfg.RoutingPolicy)
+		pol, err := router.PolicyByName(cfg.RoutingPolicy)
 		if err != nil {
 			return nil, err
+		}
+		rcfg = &router.Config{
+			Policy:              pol,
+			MaxBacklogSeconds:   cfg.MaxBacklogSeconds,
+			ClassBacklogSeconds: cfg.ClassBacklogSeconds,
 		}
 	} else if cfg.MaxBacklogSeconds != 0 {
 		return nil, fmt.Errorf("prefillonly: MaxBacklogSeconds requires a RoutingPolicy")
@@ -174,181 +162,51 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("prefillonly: Shards must be >= 0, got %d", cfg.Shards)
 	}
-	kern := engine.NewKernel(cfg.Shards, engine.MinEventSeconds(cfg.Model, cfg.GPU))
-	s := &Simulation{cfg: cfg, kern: kern, clock: kern.Clock(), tok: tokenizer.New()}
-	if cfg.TraceSpans != 0 {
-		s.rec = trace.New(cfg.TraceSpans)
-		interval := cfg.TraceSampleSeconds
-		if interval <= 0 {
-			interval = 0.5
-		}
-		s.sampler = trace.NewSampler(s.clock, interval, s.sampleGauges)
+	eng := fleet.Engine(cfg.Engine)
+	if cfg.GPUs%eng.GPUs() != 0 {
+		return nil, fmt.Errorf("prefillonly: %s needs an even GPU count, got %d", cfg.Engine, cfg.GPUs)
 	}
-	if cfg.TimeseriesSeconds > 0 {
-		s.ts = timeseries.New(timeseries.Config{
-			IntervalSeconds: cfg.TimeseriesSeconds,
-			Sample:          s.timeseriesGauges,
-		})
-		s.ts.Attach(s.clock)
-	}
-
-	sinkFor := kern.CompletionSinks(func(r Record) {
-		if s.router != nil {
-			s.router.Completed(r)
-		}
-		s.records = append(s.records, r)
-		// Completions carry their own event time: on the sharded kernel
-		// this sink runs at window barriers, after the coordinator clock
-		// has passed the finish time.
-		s.ts.Complete(r.Finish, r.Req.Class, r.Latency())
-	})
-	ecfg := engine.Config{
+	s := &Simulation{tok: tokenizer.New()}
+	spec := fleet.Spec{
+		Engine:         eng,
 		Model:          cfg.Model,
 		GPU:            cfg.GPU,
 		ProfileMaxLen:  cfg.MaxInputLen,
 		HostCacheBytes: cfg.HostCacheBytes,
-		Tracer:         s.rec,
+		Core:           core.Options{Lambda: cfg.Lambda, ClassWeights: cfg.ClassWeights},
+		Instances:      cfg.GPUs / eng.GPUs(),
+		Router:         rcfg,
+		Autoscale:      cfg.Autoscale,
+		Shards:         cfg.Shards,
+		OnComplete:     func(r Record) { s.records = append(s.records, r) },
 	}
-	var instances []engine.Engine
-	mk := func() (engine.Engine, error) {
-		// Each instance schedules on its own shard clock (round-robin;
-		// the serial kernel hands every instance the same Sim) and emits
-		// completions through its shard's merged sink.
-		c := ecfg
-		c.Sim = kern.InstanceClock(len(s.instances))
-		c.OnComplete = sinkFor(len(s.instances))
-		switch cfg.Engine {
-		case EnginePrefillOnly:
-			return core.New(c, core.Options{Lambda: cfg.Lambda, ClassWeights: cfg.ClassWeights})
-		case EnginePagedAttention:
-			return engine.NewPagedAttention(c)
-		case EngineChunkedPrefill:
-			return engine.NewChunkedPrefill(c, 0)
-		case EngineTensorParallel:
-			return engine.NewTensorParallel(c)
-		case EnginePipelineParallel:
-			return engine.NewPipelineParallel(c)
-		default:
-			return nil, fmt.Errorf("prefillonly: unknown engine %q", cfg.Engine)
+	if cfg.TraceSpans != 0 {
+		spec.Tracer = trace.New(cfg.TraceSpans)
+		spec.SampleSeconds = cfg.TraceSampleSeconds
+		if spec.SampleSeconds <= 0 {
+			spec.SampleSeconds = 0.5
 		}
 	}
-	perInstance := 1
-	switch cfg.Engine {
-	case EngineTensorParallel, EnginePipelineParallel:
-		perInstance = 2
-		if cfg.GPUs%2 != 0 {
-			return nil, fmt.Errorf("prefillonly: %s needs an even GPU count, got %d", cfg.Engine, cfg.GPUs)
-		}
+	if cfg.TimeseriesSeconds > 0 {
+		spec.Timeseries = timeseries.New(timeseries.Config{IntervalSeconds: cfg.TimeseriesSeconds})
 	}
-	factory := func() (engine.Engine, error) {
-		e, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		s.instances = append(s.instances, e)
-		return e, nil
-	}
-	initial := cfg.GPUs / perInstance
-	var acfg *AutoscaleConfig
-	if cfg.Autoscale != nil {
-		// Copy: the controller's defaults must not write back into the
-		// caller's config. The elastic pool starts at its floor; GPUs
-		// sizes the default ceiling.
-		a := *cfg.Autoscale
-		acfg = &a
-		if acfg.MaxInstances <= 0 {
-			acfg.MaxInstances = cfg.GPUs / perInstance
-		}
-		if acfg.Model == nil {
-			acfg.Model = cfg.Model
-		}
-		if acfg.GPU == nil {
-			acfg.GPU = cfg.GPU
-		}
-		if acfg.Tracer == nil {
-			acfg.Tracer = s.rec
-		}
-		initial = acfg.MinInstances
-		if initial <= 0 {
-			initial = 1
-		}
-	}
-	for g := 0; g < initial; g++ {
-		if _, err := factory(); err != nil {
-			return nil, err
-		}
-	}
-	instances = s.instances
-	if pol != nil {
-		rt, err := router.New(router.Config{
-			Policy:              pol,
-			MaxBacklogSeconds:   cfg.MaxBacklogSeconds,
-			ClassBacklogSeconds: cfg.ClassBacklogSeconds,
-			Tracer:              s.rec,
-		}, instances...)
-		if err != nil {
-			return nil, err
-		}
-		s.router = rt
-		if acfg != nil {
-			ctl, err := autoscale.New(*acfg, s.clock, rt, factory)
-			if err != nil {
-				return nil, err
-			}
-			s.ctl = ctl
-			ctl.Start()
-		}
-		return s, nil
-	}
-	cl, err := cluster.New(instances...)
+	f, err := fleet.New(spec)
 	if err != nil {
 		return nil, err
 	}
-	s.cluster = cl
+	s.fleet = f
 	return s, nil
 }
 
-// submit routes one request through the active frontend, counting
-// admission-control sheds in routed mode. Any other routing failure is a
-// programming error (e.g. a policy picking an out-of-range instance) and
-// fails loudly rather than being miscounted as load shedding.
-func (s *Simulation) submit(r *Request) {
-	if s.sampler != nil {
-		// Re-arm the gauge sampler if it wound down after a previous Run
-		// drained the event queue (same discipline as the autoscaler).
-		s.sampler.Start()
-	}
-	s.ts.Arrival(s.clock.Now(), r.Class)
-	s.ts.Start()
-	if s.router != nil {
-		if s.ctl != nil {
-			// Revive the controller's tick loop if it wound down after a
-			// previous Run drained the event queue.
-			s.ctl.Start()
-		}
-		if err := s.router.Submit(r); err != nil {
-			var rej *router.RejectError
-			if !errors.As(err, &rej) {
-				panic(fmt.Sprintf("prefillonly: routing request %d: %v", r.ID, err))
-			}
-			s.rejected++
-			if int(rej.Class) < len(s.rejectedByClass) {
-				s.rejectedByClass[rej.Class]++
-			}
-			s.ts.Reject(s.clock.Now(), rej.Class, rej.Reason)
-		}
-		return
-	}
-	s.cluster.Submit(r)
-}
-
 // Now returns the current simulated time in seconds.
-func (s *Simulation) Now() float64 { return s.clock.Now() }
+func (s *Simulation) Now() float64 { return s.fleet.Clock().Now() }
 
 // SubmitAt schedules a request's arrival at absolute simulated time t.
+// Requests shed by admission control are counted (see Rejected).
 func (s *Simulation) SubmitAt(t float64, r *Request) {
 	r.ArrivalTime = t
-	s.clock.At(t, func() { s.submit(r) })
+	s.offered++
+	s.fleet.SubmitAt(t, r)
 }
 
 // SubmitText tokenizes a prompt and schedules its arrival at time t,
@@ -372,17 +230,24 @@ func (s *Simulation) SubmitDataset(d *Dataset, qps float64, seed int64) error {
 	if err != nil {
 		return err
 	}
+	s.offered += len(arrivals)
 	for _, a := range arrivals {
-		a := a
-		s.clock.At(a.Time, func() { s.submit(a.Req) })
+		s.fleet.SubmitAt(a.Time, a.Req)
 	}
 	return nil
 }
 
 // Run drains the event queue (serving every submitted request) and returns
-// the completion records in finish order.
+// the completion records in finish order. It checks the run's accounting
+// (every submitted request completed or shed by admission control): a
+// routing failure other than an admission shed is a programming error
+// (e.g. a policy picking an out-of-range instance) and panics rather than
+// being miscounted as load shedding.
 func (s *Simulation) Run() []Record {
-	s.kern.Run()
+	s.fleet.Run()
+	if err := s.fleet.Check(s.offered); err != nil {
+		panic(err)
+	}
 	return s.records
 }
 
@@ -391,91 +256,27 @@ func (s *Simulation) Records() []Record { return s.records }
 
 // Rejected returns the requests shed by admission control so far (always 0
 // without a RoutingPolicy and MaxBacklogSeconds).
-func (s *Simulation) Rejected() int { return s.rejected }
+func (s *Simulation) Rejected() int { return s.fleet.Rejected() }
 
 // RejectedClass returns the requests of one SLO class shed so far.
-func (s *Simulation) RejectedClass(c Class) int {
-	if int(c) >= len(s.rejectedByClass) {
-		return 0
-	}
-	return s.rejectedByClass[c]
-}
-
-// sampleGauges is the trace sampler's tick: per-instance load gauges (in
-// routed mode, where the router prices backlog), cache residency per
-// engine, and the pool size.
-func (s *Simulation) sampleGauges(now float64) {
-	if s.router != nil {
-		for _, info := range s.router.InstanceInfos() {
-			s.rec.LoadGauge(now, info.ID, info.Load.QueuedRequests, info.Load.BacklogSeconds)
-		}
-		pending := 0
-		if s.ctl != nil {
-			pending = s.ctl.Size() - s.router.Routable()
-		}
-		s.rec.PoolGauge(now, s.router.Routable(), pending)
-	} else {
-		s.rec.PoolGauge(now, len(s.instances), 0)
-	}
-	s.rec.SampleCaches(now)
-}
-
-// timeseriesGauges samples fleet state for the time-series collector at
-// window close: fleet-wide queue depth and backlog (routed mode), pool
-// size and pending cold starts, cumulative cache hit ratio, and
-// GPU-seconds (the controller's accrued integral, or fleet size × time
-// for a fixed fleet).
-func (s *Simulation) timeseriesGauges(now float64) timeseries.Gauges {
-	var g timeseries.Gauges
-	if s.router != nil {
-		for _, info := range s.router.InstanceInfos() {
-			g.QueuedRequests += info.Load.QueuedRequests
-			g.BacklogSeconds += info.Load.BacklogSeconds
-		}
-		g.PoolSize = s.router.Routable()
-		if s.ctl != nil {
-			g.PendingInstances = s.ctl.Size() - s.router.Routable()
-		}
-	} else {
-		g.PoolSize = len(s.instances)
-	}
-	if s.ctl != nil {
-		g.GPUSeconds = s.ctl.GPUSeconds(now)
-	} else {
-		g.GPUSeconds = now * float64(s.cfg.GPUs)
-	}
-	g.CacheHitRatio = s.CacheHitRate()
-	return g
-}
+func (s *Simulation) RejectedClass(c Class) int { return s.fleet.RejectedClass(c) }
 
 // Timeseries returns the windowed collector (nil unless
 // TimeseriesSeconds was set).
-func (s *Simulation) Timeseries() *timeseries.Collector { return s.ts }
+func (s *Simulation) Timeseries() *timeseries.Collector { return s.fleet.Timeseries() }
 
 // Trace returns the flight recorder (nil unless TraceSpans was set). Its
 // WriteTrace exports the run as Chrome trace-event JSON for Perfetto.
-func (s *Simulation) Trace() *trace.Recorder { return s.rec }
+func (s *Simulation) Trace() *trace.Recorder { return s.fleet.Tracer() }
 
 // Router returns the routing frontend (nil when the legacy §7.1 cluster is
 // active).
-func (s *Simulation) Router() *router.Router { return s.router }
+func (s *Simulation) Router() *router.Router { return s.fleet.Router() }
 
 // Autoscaler returns the elastic pool controller (nil without an
 // Autoscale config).
-func (s *Simulation) Autoscaler() *autoscale.Controller { return s.ctl }
+func (s *Simulation) Autoscaler() *autoscale.Controller { return s.fleet.Autoscaler() }
 
-// CacheHitRate aggregates prefix-cache hit rate across instances.
-func (s *Simulation) CacheHitRate() float64 {
-	var lookup, hit int64
-	for _, in := range s.instances {
-		if c := in.Cache(); c != nil {
-			st := c.Stats()
-			lookup += st.LookupTokens
-			hit += st.HitTokens
-		}
-	}
-	if lookup == 0 {
-		return 0
-	}
-	return float64(hit) / float64(lookup)
-}
+// CacheHitRate aggregates prefix-cache hit rate across instances,
+// released ones included.
+func (s *Simulation) CacheHitRate() float64 { return s.fleet.CacheHitRate() }
