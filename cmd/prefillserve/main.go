@@ -49,16 +49,30 @@
 // latency quantiles, shed rates, fleet gauges and per-class SLO burn
 // rate as JSON (-timeseries-interval sets the window width in simulated
 // seconds).
+//
+// SIGINT or SIGTERM drains the server: it stops accepting connections,
+// waits for in-flight requests to finish, closes the backend and exits 0.
+// A second signal exits at once.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
+	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"repro"
 )
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers. There is no write timeout: a request's wall time is its
+// simulated latency divided by -speedup, and no constant bounds that.
+const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -164,7 +178,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer srv.Close()
 	fmt.Printf("prefillserve: %s on %s, MIL profile %d tokens, λ=%g, speedup %gx\n",
 		m.Name, g.Name, *maxLen, *lambda, *speedup)
 	if *instances > 1 {
@@ -191,5 +204,19 @@ func main() {
 			scfg.TimeseriesSeconds)
 	}
 	fmt.Printf("prefillserve: listening on %s\n", *addr)
-	log.Fatal(http.ListenAndServe(*addr, srv.Handler()))
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	served := make(chan error, 1)
+	go func() { served <- hs.ListenAndServe() }()
+	select {
+	case err := <-served:
+		log.Fatal(err)
+	case <-ctx.Done():
+	}
+	stop() // a second signal now terminates at once
+	fmt.Println("prefillserve: draining in-flight requests")
+	if err := hs.Shutdown(context.Background()); err != nil {
+		log.Fatal(err)
+	}
+	srv.Close()
 }

@@ -164,7 +164,7 @@ type Stats struct {
 }
 
 // windowSample is one tick's admission-decision delta: accepted/rejected
-// cover the scale-up classes (interactive + unlabeled), rejectedAll every
+// cover the scale-up classes (every class but batch), rejectedAll every
 // class.
 type windowSample struct {
 	accepted, rejected int64
@@ -296,13 +296,11 @@ func (c *Controller) accrue(now float64) {
 }
 
 // windowRates folds the current tick's admission delta into the sliding
-// window and returns two shed signals: upRejects/upRate cover interactive
-// (and unlabeled legacy) decisions only — the scale-up trigger, so batch
-// sheds never provision capacity — while allRejects counts every class
-// and vetoes scale-down: draining while batch is actively being shed
-// would only amplify the shed rate. Unlabeled decisions count toward the
-// interactive signal conservatively, so a router that never labels
-// classes keeps its pre-class behavior.
+// window and returns two shed signals: upRejects/upRate cover every class
+// but batch — the scale-up trigger, so batch sheds never provision
+// capacity — while allRejects counts every class and vetoes scale-down:
+// draining while batch is actively being shed would only amplify the shed
+// rate.
 func (c *Controller) windowRates() (upRejects int64, upRate float64, allRejects int64) {
 	var acc, rej, accAll, rejAll int64
 	batchLabel := sched.ClassBatch.String()

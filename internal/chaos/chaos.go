@@ -8,11 +8,11 @@
 // Determinism: every fault time comes from a seeded exponential-gap
 // stream (sim.Poisson) and every victim from a seeded generator, both
 // dedicated per fault kind, so a chaos-enabled run replays exactly for a
-// given Config. Faults must be scheduled on a kernel's coordinator clock
-// (engine.Kernel.Clock()): crash and preemption events mutate engine and
-// router state across instances, which is cross-shard work, so the
-// sharded kernel executes them at barriers — a faulted run is
-// byte-identical serial vs sharded.
+// given Config. Faults must be scheduled on the kernel's coordinator
+// clock (the kernel itself, not a shard): crash and preemption events
+// mutate engine and router state across instances, which is cross-shard
+// work, so the sharded kernel executes them at barriers — a faulted run
+// is byte-identical serial vs sharded.
 //
 // The disabled injector is a nil *Injector: New returns nil when no
 // fault kind is enabled, and every method no-ops on a nil receiver

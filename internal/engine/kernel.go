@@ -33,94 +33,24 @@ func MinEventSeconds(m *model.Config, g *hw.GPU) float64 {
 	return min
 }
 
-// Kernel bundles the event kernel a serving run executes on: the serial
-// Sim for shards <= 1, or a ShardedSim where engine instances round-robin
-// onto shard clocks while arrivals, routing and autoscaling stay on the
-// coordinator. Run construction asks the Kernel for clocks and completion
-// sinks instead of hard-wiring *sim.Sim, so one code path builds both
-// modes and the serial-vs-sharded oracle compares like with like.
-type Kernel struct {
-	serial  *sim.Sim
-	sharded *sim.ShardedSim
-	merger  *completionMerger
-}
-
-// NewKernel builds the kernel. shards <= 1 selects the serial Sim;
-// otherwise a ShardedSim with the given lookahead (derive it with
-// MinEventSeconds).
-func NewKernel(shards int, lookahead float64) *Kernel {
-	if shards <= 1 {
-		return &Kernel{serial: &sim.Sim{}}
-	}
-	return &Kernel{sharded: sim.NewSharded(shards, lookahead)}
-}
-
-// Clock returns the coordinator-side clock: arrivals, router interactions,
-// autoscale ticks and gauge samplers schedule here.
-func (k *Kernel) Clock() sim.Clock {
-	if k.sharded == nil {
-		return k.serial
-	}
-	return k.sharded
-}
-
-// InstanceClock returns the clock engine instance i schedules on:
-// round-robin across shards, or the one serial Sim. The instance index
-// must be stable for the run (autoscaled additions continue the rotation).
-func (k *Kernel) InstanceClock(i int) sim.Clock {
-	if k.sharded == nil {
-		return k.serial
-	}
-	return k.sharded.Shard(i % k.sharded.Shards())
-}
-
-// Run drains the kernel and returns the final simulated time.
-func (k *Kernel) Run() float64 {
-	if k.sharded == nil {
-		return k.serial.Run()
-	}
-	return k.sharded.Run()
-}
-
-// RunUntil executes every event at or before the deadline and advances
-// the clock to it: the wall-clock server's stepping primitive. Only the
-// serial kernel supports it; it panics on a sharded kernel.
-func (k *Kernel) RunUntil(deadline float64) {
-	if k.sharded != nil {
-		panic("engine: RunUntil needs the serial kernel")
-	}
-	k.serial.RunUntil(deadline)
-}
-
-// Executed returns the total events executed (merged across shards).
-func (k *Kernel) Executed() uint64 {
-	if k.sharded == nil {
-		return k.serial.Executed()
-	}
-	return k.sharded.Executed()
-}
-
 // CompletionSinks adapts a run's shared completion sink (router
-// accounting + record append — shared, ordered state) to the kernel. In
-// serial mode every instance gets the sink directly. In sharded mode each
-// instance gets a buffering sink on its shard: completions are stamped in
-// shard-emission order and applied to the real sink at the window barrier
-// in global (finish time, shard, emission) order, so the router's
-// accounting and the record slice see exactly the serial kernel's order
-// whenever completion times differ (per-shard completion streams are
-// time-monotonic because engines emit at the completion event's own time).
+// accounting + record append — shared, ordered state) to the kernel k. On
+// a serial kernel every instance gets the sink directly. On a sharded one
+// each instance gets a buffering sink on its shard: completions are
+// stamped in shard-emission order and applied to the real sink at the
+// window barrier in global (finish time, shard, emission) order, so the
+// router's accounting and the record slice see exactly the serial
+// kernel's order whenever completion times differ (per-shard completion
+// streams are time-monotonic because engines emit at the completion
+// event's own time).
 //
-// Call it once per run; instance i's sink is sinkFor(i) with the same
-// stable index InstanceClock uses.
-func (k *Kernel) CompletionSinks(sink func(Record)) func(i int) func(Record) {
-	if k.sharded == nil {
+// Call it once per run; instance i's sink is sinkFor(i), where instance i
+// schedules on k.Shard(i % k.Shards()).
+func CompletionSinks(k *sim.Sim, sink func(Record)) func(i int) func(Record) {
+	if k.Shards() == 0 {
 		return func(int) func(Record) { return sink }
 	}
-	if k.merger != nil {
-		panic("engine: CompletionSinks called twice on one Kernel")
-	}
-	k.merger = newCompletionMerger(k.sharded, sink)
-	return k.merger.sinkFor
+	return newCompletionMerger(k, sink).sinkFor
 }
 
 // shardCompletions is one shard's barrier buffer, in emission order (the
@@ -140,12 +70,12 @@ type completionMerger struct {
 	sink   func(Record)
 }
 
-func newCompletionMerger(p *sim.ShardedSim, sink func(Record)) *completionMerger {
+func newCompletionMerger(k *sim.Sim, sink func(Record)) *completionMerger {
 	if sink == nil {
 		panic("engine: nil completion sink")
 	}
-	m := &completionMerger{shards: make([]shardCompletions, p.Shards()), sink: sink}
-	p.OnBarrier(m.flush)
+	m := &completionMerger{shards: make([]shardCompletions, k.Shards()), sink: sink}
+	k.OnBarrier(m.flush)
 	return m
 }
 

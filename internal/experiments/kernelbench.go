@@ -220,19 +220,23 @@ func shardMeasure(run func() uint64) (float64, float64) {
 	return eps, float64(m1.Mallocs-m0.Mallocs) / float64(n)
 }
 
-// shardWorkload populates clocks with the chain population. clockFor maps
-// a chain index to its shard clock (constant in serial mode); postFor maps
-// it to its cross-shard scheduling primitive (Shard.Post in sharded mode —
-// the only coordinator-scheduling call legal from a shard worker).
-func shardWorkload(steps int, clockFor func(i int) sim.Clock, postFor func(i int) func(t float64, fn sim.Func, arg any)) {
+// shardWorkload populates the kernel with the chain population. Chain i
+// runs on shard i % Shards() and posts its cross-shard work with
+// Shard.Post, the only coordinator-scheduling call legal from a shard
+// worker; on a kernel without shards it runs on the kernel itself.
+func shardWorkload(steps int, k *sim.Sim) {
 	const phi = 0.6180339887498949
 	for i := 0; i < shardChains; i++ {
 		fi := float64(i)
 		c := &shardChain{
-			clock:     clockFor(i),
-			post:      postFor(i),
+			clock:     k,
+			post:      k.AtFunc,
 			dt:        shardLookahead * (1 + mod1(fi*phi)/2),
 			remaining: steps - 1,
+		}
+		if n := k.Shards(); n > 0 {
+			sh := k.Shard(i % n)
+			c.clock, c.post = sh, sh.Post
 		}
 		c.clock.AtFunc(mod1(fi*phi*phi)*shardLookahead, shardChainStep, c)
 	}
@@ -301,28 +305,19 @@ func KernelBench(events int, shardCounts []int) (*KernelBenchResult, error) {
 		if n < 1 {
 			return nil, fmt.Errorf("experiments: shard count must be >= 1, got %d", n)
 		}
-		var eps, ape float64
 		var prof *KernelProfile
-		if n == 1 {
-			eps, ape = shardMeasure(func() uint64 {
-				var s sim.Sim
-				shardWorkload(steps,
-					func(int) sim.Clock { return &s },
-					func(int) func(float64, sim.Func, any) { return s.AtFunc })
-				s.Run()
-				return s.Executed()
-			})
-		} else {
-			eps, ape = shardMeasure(func() uint64 {
-				p := sim.NewSharded(n, shardLookahead)
-				shardWorkload(steps,
-					func(i int) sim.Clock { return p.Shard(i % n) },
-					func(i int) func(float64, sim.Func, any) { return p.Shard(i % n).Post })
-				p.Run()
-				prof = KernelProfileFrom(p.Stats())
-				return p.Executed()
-			})
-		}
+		eps, ape := shardMeasure(func() uint64 {
+			k := &sim.Sim{}
+			if n > 1 {
+				k = sim.NewSharded(n, shardLookahead)
+			}
+			shardWorkload(steps, k)
+			k.Run()
+			if n > 1 {
+				prof = KernelProfileFrom(k.Stats())
+			}
+			return k.Executed()
+		})
 		if n == 1 {
 			serialEPS = eps
 		}

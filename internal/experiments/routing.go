@@ -97,22 +97,6 @@ type RoutingRunResult struct {
 
 // RoutingRun executes one routed serving run to completion.
 func RoutingRun(rc RoutingRunConfig) (*RoutingRunResult, error) {
-	return RoutingRunPolicy(rc, rc.Policy.Policy())
-}
-
-// TracedRoutingRun is RoutingRun with a fresh flight recorder attached
-// (maxSpans <= 0 takes the default ring depth): one instrumented run whose
-// full request lifecycle — submit, route/reject, queue, exec, pass stages —
-// and fleet gauges land in the returned recorder, ready for WriteTrace.
-func TracedRoutingRun(rc RoutingRunConfig, maxSpans int) (*RoutingRunResult, *trace.Recorder, error) {
-	rc.Tracer = trace.New(maxSpans)
-	res, err := RoutingRun(rc)
-	return res, rc.Tracer, err
-}
-
-// RoutingRunPolicy is RoutingRun with an arbitrary (possibly custom)
-// router policy; rc.Policy is ignored.
-func RoutingRunPolicy(rc RoutingRunConfig, pol router.Policy) (*RoutingRunResult, error) {
 	if rc.Dataset == nil {
 		return nil, fmt.Errorf("experiments: RoutingRunConfig.Dataset is required")
 	}
@@ -120,6 +104,7 @@ func RoutingRunPolicy(rc RoutingRunConfig, pol router.Policy) (*RoutingRunResult
 	if instances <= 0 {
 		instances = 4
 	}
+	pol := rc.Policy.Policy()
 	var recs []engine.Record
 	f, err := fleet.New(fleet.Spec{
 		Model:         rc.Scenario.Model,
@@ -171,6 +156,16 @@ func RoutingRunPolicy(rc RoutingRunConfig, pol router.Policy) (*RoutingRunResult
 		res.BalanceRatio = math.Inf(1)
 	}
 	return res, nil
+}
+
+// TracedRoutingRun is RoutingRun with a fresh flight recorder attached
+// (maxSpans <= 0 takes the default ring depth): one instrumented run whose
+// full request lifecycle — submit, route/reject, queue, exec, pass stages —
+// and fleet gauges land in the returned recorder, ready for WriteTrace.
+func TracedRoutingRun(rc RoutingRunConfig, maxSpans int) (*RoutingRunResult, *trace.Recorder, error) {
+	rc.Tracer = trace.New(maxSpans)
+	res, err := RoutingRun(rc)
+	return res, rc.Tracer, err
 }
 
 // RoutingSweepRow is one (policy, dataset) cell of the routing comparison.

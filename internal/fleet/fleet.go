@@ -83,8 +83,8 @@ type Spec struct {
 	// Chaos injects faults when it enables a fault kind (requires
 	// Router). Fault-orphaned requests that recovery drops go to OnShed.
 	Chaos chaos.Config
-	// Shards selects the event kernel: <= 1 serial, >= 2 sharded with
-	// that many workers. Results are identical either way.
+	// Shards selects the event kernel's shard count: <= 1 serial, >= 2
+	// sharded with that many workers. Results are identical either way.
 	Shards int
 	// Tracer, when non-nil, records every tier's spans.
 	Tracer *trace.Recorder
@@ -106,8 +106,7 @@ type Spec struct {
 // Fleet is a running fleet on its event kernel.
 type Fleet struct {
 	spec    Spec
-	kern    *engine.Kernel
-	clock   sim.Clock // the kernel's coordinator clock
+	kern    *sim.Sim // its own clock is the coordinator's
 	sinkFor func(i int) func(engine.Record)
 	arrive  sim.Func // SubmitAt's event callback, bound once
 	built   int      // instances ever built: the next shard-rotation index
@@ -167,12 +166,14 @@ func New(spec Spec) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: need at least one instance, got %d", initial)
 	}
 
-	kern := engine.NewKernel(spec.Shards, engine.MinEventSeconds(spec.Model, spec.GPU))
-	f := &Fleet{spec: spec, kern: kern, clock: kern.Clock()}
+	f := &Fleet{spec: spec, kern: &sim.Sim{}}
+	if spec.Shards > 1 {
+		f.kern = sim.NewSharded(spec.Shards, engine.MinEventSeconds(spec.Model, spec.GPU))
+	}
 	f.arrive = f.arriveEvent
 	// Completions flow through the kernel's merged sinks, so the sharded
 	// kernel applies them in the serial kernel's global finish order.
-	f.sinkFor = kern.CompletionSinks(f.complete)
+	f.sinkFor = engine.CompletionSinks(f.kern, f.complete)
 	engines := make([]engine.Engine, initial)
 	for i := range engines {
 		e, err := f.build()
@@ -199,11 +200,11 @@ func New(spec Spec) (*Fleet, error) {
 		}
 		f.rt = rt
 		if spec.Autoscale != nil {
-			if f.ctl, err = autoscale.New(acfg, f.clock, rt, f.build); err != nil {
+			if f.ctl, err = autoscale.New(acfg, f.kern, rt, f.build); err != nil {
 				return nil, err
 			}
 		}
-		f.inj = chaos.New(spec.Chaos, f.clock, rt, chaos.Options{
+		f.inj = chaos.New(spec.Chaos, f.kern, rt, chaos.Options{
 			Controller: f.ctl,
 			Tracer:     spec.Tracer,
 			Timeseries: spec.Timeseries,
@@ -212,22 +213,27 @@ func New(spec Spec) (*Fleet, error) {
 	}
 	spec.Timeseries.SetSample(f.Gauges)
 	if spec.Tracer != nil && spec.SampleSeconds > 0 {
-		f.sampler = trace.NewSampler(f.clock, spec.SampleSeconds, f.SampleTrace)
+		f.sampler = trace.NewSampler(f.kern, spec.SampleSeconds, f.SampleTrace)
 	}
 	f.startLoops()
 	return f, nil
 }
 
-// build constructs one engine instance on the next shard clock. It is
+// build constructs one engine instance on the next shard clock
+// (round-robin), or on the kernel itself when it has no shards. It is
 // also the autoscaler's factory, so mid-run additions continue the
 // rotation deterministically.
 func (f *Fleet) build() (engine.Engine, error) {
 	i := f.built
 	f.built++
+	var clock sim.Clock = f.kern
+	if n := f.kern.Shards(); n > 0 {
+		clock = f.kern.Shard(i % n)
+	}
 	cfg := engine.Config{
 		Model:          f.spec.Model,
 		GPU:            f.spec.GPU,
-		Sim:            f.kern.InstanceClock(i),
+		Sim:            clock,
 		ProfileMaxLen:  f.spec.ProfileMaxLen,
 		HostCacheBytes: f.spec.HostCacheBytes,
 		Tracer:         f.spec.Tracer,
@@ -264,7 +270,7 @@ func (f *Fleet) startLoops() {
 // shed is counted and returned as a *router.RejectError. Any other
 // routing failure is a bug: it is returned, and Check reports it.
 func (f *Fleet) Submit(r *sched.Request) error {
-	now := f.clock.Now()
+	now := f.kern.Now()
 	ts := f.spec.Timeseries
 	ts.Arrival(now, r.Class)
 	ts.Start()
@@ -303,7 +309,7 @@ func (f *Fleet) route(r *sched.Request) error {
 // Arrivals land on the coordinator clock, because routing is cross-shard
 // work. Sheds are counted; Check reports routing bugs.
 func (f *Fleet) SubmitAt(t float64, r *sched.Request) {
-	f.clock.AtFunc(t, f.arrive, r)
+	f.kern.AtFunc(t, f.arrive, r)
 }
 
 // arriveEvent submits a scheduled arrival. Its error needs no handling
@@ -327,7 +333,7 @@ func (f *Fleet) complete(r engine.Record) {
 // shed is the fault injector's hook for orphans that recovery drops.
 func (f *Fleet) shed(r *sched.Request, rej *router.RejectError) {
 	f.orphanShed++
-	f.spec.Timeseries.Reject(f.clock.Now(), rej.Class, rej.Reason)
+	f.spec.Timeseries.Reject(f.kern.Now(), rej.Class, rej.Reason)
 	if f.spec.OnShed != nil {
 		f.spec.OnShed(r, rej)
 	}
@@ -336,12 +342,13 @@ func (f *Fleet) shed(r *sched.Request, rej *router.RejectError) {
 // Run attaches the time-series collector's boundary ticker, drains the
 // kernel, and returns the final simulated time.
 func (f *Fleet) Run() float64 {
-	f.spec.Timeseries.Attach(f.clock)
+	f.spec.Timeseries.Attach(f.kern)
 	return f.kern.Run()
 }
 
-// RunUntil executes every event up to the deadline on the serial kernel
-// (a wall-clock server's stepping primitive; it panics on a sharded one).
+// RunUntil executes every event at or before the deadline and advances
+// the clock to it: a wall-clock server's stepping primitive. Stepping a
+// fleet to the end of its events reproduces Run's records in order.
 func (f *Fleet) RunUntil(deadline float64) { f.kern.RunUntil(deadline) }
 
 // Check verifies a drained run's accounting: no routing bug, no failed
@@ -432,12 +439,9 @@ func (f *Fleet) GPUSeconds(now float64) float64 {
 	return now * float64(f.gpus)
 }
 
-// Clock returns the coordinator clock: arrivals, routing, autoscale ticks
-// and samplers run here.
-func (f *Fleet) Clock() sim.Clock { return f.clock }
-
-// Kernel returns the event kernel.
-func (f *Fleet) Kernel() *engine.Kernel { return f.kern }
+// Clock returns the event kernel. Its own clock is the coordinator's:
+// arrivals, routing, autoscale ticks and samplers run there.
+func (f *Fleet) Clock() *sim.Sim { return f.kern }
 
 // Engines returns the live instances in slot order.
 func (f *Fleet) Engines() []engine.Engine {

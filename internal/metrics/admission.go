@@ -20,16 +20,11 @@ func (c AdmissionCount) AcceptRate() float64 {
 	return float64(c.Accepted) / float64(c.Total())
 }
 
-// ClassUnlabeled is the SLO-class label decisions recorded through the
-// classless Accept/Reject methods fall under.
-const ClassUnlabeled = ""
-
 // Admission tallies routing admission decisions per policy and SLO class.
-// The zero value is ready to use. Per-policy counts are the sum over
-// classes, so the classless Accept/Reject/Policy/Snapshot surface reports
-// the same totals it always has while AcceptClass/RejectClass stratify
-// them. It is safe for concurrent use: the HTTP frontend routes from
-// multiple goroutines, while simulation routers are single-threaded.
+// The zero value is ready to use. Per-policy counts (Policy, Snapshot)
+// are the sum over classes. It is safe for concurrent use: the HTTP
+// frontend routes from multiple goroutines, while simulation routers are
+// single-threaded.
 type Admission struct {
 	mu sync.Mutex
 	// classes maps policy → class label → tally; it is the single source
@@ -60,12 +55,6 @@ func (a *Admission) bump(policy, class string, accepted bool) {
 	}
 	byClass[class] = c
 }
-
-// Accept records an admitted request under the given policy name.
-func (a *Admission) Accept(policy string) { a.bump(policy, ClassUnlabeled, true) }
-
-// Reject records a shed request under the given policy name.
-func (a *Admission) Reject(policy string) { a.bump(policy, ClassUnlabeled, false) }
 
 // AcceptClass records an admitted request under a policy and SLO class.
 func (a *Admission) AcceptClass(policy, class string) { a.bump(policy, class, true) }

@@ -14,10 +14,10 @@ func TestAdmissionCounters(t *testing.T) {
 		t.Fatalf("empty accept rate = %v, want 1", rate)
 	}
 	for i := 0; i < 3; i++ {
-		a.Accept("affinity")
+		a.AcceptClass("affinity", "interactive")
 	}
-	a.Reject("affinity")
-	a.Accept("userhash")
+	a.RejectClass("affinity", "batch")
+	a.AcceptClass("userhash", "interactive")
 	c := a.Policy("affinity")
 	if c.Accepted != 3 || c.Rejected != 1 || c.Total() != 4 {
 		t.Fatalf("affinity tally %+v", c)
@@ -37,24 +37,20 @@ func TestAdmissionCounters(t *testing.T) {
 }
 
 // Per-class tallies stratify the per-policy aggregate: class counts sum
-// to the policy total, and classless records land under ClassUnlabeled.
+// to the policy total.
 func TestAdmissionPerClass(t *testing.T) {
 	var a Admission
 	a.AcceptClass("affinity", "interactive")
 	a.AcceptClass("affinity", "interactive")
 	a.AcceptClass("affinity", "batch")
 	a.RejectClass("affinity", "batch")
-	a.Accept("affinity") // classless → unlabeled
 	if c := a.Class("affinity", "interactive"); c.Accepted != 2 || c.Rejected != 0 {
 		t.Fatalf("interactive tally %+v", c)
 	}
 	if c := a.Class("affinity", "batch"); c.Accepted != 1 || c.Rejected != 1 {
 		t.Fatalf("batch tally %+v", c)
 	}
-	if c := a.Class("affinity", ClassUnlabeled); c.Accepted != 1 {
-		t.Fatalf("unlabeled tally %+v", c)
-	}
-	if agg := a.Policy("affinity"); agg.Accepted != 4 || agg.Rejected != 1 {
+	if agg := a.Policy("affinity"); agg.Accepted != 3 || agg.Rejected != 1 {
 		t.Fatalf("aggregate %+v does not sum the classes", agg)
 	}
 	snap := a.ClassSnapshot()
@@ -75,8 +71,8 @@ func TestAdmissionConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				a.Accept("p")
-				a.Reject("p")
+				a.AcceptClass("p", "interactive")
+				a.RejectClass("p", "batch")
 			}
 		}()
 	}

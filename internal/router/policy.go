@@ -113,32 +113,25 @@ const DefaultSpillFactor = 2.0
 // execution at that candidate's peeked prefix-cache hit length — i.e. hit
 // length rewards the score exactly by the execution seconds it saves,
 // and backlog penalizes it. The home instance wins until its projected
-// completion exceeds SpillFactor times the alternative's, which bounds
-// how far a hot user can skew the cluster without sacrificing locality
-// on balanced traffic.
-type AffinityLoad struct {
-	// SpillFactor overrides DefaultSpillFactor when positive.
-	SpillFactor float64
-}
+// completion exceeds DefaultSpillFactor times the alternative's, which
+// bounds how far a hot user can skew the cluster without sacrificing
+// locality on balanced traffic.
+type AffinityLoad struct{}
 
 // Name implements Policy.
 func (AffinityLoad) Name() string { return "affinity" }
 
 // Pick implements Policy.
-func (a AffinityLoad) Pick(r *sched.Request, v View) int {
+func (AffinityLoad) Pick(r *sched.Request, v View) int {
 	aff := affinityCandidate(r, v)
 	alt := leastLoaded(v)
 	if aff == alt {
 		return aff
 	}
-	factor := a.SpillFactor
-	if factor <= 0 {
-		factor = DefaultSpillFactor
-	}
 	score := func(i int) float64 {
 		return v.Load(i).BacklogSeconds + v.EstSeconds(i, r, v.HitTokens(i, r))
 	}
-	if score(aff) > factor*score(alt) {
+	if score(aff) > DefaultSpillFactor*score(alt) {
 		return alt
 	}
 	return aff

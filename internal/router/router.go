@@ -152,12 +152,6 @@ type Config struct {
 	// load ever is. A class entry of 0 disables admission control for
 	// that class; classes without an entry use MaxBacklogSeconds.
 	ClassBacklogSeconds map[sched.Class]float64
-	// EstimatorFor overrides JCT estimator resolution per instance. When
-	// nil (or when it returns nil), the router uses the engine's own
-	// estimator if it exposes one, calibrates a cache-miss proxy from the
-	// engine's cost model if it exposes that, and otherwise falls back to
-	// a fixed per-token constant.
-	EstimatorFor func(e engine.Engine) jct.Estimator
 	// Tracer, when non-nil, receives submit/route/reject instants for
 	// every routing decision. The router has no clock, so events are
 	// stamped with the request's arrival time (submission happens at
@@ -281,7 +275,7 @@ func (rt *Router) AddInstance(e engine.Engine) (int, error) {
 	st := &instanceState{
 		id:            rt.nextID,
 		eng:           e,
-		est:           resolveEstimator(rt.cfg, e),
+		est:           resolveEstimator(e),
 		pendingBlocks: make(map[uint64]int),
 	}
 	rt.nextID++
@@ -447,13 +441,10 @@ func (rt *Router) routable() []*instanceState {
 }
 
 // resolveEstimator picks the JCT estimator used to price an instance's
-// backlog, preferring the engine's own calibrated estimator.
-func resolveEstimator(cfg Config, e engine.Engine) jct.Estimator {
-	if cfg.EstimatorFor != nil {
-		if est := cfg.EstimatorFor(e); est != nil {
-			return est
-		}
-	}
+// backlog: the engine's own calibrated estimator if it exposes one, a
+// cache-miss proxy calibrated from the engine's cost model if it exposes
+// that, and otherwise a fixed per-token constant.
+func resolveEstimator(e engine.Engine) jct.Estimator {
 	if ee, ok := e.(estimatorEngine); ok {
 		if est := ee.Estimator(); est != nil {
 			return est

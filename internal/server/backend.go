@@ -34,6 +34,8 @@ type Result struct {
 	SimLatency float64
 	// CachedTokens is the prefix-cache hit length.
 	CachedTokens int
+	// PromptTokens is the prompt's encoded length, BOS included.
+	PromptTokens int
 	// Err is set when the request died after admission: its instance was
 	// killed by a fault and re-admission shed it (a *router.RejectError
 	// with reason "orphan-retries" or an admission reason). Submit
@@ -74,9 +76,9 @@ type Backend struct {
 const gaugeSampleTicks = 100
 
 // NewBackend builds a backend over the fleet spec declares. The backend
-// owns the fleet's hooks and clocking, so spec.OnComplete, OnShed,
-// SampleSeconds and Shards must be unset: the served path steps the
-// serial kernel with the wall clock and samples trace gauges on wall
+// owns the fleet's hooks and clocking, so spec.OnComplete, OnShed and
+// SampleSeconds must be unset: the served path steps the kernel, at any
+// shard count, with the wall clock and samples trace gauges on wall
 // ticks. The fleet is always routed; a nil spec.Router takes the default
 // policy with no admission bound, which makes a one-instance spec plain
 // single-engine serving. An autoscaled pool ticks for as long as the
@@ -87,8 +89,8 @@ const gaugeSampleTicks = 100
 // never gets a boundary ticker — the clock free-runs even when idle, so
 // windows close lazily on request events and scrapes.
 func NewBackend(spec fleet.Spec, speedup float64) (*Backend, error) {
-	if spec.OnComplete != nil || spec.OnShed != nil || spec.SampleSeconds != 0 || spec.Shards > 1 {
-		return nil, fmt.Errorf("server: OnComplete, OnShed, SampleSeconds and Shards are owned by the backend")
+	if spec.OnComplete != nil || spec.OnShed != nil || spec.SampleSeconds != 0 {
+		return nil, fmt.Errorf("server: OnComplete, OnShed and SampleSeconds are owned by the backend")
 	}
 	if speedup <= 0 {
 		speedup = 1000
@@ -321,6 +323,7 @@ func (b *Backend) onComplete(rec engine.Record) {
 		Scores:       scores,
 		SimLatency:   rec.Latency(),
 		CachedTokens: rec.CachedTokens,
+		PromptTokens: len(rec.Req.Tokens),
 	}
 }
 

@@ -265,9 +265,8 @@ func (h *Handler) completions(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, apiError{err.Error()})
 		return
 	}
-	prompTokens := h.Backend.Tokenizer.Count(req.Prompt)
 	writeJSON(w, http.StatusOK, CompletionResponse{
-		ID:     "cmpl-" + strconv.FormatInt(int64(prompTokens), 36) + strconv.FormatInt(int64(res.CachedTokens), 36),
+		ID:     "cmpl-" + strconv.FormatInt(int64(res.PromptTokens), 36) + strconv.FormatInt(int64(res.CachedTokens), 36),
 		Object: "text_completion",
 		Model:  h.ModelName,
 		Choices: []CompletionChoice{{
@@ -276,9 +275,9 @@ func (h *Handler) completions(w http.ResponseWriter, r *http.Request) {
 			TokenScores:  res.Scores,
 		}},
 		Usage: CompletionUsage{
-			PromptTokens:     prompTokens,
+			PromptTokens:     res.PromptTokens,
 			CompletionTokens: 1,
-			TotalTokens:      prompTokens + 1,
+			TotalTokens:      res.PromptTokens + 1,
 		},
 		SimLatencySeconds: res.SimLatency,
 		CachedTokens:      res.CachedTokens,

@@ -53,7 +53,7 @@ func (b *Backend) Metrics() *metrics.Registry {
 	f := b.fleet
 	rt := f.Router()
 	now := f.Clock().Now()
-	executed := f.Kernel().Executed()
+	executed := f.Clock().Executed()
 
 	reg.Family(famSimSeconds, "Simulated time in seconds.", metrics.TypeGauge).Add(now)
 	reg.Family(famSimEvents, "Events executed by the simulation kernel.", metrics.TypeCounter).
@@ -83,7 +83,7 @@ func (b *Backend) Metrics() *metrics.Registry {
 			labels := func(decision string) []metrics.Label {
 				return []metrics.Label{
 					{Name: "policy", Value: pol},
-					{Name: "class", Value: className(class)},
+					{Name: "class", Value: class},
 					{Name: "decision", Value: decision},
 				}
 			}
@@ -98,7 +98,7 @@ func (b *Backend) Metrics() *metrics.Registry {
 			for _, reason := range metrics.SortedKeys(byReason) {
 				rejects.Add(float64(byReason[reason]),
 					metrics.Label{Name: "policy", Value: pol},
-					metrics.Label{Name: "class", Value: className(class)},
+					metrics.Label{Name: "class", Value: class},
 					metrics.Label{Name: "reason", Value: reason})
 			}
 		}
@@ -197,13 +197,4 @@ func (b *Backend) Metrics() *metrics.Registry {
 		tsWindows.Add(float64(ts.ClosedWindows()))
 	}
 	return reg
-}
-
-// className maps the admission tally's class labels (which include the
-// legacy unlabeled "" bucket) onto metric label values.
-func className(class string) string {
-	if class == metrics.ClassUnlabeled {
-		return "unlabeled"
-	}
-	return class
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"repro/internal/router"
@@ -52,10 +54,38 @@ func TestRoutedBackendValidation(t *testing.T) {
 	if _, err := NewBackend(testSpec(0), 1e7); err == nil {
 		t.Fatal("zero instances accepted")
 	}
-	spec := testSpec(1)
+	// A sharded kernel serves: the backend steps it with RunUntil, and
+	// concurrent clients each get their own completion.
+	spec := testSpec(2)
 	spec.Shards = 2
-	if _, err := NewBackend(spec, 1e7); err == nil {
-		t.Fatal("sharded kernel accepted on the served path")
+	b := newTestBackend(t, spec)
+	const clients = 40
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(user int) {
+			defer wg.Done()
+			prompt := fmt.Sprintf("Here is the profile of user %d: reads systems papers. Recommend this post? Answer:", user)
+			res, err := b.Submit(prompt, nil, user)
+			if err == nil && res.PromptTokens != b.Tokenizer.Count(prompt) {
+				err = fmt.Errorf("user %d: %d prompt tokens, tokenizer counts %d", user, res.PromptTokens, b.Tokenizer.Count(prompt))
+			}
+			errs <- err
+		}(i % 8)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := b.Router().InFlight(); n != 0 {
+		t.Fatalf("in-flight after completion: %d", n)
+	}
+	if c := b.Router().Admission().Policy("affinity"); c.Accepted != clients {
+		t.Fatalf("admission tally %+v, want %d accepted", c, clients)
 	}
 }
 

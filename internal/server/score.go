@@ -2,7 +2,7 @@ package server
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/tokenizer"
 )
@@ -24,9 +24,11 @@ func Score(prompt []uint64, allowed []string) map[string]float64 {
 		h ^= t
 		h *= prime
 	}
-	// Deterministic order for reproducible float accumulation.
+	// Deterministic order for reproducible float accumulation; a repeated
+	// token is one outcome, so it enters the softmax once.
 	opts := append([]string(nil), allowed...)
-	sort.Strings(opts)
+	slices.Sort(opts)
+	opts = slices.Compact(opts)
 	logits := make([]float64, len(opts))
 	maxLogit := math.Inf(-1)
 	for i, opt := range opts {

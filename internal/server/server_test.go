@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -27,7 +28,7 @@ func testSpec(instances int) fleet.Spec {
 
 // newTestBackend serves spec at a huge speedup, so tests finish
 // instantly.
-func newTestBackend(t *testing.T, spec fleet.Spec) *Backend {
+func newTestBackend(t testing.TB, spec fleet.Spec) *Backend {
 	t.Helper()
 	b, err := NewBackend(spec, 1e7)
 	if err != nil {
@@ -38,7 +39,7 @@ func newTestBackend(t *testing.T, spec fleet.Spec) *Backend {
 }
 
 // testBackend is single-engine serving: a one-instance fleet.
-func testBackend(t *testing.T) *Backend { return newTestBackend(t, testSpec(1)) }
+func testBackend(t testing.TB) *Backend { return newTestBackend(t, testSpec(1)) }
 
 func TestScoreProperties(t *testing.T) {
 	prompt := []uint64{1, 2, 3}
@@ -62,6 +63,30 @@ func TestScoreProperties(t *testing.T) {
 	}
 	if Score(prompt, nil) != nil {
 		t.Fatal("empty allowed set should yield nil")
+	}
+}
+
+// TestScoreDuplicateAllowedTokens pins that a repeated allowed token is
+// one outcome: the distribution still sums to 1, and it equals the one
+// for the list without the repeat.
+func TestScoreDuplicateAllowedTokens(t *testing.T) {
+	prompt := []uint64{1, 2, 3}
+	for _, tc := range []struct{ allowed, distinct []string }{
+		{[]string{"Yes", "Yes", "No"}, []string{"Yes", "No"}},
+		{[]string{"Yes", "Yes"}, []string{"Yes"}},
+		{[]string{"No", "Yes", "No", "Yes"}, []string{"Yes", "No"}},
+	} {
+		s := Score(prompt, tc.allowed)
+		var sum float64
+		for _, p := range s {
+			sum += p
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Errorf("%q: probabilities sum to %v", tc.allowed, sum)
+		}
+		if want := Score(prompt, tc.distinct); !maps.Equal(s, want) {
+			t.Errorf("%q: scores %v, want those of %q: %v", tc.allowed, s, tc.distinct, want)
+		}
 	}
 }
 
@@ -158,9 +183,10 @@ func TestHTTPCompletions(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
+	prompt := "Credit history: paid on time for 10 months. Approve this application? Answer:"
 	body, _ := json.Marshal(CompletionRequest{
 		Model:         "prefillonly-test",
-		Prompt:        "Credit history: paid on time for 10 months. Approve this application? Answer:",
+		Prompt:        prompt,
 		MaxTokens:     1,
 		AllowedTokens: []string{"Approve", "Deny"},
 		User:          "user-42",
@@ -187,7 +213,7 @@ func TestHTTPCompletions(t *testing.T) {
 	if math.Abs(c.TokenScores["Approve"]+c.TokenScores["Deny"]-1) > 1e-9 {
 		t.Fatalf("scores = %v", c.TokenScores)
 	}
-	if out.Usage.PromptTokens <= 0 || out.Usage.CompletionTokens != 1 {
+	if out.Usage.PromptTokens != b.Tokenizer.Count(prompt) || out.Usage.CompletionTokens != 1 {
 		t.Fatalf("usage = %+v", out.Usage)
 	}
 }

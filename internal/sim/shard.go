@@ -3,13 +3,13 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 )
 
-// ShardedSim executes one simulation across N event shards plus a
-// coordinator, using conservative time windows (classic conservative
-// parallel discrete-event simulation). The intended partition:
+// NewSharded builds a kernel that executes one simulation across the
+// given number of event shards plus a coordinator, using conservative
+// time windows (classic conservative parallel discrete-event simulation).
+// The intended partition:
 //
 //   - Shard events touch exactly one instance: engine pass completions,
 //     per-instance queue dispatch, pipeline stage handoffs. Each shard owns
@@ -19,7 +19,7 @@ import (
 //     serially on the coordinator goroutine, exactly like the serial
 //     kernel.
 //
-// The run alternates two phases. While the earliest pending event is a
+// A run alternates two phases. While the earliest pending event is a
 // coordinator event, coordinator events execute one at a time (shards are
 // parked, so the coordinator may freely read engine state and schedule
 // onto shard clocks — this is how router dispatch submits to engines).
@@ -35,7 +35,8 @@ import (
 // past) and buffers the event in a per-shard outbox. At the window barrier
 // the outboxes merge into the coordinator heap in deterministic
 // (time, shard, emission) order, then OnBarrier hooks run (e.g. the engine
-// layer's completion merge) before the next coordinator event.
+// layer's completion merge) before the next coordinator event. RunUntil
+// also clamps windows at its deadline.
 //
 // Determinism: each shard's events execute in exactly the serial kernel's
 // (time, seq) order because a shard's events are totally ordered by its
@@ -46,242 +47,128 @@ import (
 // event times collide only by construction, not by arithmetic), so the
 // oracle tests require byte-identical results against the serial kernel.
 //
-// ShardedSim is not goroutine-safe from outside: construction, scheduling
-// before Run, and Run itself happen on one goroutine; during Run each
-// shard's clock may be used only by the coordinator phase or that shard's
-// own events. Workers are spawned per Run and joined before it returns, so
-// a drained ShardedSim holds no goroutines.
-type ShardedSim struct {
-	now       float64
-	seq       uint64
-	executed  uint64
-	heap      eventHeap
-	lookahead float64
-	shards    []*Shard
-	barriers  []func()
-
-	active  []*Shard // per-window scratch, reused
-	running bool
-
-	// self-profile (see stats.go): plain counters and fixed arrays, so
-	// profiling never allocates and never perturbs event order.
-	windows    uint64
-	boundCoord uint64
-	boundLook  uint64
-	widthHist  [NumWidthBuckets]uint64
-	stallHist  [NumStallBuckets]uint64
-
-	windowWG sync.WaitGroup
-	workerWG sync.WaitGroup
-}
-
-// ShardedSim's coordinator implements Clock.
-var _ Clock = (*ShardedSim)(nil)
-
-// NewSharded builds a sharded kernel with the given shard count and
-// lookahead (seconds). Lookahead must be positive and finite: it is the
-// minimum cross-shard latency the workload guarantees (for serving runs,
-// derive it from the catalogs' minimum priced pass time — see
-// engine.MinEventSeconds), and it bounds window sizes, so it trades
-// synchronization frequency against nothing else: correctness is enforced
-// by Shard.Post, not by the window size.
-func NewSharded(shards int, lookahead float64) *ShardedSim {
+// Construction, scheduling between runs, and the runs themselves happen on
+// one goroutine; during a run each shard's clock may be used only by the
+// coordinator phase or that shard's own events. Workers are spawned per
+// Run or RunUntil call and joined before it returns, so an idle kernel
+// holds no goroutines.
+//
+// Lookahead must be positive and finite: it is the minimum cross-shard
+// latency the workload guarantees (for serving runs, derive it from the
+// catalogs' minimum priced pass time — see engine.MinEventSeconds), and it
+// bounds window sizes, so it trades synchronization frequency against
+// nothing else: correctness is enforced by Shard.Post, not by the window
+// size.
+func NewSharded(shards int, lookahead float64) *Sim {
 	if shards < 1 {
 		panic(fmt.Sprintf("sim: shard count must be >= 1, got %d", shards))
 	}
 	if !(lookahead > 0) || math.IsInf(lookahead, 1) {
 		panic(fmt.Sprintf("sim: lookahead must be positive and finite, got %v", lookahead))
 	}
-	p := &ShardedSim{lookahead: lookahead}
-	p.shards = make([]*Shard, shards)
-	for i := range p.shards {
-		p.shards[i] = &Shard{parent: p, id: i}
+	s := &Sim{lookahead: lookahead}
+	s.shards = make([]*Shard, shards)
+	for i := range s.shards {
+		s.shards[i] = &Shard{parent: s, id: i}
 	}
-	return p
+	return s
 }
 
-// Shards returns the shard count.
-func (p *ShardedSim) Shards() int { return len(p.shards) }
+// Shards returns the shard count (0 for the serial kernel).
+func (s *Sim) Shards() int { return len(s.shards) }
 
 // Shard returns shard i's clock. Instances are typically assigned
 // round-robin: instance k schedules on Shard(k % Shards()).
-func (p *ShardedSim) Shard(i int) *Shard { return p.shards[i] }
-
-// Lookahead returns the kernel's lookahead in seconds.
-func (p *ShardedSim) Lookahead() float64 { return p.lookahead }
+func (s *Sim) Shard(i int) *Shard { return s.shards[i] }
 
 // OnBarrier registers a hook that runs after every window barrier (outbox
 // merge included) and before the next coordinator event, while all shards
 // are parked. The engine layer uses it to apply per-shard completion
 // buffers to shared state (router accounting, record order) in
-// deterministic time order. Hooks run in registration order.
-func (p *ShardedSim) OnBarrier(fn func()) {
+// deterministic time order. Hooks run in registration order; a serial
+// kernel has no windows, so they never run there.
+func (s *Sim) OnBarrier(fn func()) {
 	if fn == nil {
 		panic("sim: nil barrier hook")
 	}
-	p.barriers = append(p.barriers, fn)
+	s.barriers = append(s.barriers, fn)
 }
 
-// Now returns the coordinator's current simulated time.
-func (p *ShardedSim) Now() float64 { return p.now }
-
-// Executed returns the total events executed by the coordinator and every
-// shard, merged on read. Each counter is a plain per-shard field — the
-// strict phase alternation (coordinator runs only while shards are parked,
-// and Executed may be called from coordinator context or after Run) makes
-// the merge exact without atomics.
-func (p *ShardedSim) Executed() uint64 {
-	total := p.executed
-	for _, sh := range p.shards {
-		total += sh.executed
+// nextTimes returns the earliest pending coordinator and shard event
+// times (+Inf when none). Posts issued outside a window (setup or
+// coordinator context) merge into the coordinator heap first, so they can
+// never be stranded.
+func (s *Sim) nextTimes() (cmin, smin float64) {
+	smin = math.Inf(1)
+	for _, sh := range s.shards {
+		if len(sh.outbox) > 0 {
+			s.mergeOutboxes()
+		}
+		if t := sh.heap.minTime(); t < smin {
+			smin = t
+		}
 	}
-	return total
+	return s.heap.minTime(), smin
 }
 
-// AtFunc schedules a coordinator event at absolute time t (zero-alloc
-// fast path). Scheduling in the past panics.
-func (p *ShardedSim) AtFunc(t float64, fn Func, arg any) {
-	if t < p.now {
-		panic("sim: event scheduled in the past")
+// window runs every shard's events in [smin, bound), bound = min(stop,
+// smin + lookahead), where stop is the next coordinator event or the
+// run's limit; then it merges the outboxes and runs the barrier hooks.
+func (s *Sim) window(smin, stop float64) {
+	bound := smin + s.lookahead
+	if stop < bound {
+		bound = stop
+		s.boundCoord++
+	} else {
+		s.boundLook++
 	}
-	if fn == nil {
-		panic("sim: nil event callback")
+	s.windows++
+	s.widthHist[widthBucket((bound-smin)/s.lookahead)]++
+	s.active = s.active[:0]
+	for _, sh := range s.shards {
+		if sh.heap.minTime() < bound {
+			s.active = append(s.active, sh)
+			sh.windows++
+		}
 	}
-	p.seq++
-	p.heap.push(event{time: t, seq: p.seq, fn: fn, arg: arg})
-}
-
-// AfterFunc schedules a coordinator event d seconds from now (fast path).
-func (p *ShardedSim) AfterFunc(d float64, fn Func, arg any) {
-	p.AtFunc(p.now+d, fn, arg)
-}
-
-// At schedules a coordinator closure at absolute time t.
-func (p *ShardedSim) At(t float64, fn func()) { p.AtFunc(t, runClosure, fn) }
-
-// After schedules a coordinator closure d seconds from now.
-func (p *ShardedSim) After(d float64, fn func()) { p.AtFunc(p.now+d, runClosure, fn) }
-
-// Pending returns the whole run's queued event count: coordinator heap,
-// every shard heap, and any unmerged outbox entries. Matching the serial
-// kernel's Pending keeps the autoscaler's and sampler's drain discipline
-// ("reschedule only while other events remain") identical on both kernels.
-func (p *ShardedSim) Pending() int {
-	n := p.heap.len()
-	for _, sh := range p.shards {
-		n += sh.heap.len() + len(sh.outbox)
-	}
-	return n
-}
-
-// Run executes the simulation to quiescence and returns the final
-// simulated time (the time of the last event on any clock, matching the
-// serial kernel). Workers are spawned on entry and joined before return.
-func (p *ShardedSim) Run() float64 {
-	if p.running {
-		panic("sim: ShardedSim.Run is not reentrant")
-	}
-	p.running = true
-	defer func() { p.running = false }()
-
-	multi := len(p.shards) > 1
-	if multi {
-		p.startWorkers()
-		defer p.stopWorkers()
-	}
-
-	for {
-		cmin := p.heap.minTime()
-		smin := math.Inf(1)
-		for _, sh := range p.shards {
-			if len(sh.outbox) > 0 {
-				// Posts issued outside a window (setup or coordinator
-				// context) merge here so they can never be stranded.
-				p.mergeOutboxes()
-				cmin = p.heap.minTime()
+	if len(s.active) == 1 {
+		// A single active shard (always, on a 1-shard kernel) runs inline
+		// on the coordinator goroutine: same semantics, no handoff cost,
+		// and by definition no barrier stall.
+		s.active[0].runTimedWindow(bound)
+	} else {
+		// The coordinator signals the other active shards, runs the
+		// first one itself, then waits at the barrier. Channel send /
+		// WaitGroup wait establish the happens-before edges in both
+		// directions, so shard state needs no atomics.
+		//prefill:allow(simdeterminism): barrier-stall profiling; wall time is observed, never fed back into event order
+		start := time.Now()
+		s.windowWG.Add(len(s.active) - 1)
+		for _, sh := range s.active[1:] {
+			sh.work <- bound
+		}
+		s.active[0].runTimedWindow(bound)
+		s.windowWG.Wait()
+		// Per-shard stall: the window's wall duration minus the time the
+		// shard itself was busy — how long it sat idle waiting for the
+		// slowest shard. lastBusy is safe to read here: the barrier's
+		// WaitGroup established the happens-before edge.
+		//prefill:allow(simdeterminism): barrier-stall profiling; wall time is observed, never fed back into event order
+		wall := uint64(time.Since(start))
+		for _, sh := range s.active {
+			var stall uint64
+			if sh.lastBusy < wall {
+				stall = wall - sh.lastBusy
 			}
-			if t := sh.heap.minTime(); t < smin {
-				smin = t
-			}
-		}
-		if math.IsInf(cmin, 1) && math.IsInf(smin, 1) {
-			break
-		}
-		if cmin <= smin {
-			// Coordinator phase: shards are parked, shared state is safe.
-			e := p.heap.pop()
-			p.now = e.time
-			p.executed++
-			e.fn(e.arg)
-			continue
-		}
-
-		// Window phase: every shard drains its events in [smin, bound).
-		bound := smin + p.lookahead
-		if cmin < bound {
-			bound = cmin
-			p.boundCoord++
-		} else {
-			p.boundLook++
-		}
-		p.windows++
-		p.widthHist[widthBucket((bound-smin)/p.lookahead)]++
-		p.active = p.active[:0]
-		for _, sh := range p.shards {
-			if sh.heap.minTime() < bound {
-				p.active = append(p.active, sh)
-				sh.windows++
-			}
-		}
-		if !multi || len(p.active) == 1 {
-			// A single active shard (or a 1-shard kernel) runs inline on
-			// the coordinator goroutine: same semantics, no handoff cost,
-			// and by definition no barrier stall.
-			for _, sh := range p.active {
-				sh.runTimedWindow(bound)
-			}
-		} else {
-			// The coordinator signals the other active shards, runs the
-			// first one itself, then waits at the barrier. Channel send /
-			// WaitGroup wait establish the happens-before edges in both
-			// directions, so shard state needs no atomics.
-			//prefill:allow(simdeterminism): barrier-stall profiling; wall time is observed, never fed back into event order
-			start := time.Now()
-			p.windowWG.Add(len(p.active) - 1)
-			for _, sh := range p.active[1:] {
-				sh.work <- bound
-			}
-			p.active[0].runTimedWindow(bound)
-			p.windowWG.Wait()
-			// Per-shard stall: the window's wall duration minus the time
-			// the shard itself was busy — how long it sat idle waiting for
-			// the slowest shard. lastBusy is safe to read here: the
-			// barrier's WaitGroup established the happens-before edge.
-			//prefill:allow(simdeterminism): barrier-stall profiling; wall time is observed, never fed back into event order
-			wall := uint64(time.Since(start))
-			for _, sh := range p.active {
-				var stall uint64
-				if sh.lastBusy < wall {
-					stall = wall - sh.lastBusy
-				}
-				sh.stallNanos += stall
-				p.stallHist[stallBucket(stall)]++
-			}
-		}
-
-		p.mergeOutboxes()
-		for _, fn := range p.barriers {
-			fn()
+			sh.stallNanos += stall
+			s.stallHist[stallBucket(stall)]++
 		}
 	}
 
-	// Final time: the last event anywhere, as the serial kernel reports.
-	for _, sh := range p.shards {
-		if sh.now > p.now {
-			p.now = sh.now
-		}
+	s.mergeOutboxes()
+	for _, fn := range s.barriers {
+		fn()
 	}
-	return p.now
 }
 
 // mergeOutboxes moves every shard's cross-shard sends into the coordinator
@@ -290,14 +177,14 @@ func (p *ShardedSim) Run() float64 {
 // (time, shard, emission) — deterministic regardless of how the window's
 // parallel execution interleaved. Outbox capacity is retained (completion
 // of the ringbuf discipline happens via the heap's own shrink on pop).
-func (p *ShardedSim) mergeOutboxes() {
-	for _, sh := range p.shards {
+func (s *Sim) mergeOutboxes() {
+	for _, sh := range s.shards {
 		for _, o := range sh.outbox {
-			if o.time < p.now {
+			if o.time < s.now {
 				panic("sim: outbox event merged into the past")
 			}
-			p.seq++
-			p.heap.push(event{time: o.time, seq: p.seq, fn: o.fn, arg: o.arg})
+			s.seq++
+			s.heap.push(event{time: o.time, seq: s.seq, fn: o.fn, arg: o.arg})
 		}
 		for i := range sh.outbox {
 			sh.outbox[i] = outboxEntry{}
@@ -306,26 +193,26 @@ func (p *ShardedSim) mergeOutboxes() {
 	}
 }
 
-func (p *ShardedSim) startWorkers() {
-	for _, sh := range p.shards {
+func (s *Sim) startWorkers() {
+	for _, sh := range s.shards {
 		sh.work = make(chan float64, 1)
-		p.workerWG.Add(1)
+		s.workerWG.Add(1)
 		go func(sh *Shard) {
-			defer p.workerWG.Done()
+			defer s.workerWG.Done()
 			for bound := range sh.work {
 				sh.runTimedWindow(bound)
-				p.windowWG.Done()
+				s.windowWG.Done()
 			}
 		}(sh)
 	}
 }
 
-func (p *ShardedSim) stopWorkers() {
-	for _, sh := range p.shards {
+func (s *Sim) stopWorkers() {
+	for _, sh := range s.shards {
 		close(sh.work)
 	}
-	p.workerWG.Wait()
-	for _, sh := range p.shards {
+	s.workerWG.Wait()
+	for _, sh := range s.shards {
 		sh.work = nil
 	}
 }
@@ -344,7 +231,7 @@ type outboxEntry struct {
 // engine) or from this shard's own events — never from another shard;
 // cross-shard communication goes through Post.
 type Shard struct {
-	parent   *ShardedSim
+	parent   *Sim
 	id       int
 	now      float64
 	seq      uint64
@@ -363,9 +250,6 @@ type Shard struct {
 }
 
 var _ Clock = (*Shard)(nil)
-
-// ID returns the shard index.
-func (sh *Shard) ID() int { return sh.id }
 
 // Now returns the shard's current time: its own clock or the
 // coordinator's, whichever is ahead. The coordinator's clock leads when a
@@ -406,9 +290,9 @@ func (sh *Shard) At(t float64, fn func()) { sh.AtFunc(t, runClosure, fn) }
 // After schedules a shard-local closure d seconds from now.
 func (sh *Shard) After(d float64, fn func()) { sh.AtFunc(sh.Now()+d, runClosure, fn) }
 
-// Pending returns the whole run's pending event count (see
-// ShardedSim.Pending); a shard-local count would break the drain
-// discipline of samplers running against shard clocks.
+// Pending returns the whole run's pending event count (see Sim.Pending);
+// a shard-local count would break the drain discipline of samplers
+// running against shard clocks.
 func (sh *Shard) Pending() int { return sh.parent.Pending() }
 
 // Post schedules a coordinator event from shard context — the only legal

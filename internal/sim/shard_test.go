@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -258,6 +259,90 @@ func TestShardedMatchesSerialOracle(t *testing.T) {
 				if c.replies[j] != rc.replies[j] {
 					t.Fatalf("shards=%d chain %d reply %d at %v, serial %v",
 						shards, i, j, c.replies[j], rc.replies[j])
+				}
+			}
+		}
+	}
+}
+
+// TestRunUntilAtAnyShardCount pins RunUntil's contract on the serial
+// kernel and on 1, 2 and 4 shards: every event at or before the deadline
+// runs, on the coordinator and on every shard, events exactly at it
+// included; later ones stay queued; and the clock lands on the deadline.
+func TestRunUntilAtAnyShardCount(t *testing.T) {
+	for _, shards := range []int{0, 1, 2, 4} {
+		s := &Sim{}
+		if shards > 0 {
+			s = NewSharded(shards, 0.5)
+		}
+		clocks := []Clock{s}
+		for i := 0; i < shards; i++ {
+			clocks = append(clocks, s.Shard(i))
+		}
+		// One log per clock: shards run their windows in parallel.
+		fired := make([][]float64, len(clocks))
+		for i, c := range clocks {
+			for _, at := range []float64{1, 2, 3} {
+				c.At(at, func() { fired[i] = append(fired[i], at) })
+			}
+		}
+		check := func(when string, now float64, want []float64) {
+			t.Helper()
+			if s.Now() != now {
+				t.Fatalf("%d shards: now %v after %s, want %v", shards, s.Now(), when, now)
+			}
+			for i := range fired {
+				if !slices.Equal(fired[i], want) {
+					t.Fatalf("%d shards: clock %d fired %v after %s, want %v", shards, i, fired[i], when, want)
+				}
+			}
+		}
+		s.RunUntil(2)
+		check("RunUntil(2)", 2, []float64{1, 2})
+		if s.Pending() != len(clocks) {
+			t.Fatalf("%d shards: %d pending after RunUntil(2), want %d", shards, s.Pending(), len(clocks))
+		}
+		s.RunUntil(2.5)
+		check("RunUntil(2.5)", 2.5, []float64{1, 2})
+		if end := s.Run(); end != 3 {
+			t.Fatalf("%d shards: Run ended at %v, want 3", shards, end)
+		}
+		check("Run", 3, []float64{1, 2, 3})
+	}
+}
+
+// TestRunUntilSteppingMatchesRun steps the oracle workload with RunUntil
+// on the serial kernel and on 1, 2 and 8 shards, at steps shorter than,
+// equal to and longer than the lookahead. No step may run an event past
+// its deadline, and the run must observe exactly what one serial Run does.
+func TestRunUntilSteppingMatchesRun(t *testing.T) {
+	const chains, steps = 24, 40
+	ref, runRef, execRef := buildOracle(chains, steps, 0)
+	runRef()
+	for _, shards := range []int{0, 1, 2, 8} {
+		for _, step := range []float64{0.013, oracleLookahead, 0.5} {
+			app, _, exec := buildOracle(chains, steps, shards)
+			k := app.coord.(*Sim)
+			for d := 0.0; k.Pending() > 0; {
+				d += step
+				k.RunUntil(d)
+				for i, c := range app.chains {
+					if n := len(c.fireTimes); n > 0 && c.fireTimes[n-1] > d {
+						t.Fatalf("shards=%d step=%v: chain %d fired at %v, past the deadline %v",
+							shards, step, i, c.fireTimes[n-1], d)
+					}
+				}
+			}
+			if got, want := exec(), execRef(); got != want {
+				t.Fatalf("shards=%d step=%v: executed %d events, serial Run %d", shards, step, got, want)
+			}
+			if !slices.Equal(app.log, ref.log) {
+				t.Fatalf("shards=%d step=%v: coordinator log differs from serial Run", shards, step)
+			}
+			for i, c := range app.chains {
+				rc := ref.chains[i]
+				if !slices.Equal(c.fireTimes, rc.fireTimes) || !slices.Equal(c.replies, rc.replies) {
+					t.Fatalf("shards=%d step=%v: chain %d differs from serial Run", shards, step, i)
 				}
 			}
 		}

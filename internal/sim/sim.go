@@ -13,17 +13,18 @@
 // The backing array is bounded by the peak pending depth and shrinks when
 // the queue drains, following the internal/ringbuf discipline.
 //
-// The package offers two kernels over the same heap machinery: Sim, the
-// serial kernel every experiment ran on historically, and ShardedSim (see
-// shard.go), which partitions instance-local events across per-shard
-// workers under conservative time windows for parallelism within a single
-// fleet-scale run. Code that only schedules and reads the clock accepts
-// the Clock interface so it runs unchanged on either kernel.
+// The package has one kernel type, Sim. Its zero value is the serial
+// kernel; NewSharded (see shard.go) adds shard clocks that partition
+// instance-local events across per-shard workers under conservative time
+// windows, for parallelism within a single fleet-scale run. Code that
+// only schedules and reads the clock accepts the Clock interface, so it
+// runs unchanged on the kernel or on one of its shards.
 package sim
 
 import (
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Func is the fast-path event callback: a plain function pointer plus an
@@ -33,11 +34,11 @@ import (
 // same representation via a trampoline.
 type Func func(arg any)
 
-// Clock is the scheduling surface shared by the serial kernel (*Sim), the
-// sharded kernel's coordinator (*ShardedSim), and its per-instance shards
-// (*Shard). Engines, samplers and controllers program against Clock so the
-// same code runs serially or sharded; only run construction picks the
-// kernel. Pending is part of the surface because the autoscaler's and
+// Clock is the scheduling surface shared by the kernel (*Sim, whose own
+// clock is the coordinator's) and its per-instance shards (*Shard).
+// Engines, samplers and controllers program against Clock so the same
+// code runs serially or sharded; only run construction picks the shard
+// count. Pending is part of the surface because the autoscaler's and
 // sampler's termination discipline ("reschedule only while other events
 // remain") is clock behaviour, not kernel behaviour.
 type Clock interface {
@@ -51,9 +52,9 @@ type Clock interface {
 	At(t float64, fn func())
 	// After schedules a closure d seconds from now.
 	After(d float64, fn func())
-	// Pending returns the number of queued events visible to this clock.
-	// On a sharded kernel every clock reports the whole run's pending
-	// count, matching what the serial kernel would say.
+	// Pending returns the whole run's queued event count: on a sharded
+	// kernel every clock reports it, matching what the serial kernel
+	// would say.
 	Pending() int
 }
 
@@ -69,10 +70,9 @@ type event struct {
 // allocated (same floor as internal/ringbuf).
 const minEventCap = 8
 
-// eventHeap is the value-based min-heap ordered by (time, seq). It is the
-// storage both kernels share: the serial Sim owns one, and every shard and
-// the sharded coordinator own one each. Methods never allocate beyond the
-// backing array's amortized growth.
+// eventHeap is the value-based min-heap ordered by (time, seq): the
+// kernel's coordinator owns one, and every shard owns one. Methods never
+// allocate beyond the backing array's amortized growth.
 type eventHeap struct {
 	events []event
 }
@@ -151,33 +151,62 @@ func (h *eventHeap) minTime() float64 {
 	return h.events[0].time
 }
 
-// Sim is a serial discrete-event simulator. The zero value is ready to
-// use. Sim is not goroutine-safe: each simulation owns one Sim, and
-// parallel experiment cells each run their own. For parallelism within one
-// run, see ShardedSim.
+// Sim is the discrete-event kernel. The zero value is the serial kernel,
+// ready to use: one heap, events executed in (time, seq) order.
+// NewSharded builds one that also partitions instance-local events across
+// shard clocks under conservative time windows (see shard.go); Run and
+// RunUntil drive either. Sim is not goroutine-safe: each simulation owns
+// one, and parallel experiment cells each run their own.
 type Sim struct {
 	now      float64
 	seq      uint64
 	executed uint64
-	heap     eventHeap // min-heap ordered by (time, seq)
+	heap     eventHeap // the coordinator's events, ordered by (time, seq)
+
+	// The sharded kernel's state (see shard.go); empty on a serial kernel.
+	lookahead float64
+	shards    []*Shard
+	barriers  []func()
+	active    []*Shard // per-window scratch, reused
+	running   bool
+
+	// self-profile (see stats.go): plain counters and fixed arrays, so
+	// profiling never allocates and never perturbs event order.
+	windows    uint64
+	boundCoord uint64
+	boundLook  uint64
+	widthHist  [NumWidthBuckets]uint64
+	stallHist  [NumStallBuckets]uint64
+
+	windowWG sync.WaitGroup
+	workerWG sync.WaitGroup
 }
 
-// Sim implements Clock.
+// Sim implements Clock: its own clock is the coordinator's.
 var _ Clock = (*Sim)(nil)
 
-// Now returns the current simulated time in seconds.
+// Now returns the coordinator's current simulated time in seconds.
 func (s *Sim) Now() float64 { return s.now }
 
-// Executed returns the number of events the kernel has run — the
-// observability layer's sim_events_total counter. One integer increment
-// per event keeps it inside the kernel's zero-alloc budget.
-func (s *Sim) Executed() uint64 { return s.executed }
+// Executed returns the number of events the kernel has run, the
+// coordinator's plus every shard's — the observability layer's
+// sim_events_total counter. Each count is a plain field: the strict phase
+// alternation (the coordinator runs only while shards are parked, and
+// Executed is called from coordinator context or between runs) makes the
+// merge exact without atomics.
+func (s *Sim) Executed() uint64 {
+	total := s.executed
+	for _, sh := range s.shards {
+		total += sh.executed
+	}
+	return total
+}
 
-// AtFunc schedules fn(arg) at absolute time t — the zero-alloc fast path:
-// fn should be a package-level function (not a per-call closure) and arg a
-// reusable pointer, so steady-state scheduling costs no heap allocations.
-// Scheduling in the past (t < now) panics: it indicates a causality bug in
-// the caller.
+// AtFunc schedules fn(arg) on the coordinator at absolute time t — the
+// zero-alloc fast path: fn should be a package-level function (not a
+// per-call closure) and arg a reusable pointer, so steady-state scheduling
+// costs no heap allocations. Scheduling in the past (t < now) panics: it
+// indicates a causality bug in the caller.
 func (s *Sim) AtFunc(t float64, fn Func, arg any) {
 	if t < s.now {
 		panic("sim: event scheduled in the past")
@@ -210,34 +239,85 @@ func (s *Sim) After(d float64, fn func()) {
 	s.AtFunc(s.now+d, runClosure, fn)
 }
 
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return s.heap.len() }
-
-// Run executes events in time order until the queue drains, and returns
-// the final simulated time. Draining shrinks the heap's backing array back
-// toward minEventCap, so a Sim that served a deep burst does not pin its
-// peak-depth array afterwards.
-func (s *Sim) Run() float64 {
-	for s.heap.len() > 0 {
-		e := s.heap.pop()
-		s.now = e.time
-		s.executed++
-		e.fn(e.arg)
+// Pending returns the whole run's queued event count: the coordinator
+// heap, every shard heap, and any unmerged outbox entries — what a serial
+// kernel running the same events would report, so the autoscaler's and
+// sampler's drain discipline ("reschedule only while other events
+// remain") is the same at any shard count.
+func (s *Sim) Pending() int {
+	n := s.heap.len()
+	for _, sh := range s.shards {
+		n += sh.heap.len() + len(sh.outbox)
 	}
+	return n
+}
+
+// Run executes events until none remain and returns the final simulated
+// time, the time of the last event on any clock. Draining shrinks the
+// heaps' backing arrays back toward minEventCap, so a kernel that served a
+// deep burst does not pin its peak-depth arrays afterwards.
+func (s *Sim) Run() float64 {
+	s.run(math.Inf(1))
 	return s.now
 }
 
-// RunUntil executes events with time <= deadline, leaves later events
-// queued, and advances the clock to min(deadline, last event time).
+// RunUntil executes every event at or before the deadline, leaves later
+// events queued, and advances the clock to the deadline: the wall-clock
+// server's stepping primitive.
 func (s *Sim) RunUntil(deadline float64) {
-	for s.heap.len() > 0 && s.heap.events[0].time <= deadline {
-		e := s.heap.pop()
-		s.now = e.time
-		s.executed++
-		e.fn(e.arg)
-	}
+	s.run(deadline)
 	if s.now < deadline {
 		s.now = deadline
+	}
+}
+
+// run executes every event at or before the deadline. A serial kernel pops
+// its one heap; a sharded kernel alternates coordinator events with
+// conservative windows (see shard.go).
+func (s *Sim) run(deadline float64) {
+	if len(s.shards) == 0 {
+		for s.heap.len() > 0 && s.heap.events[0].time <= deadline {
+			e := s.heap.pop()
+			s.now = e.time
+			s.executed++
+			e.fn(e.arg)
+		}
+		return
+	}
+	if s.running {
+		panic("sim: Run is not reentrant")
+	}
+	s.running = true
+	defer func() { s.running = false }()
+	if len(s.shards) > 1 {
+		s.startWorkers()
+		defer s.stopWorkers()
+	}
+
+	// Windows drain strictly below their bound, so the limit sits just
+	// above the deadline: a window clamped there includes events at it.
+	limit := math.Nextafter(deadline, math.Inf(1))
+	for {
+		cmin, smin := s.nextTimes()
+		if cmin >= limit && smin >= limit {
+			break
+		}
+		if cmin <= smin {
+			// Coordinator phase: shards are parked, shared state is safe.
+			e := s.heap.pop()
+			s.now = e.time
+			s.executed++
+			e.fn(e.arg)
+			continue
+		}
+		s.window(smin, min(cmin, limit))
+	}
+
+	// The last event anywhere, as a serial kernel reports it.
+	for _, sh := range s.shards {
+		if sh.now > s.now {
+			s.now = sh.now
+		}
 	}
 }
 

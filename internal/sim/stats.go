@@ -1,11 +1,11 @@
 package sim
 
 // Kernel self-profiling: cheap counters and fixed-bucket histograms the
-// kernels maintain while they run, so the sharded kernel's scaling
+// kernel maintains while it runs, so the sharded kernel's scaling
 // behaviour is explainable from the artifact it produces instead of being
 // a single opaque events/sec number. Everything here is a plain integer
 // increment or a fixed-array bucket bump — no allocation, no map, nothing
-// that could disturb the kernels' zero-alloc discipline or their
+// that could disturb the kernel's zero-alloc discipline or its
 // determinism (wall-clock stall measurements observe the run; they never
 // feed back into event order).
 
@@ -89,7 +89,7 @@ type ShardStats struct {
 // coordinator events and conservative windows, how wide those windows
 // were, which bound clamped them, and where shards stalled. The serial
 // kernel reports a degenerate profile (every event is a coordinator
-// event, no windows), so callers can treat both kernels uniformly.
+// event, no windows), so callers treat every shard count uniformly.
 type KernelStats struct {
 	// Shards is the shard count (1 for the serial kernel).
 	Shards int
@@ -102,8 +102,9 @@ type KernelStats struct {
 	// Windows is how many conservative windows the run advanced through.
 	Windows uint64
 	// BoundCoordinator counts windows whose bound was clamped by the
-	// next coordinator event (cmin < smin + lookahead): the coordinator's
-	// event stream, not the lookahead, limited parallel progress.
+	// next coordinator event (cmin < smin + lookahead) or a RunUntil
+	// deadline: the coordinator's event stream, not the lookahead,
+	// limited parallel progress.
 	BoundCoordinator uint64
 	// BoundLookahead counts windows that opened to the full lookahead
 	// (bound = smin + lookahead): the kernel's best case.
@@ -119,29 +120,25 @@ type KernelStats struct {
 	ShardStats []ShardStats
 }
 
-// Stats returns the serial kernel's degenerate profile: every executed
-// event is a coordinator event and there are no windows or stalls.
+// Stats returns a snapshot of the kernel's self-profile. A serial kernel
+// reports the degenerate profile: one shard, every executed event a
+// coordinator event, no windows and no stalls. Like Executed it reads
+// plain per-shard fields, which the strict phase alternation makes exact
+// from coordinator context or between runs.
 func (s *Sim) Stats() KernelStats {
-	return KernelStats{Shards: 1, CoordinatorEvents: s.executed, TotalEvents: s.executed}
-}
-
-// Stats returns a snapshot of the sharded kernel's self-profile. Like
-// Executed it reads plain per-shard fields, which the strict phase
-// alternation makes exact from coordinator context or after Run.
-func (p *ShardedSim) Stats() KernelStats {
 	st := KernelStats{
-		Shards:            len(p.shards),
-		Lookahead:         p.lookahead,
-		CoordinatorEvents: p.executed,
-		TotalEvents:       p.executed,
-		Windows:           p.windows,
-		BoundCoordinator:  p.boundCoord,
-		BoundLookahead:    p.boundLook,
-		WindowWidth:       p.widthHist,
-		BarrierStall:      p.stallHist,
+		Shards:            max(len(s.shards), 1),
+		Lookahead:         s.lookahead,
+		CoordinatorEvents: s.executed,
+		TotalEvents:       s.executed,
+		Windows:           s.windows,
+		BoundCoordinator:  s.boundCoord,
+		BoundLookahead:    s.boundLook,
+		WindowWidth:       s.widthHist,
+		BarrierStall:      s.stallHist,
 	}
-	st.ShardStats = make([]ShardStats, len(p.shards))
-	for i, sh := range p.shards {
+	st.ShardStats = make([]ShardStats, len(s.shards))
+	for i, sh := range s.shards {
 		st.ShardStats[i] = ShardStats{
 			ID:         sh.id,
 			Events:     sh.executed,

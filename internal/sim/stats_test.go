@@ -9,7 +9,7 @@ import "testing"
 // statsWorkload schedules event chains on every shard plus coordinator
 // events, so windows get bound by both the coordinator stream and the
 // lookahead.
-func statsWorkload(p *ShardedSim) int {
+func statsWorkload(p *Sim) int {
 	total := 0
 	for i := 0; i < p.Stats().Shards; i++ {
 		sh := p.Shard(i)

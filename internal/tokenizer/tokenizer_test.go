@@ -102,3 +102,39 @@ func TestScalesRoughlyWithWords(t *testing.T) {
 		t.Fatalf("token count %d for 900 words, want ~1:1.2 ratio", n)
 	}
 }
+
+// FuzzTokenizer checks the tokenizer's contracts on arbitrary text: Count
+// agrees with Encode, every piece ID stays out of the special-token range,
+// and whitespace-joined text encodes as its parts do, one BOS in front.
+func FuzzTokenizer(f *testing.F) {
+	f.Add("Here is the user profile: reads systems papers.", "Should we recommend this post? Answer:")
+	f.Add("", "")
+	f.Add("  leading", "trailing  ")
+	f.Add("antidisestablishmentarianism", "日本語のテキスト")
+	f.Add("caf\xe9 \xe2\x82", "\x82\xff tail")
+	tk := New()
+	f.Fuzz(func(t *testing.T, a, b string) {
+		ids := tk.Encode(a)
+		if n := tk.Count(a); n != len(ids) {
+			t.Fatalf("Count(%q) = %d, Encode gives %d IDs", a, n, len(ids))
+		}
+		if len(ids) == 0 || ids[0] != tk.BOS {
+			t.Fatalf("Encode(%q) = %v does not start with the BOS", a, ids)
+		}
+		for i, id := range ids[1:] {
+			if id < 256 {
+				t.Fatalf("Encode(%q)[%d] = %d is in the special-token range", a, i+1, id)
+			}
+		}
+		joined := tk.Encode(a + " " + b)
+		want := append(tk.Encode(a), tk.Encode(b)[1:]...)
+		if len(joined) != len(want) {
+			t.Fatalf("Encode(%q + \" \" + %q) has %d IDs, the parts %d", a, b, len(joined), len(want))
+		}
+		for i := range want {
+			if joined[i] != want[i] {
+				t.Fatalf("Encode(%q + \" \" + %q)[%d] = %d, the parts give %d", a, b, i, joined[i], want[i])
+			}
+		}
+	})
+}
