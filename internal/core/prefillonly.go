@@ -157,10 +157,10 @@ func New(cfg engine.Config, opts Options) (*Engine, error) {
 	if opts.DisableCalibration {
 		scheduler = sched.NewSRJF(jctNow)
 	} else {
-		// Incremental Algorithm 1: index waiting requests by their prefix
-		// hash chains and rekey only those whose chains overlap a cache
-		// membership change, instead of re-pricing the whole queue every
-		// dispatch.
+		// Incremental Algorithm 1: index each waiting request under the
+		// frontier of its cached prefix and rekey only those whose
+		// frontier a cache membership change touches, instead of
+		// re-pricing the whole queue every dispatch.
 		cal := sched.NewCalibrated(jctNow, opts.lambda())
 		if len(opts.ClassWeights) > 0 {
 			cal.SetClassWeights(opts.ClassWeights)

@@ -130,15 +130,28 @@ func HashesOf(r *sched.Request, blockTokens int) []uint64 {
 }
 
 // AttachIncremental switches a Calibrated scheduler into incremental mode
-// against the cache its JCT function consults: waiting requests are
-// indexed by their (memoized) prefix hash chains at the cache's block
-// size, and the cache's membership-change feed rekeys only the affected
-// entries. Wiring both halves here makes it impossible to index requests
+// against the cache its JCT function consults, which must depend only on
+// the request's cached prefix there: each waiting request is indexed under
+// the frontier of its (memoized) hash chain at the cache's block size —
+// the last cached block, whose eviction shortens the hit, and the first
+// uncached one, whose insertion lengthens it — and the cache's
+// membership-change feed rekeys only the entries watching a changed
+// block. Wiring both halves here makes it impossible to index requests
 // without also subscribing to the events that keep their keys fresh.
 // Call it before any request is enqueued.
 func AttachIncremental(c *sched.Calibrated, m *kvcache.Manager) {
 	bt := m.BlockTokens()
-	c.SetHashChain(func(r *sched.Request) []uint64 { return HashesOf(r, bt) })
+	c.SetWatch(func(r *sched.Request) (w sched.Watch) {
+		chain := HashesOf(r, bt)
+		a := m.PeekH(chain) / bt
+		if a > 0 {
+			w[0] = chain[a-1]
+		}
+		if a < len(chain) {
+			w[1] = chain[a]
+		}
+		return w
+	})
 	m.Subscribe(func(ev kvcache.ChangeEvent) { c.OnCacheChange(ev.Inserted, ev.Evicted) })
 }
 

@@ -126,7 +126,10 @@ func (h *hostTier) contains(hash uint64) bool {
 }
 
 // HostHitH returns how many tokens, contiguously following the first
-// skipBlocks blocks of the chain, are available in the host tier.
+// skipBlocks blocks of the chain, are available in the host tier. Unlike
+// PeekH it walks the chain block by block: the host tier evicts FIFO and
+// gives blocks back to the GPU tier one at a time, so a block there can
+// outlive its parent and the tier is not prefix-closed.
 func (m *Manager) HostHitH(hashes []uint64, skipBlocks int) int {
 	if m.host == nil || skipBlocks >= len(hashes) {
 		return 0

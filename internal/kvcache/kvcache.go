@@ -95,9 +95,9 @@ type ChangeEvent struct {
 }
 
 // Subscribe registers fn to run after every operation that changes cache
-// membership (Insert/InsertH, Reserve, EvictAll), with the block hashes
-// that changed. Schedulers use the feed to rekey only the waiting
-// requests whose prefix hash chains overlap a changed block instead of
+// membership (Insert/InsertH, Reserve, EvictAll, LoseAll), with the block
+// hashes that changed. Schedulers use the feed to rekey only the waiting
+// requests whose cached-prefix frontier holds a changed block instead of
 // rescanning the queue. fn runs synchronously on the engine's event
 // thread; it may read the Manager but must not mutate it.
 func (m *Manager) Subscribe(fn func(ChangeEvent)) {
@@ -299,22 +299,39 @@ func (m *Manager) Peek(tokens []uint64) int {
 	return m.PeekH(m.blockHashes(tokens))
 }
 
-// PeekH is Peek over a precomputed hash chain.
+// PeekH is Peek over a precomputed hash chain, which must start at the
+// sequence's first block (as BlockHashes returns it). The GPU tier is
+// prefix-closed: InsertH adds a block only after its parent, and eviction
+// takes only childless blocks, so the cached blocks of such a chain are
+// always a prefix of it and PeekH binary-searches for its end in
+// O(log len(hashes)) probes.
 func (m *Manager) PeekH(hashes []uint64) int {
-	hit := 0
-	for _, hash := range hashes {
-		if _, ok := m.blocks[hash]; !ok {
-			break
+	return PrefixLen(hashes, m.blocks) * m.blockTokens
+}
+
+// PrefixLen returns how many leading hashes of chain are keys of set. set
+// must be prefix-closed along chain — if chain[i] is a key, so is every
+// chain[j] with j < i — which lets it binary-search in O(log len(chain))
+// probes instead of walking the chain. The GPU tier's block map is
+// prefix-closed along any chain that starts at the root (see PeekH), and
+// so is any set that holds whole root-anchored chains.
+func PrefixLen[V any](chain []uint64, set map[uint64]V) int {
+	lo, hi := 0, len(chain)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if _, ok := set[chain[mid]]; ok {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		hit += m.blockTokens
 	}
-	return hit
+	return lo
 }
 
 // HasBlock reports whether the block with the given content hash is
-// cached, without refreshing LRU state or stats. Routers use it to merge
-// cache contents with their own in-flight bookkeeping when estimating
-// per-instance hit lengths.
+// cached, without refreshing LRU state or stats. Along a chain that starts
+// at the root, a cached block's predecessors are all cached (see PeekH),
+// so the first miss ends the cached prefix.
 func (m *Manager) HasBlock(hash uint64) bool {
 	_, ok := m.blocks[hash]
 	return ok

@@ -7,8 +7,10 @@ import (
 )
 
 // View exposes the router's live state to a routing policy. Peeking a
-// hit length walks one hash chain against one instance's cache, so
-// policies should only peek the instances they actually score.
+// hit length binary-searches one hash chain against one instance's cache
+// and in-flight blocks — O(log blocks) map probes, hashing the prompt on
+// first use — so policies should only peek the instances they actually
+// score.
 type View interface {
 	// Instances returns the instance count (always >= 1).
 	Instances() int

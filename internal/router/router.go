@@ -179,10 +179,11 @@ type instanceState struct {
 	// the machine under it is going away regardless of load.
 	condemned bool
 	// pendingBlocks refcounts the block hashes of routed, not-yet-
-	// completed requests. Merged into hit estimation so that concurrent
-	// requests sharing a prefix are attracted to the instance already
-	// computing it, instead of stampeding the same prefix onto several
-	// instances before the first one caches it.
+	// completed requests; a hash leaves the map when its count reaches
+	// 0. Merged into hit estimation so that concurrent requests sharing a
+	// prefix are attracted to the instance already computing it, instead
+	// of stampeding the same prefix onto several instances before the
+	// first one caches it.
 	pendingBlocks map[uint64]int
 }
 
@@ -542,31 +543,26 @@ func estSeconds(st *instanceState, r *sched.Request, hit int) float64 {
 // without touching LRU order or hit-rate statistics. A block counts as hit
 // when it is cached or when a request already routed to the instance is
 // about to cache it (pending), so the estimate reflects the near future
-// rather than stampeding shared prefixes across instances.
+// rather than stampeding shared prefixes across instances. Both sets are
+// prefix-closed along the request's chain — the cache by its
+// no-dangling-prefix invariant, the pending set because every routed
+// request adds its whole chain — so their union is the longer of the two
+// prefixes, each found by binary search.
 func hitTokens(st *instanceState, r *sched.Request) int {
 	c := st.eng.Cache()
 	if c == nil {
 		return 0
 	}
-	hit := 0
-	for _, h := range engine.HashesOf(r, c.BlockTokens()) {
-		if !c.HasBlock(h) && st.pendingBlocks[h] == 0 {
-			break
-		}
-		hit += c.BlockTokens()
-	}
-	if hit > r.Len() {
-		hit = r.Len()
-	}
-	return hit
+	chain := engine.HashesOf(r, c.BlockTokens())
+	return max(c.PeekH(chain), kvcache.PrefixLen(chain, st.pendingBlocks)*c.BlockTokens())
 }
 
 // view adapts the router to the Policy View interface over a snapshot of
-// the routable instances, memoizing the per-instance hit walk for the
+// the routable instances, memoizing the per-instance hit estimate for the
 // request being routed: AffinityLoad scans every instance and then
 // re-scores two finalists, and Submit's admission check needs the chosen
-// instance's hit again — each would otherwise re-walk the prompt's block
-// chain (hundreds of map lookups on long prompts) on the routing hot path.
+// instance's hit again — each would otherwise repeat two binary searches
+// of the prompt's block chain per instance on the routing hot path.
 type view struct {
 	insts []*instanceState
 	r     *sched.Request

@@ -70,12 +70,12 @@ func (s *SRJF) Next(now float64) *Request {
 // only the jct term — it is fixed per class at SetClassWeights time, so
 // the key stays time-invariant and the incremental-rekey invariant below
 // is unchanged. jct depends on the prefix cache, so keys change only when cache
-// contents change: wire SetHashChain and feed the cache's membership
-// changes to OnCacheChange (kvcache.Manager.Subscribe), and only requests
-// whose hash chains overlap a changed block are rekeyed — O(log n) per
-// dispatch plus O(affected) rekeys, instead of O(queue × blocks). Without
-// that wiring, Calibrated remains correct by recomputing every key before
-// each decision (the reference sweep's cost).
+// contents change: wire SetWatch and feed the cache's membership changes
+// to OnCacheChange (kvcache.Manager.Subscribe), and only requests watching
+// a changed block are rekeyed — O(log n) per dispatch plus O(affected)
+// rekeys, instead of O(queue × blocks). Without that wiring, Calibrated
+// remains correct by recomputing every key before each decision (the
+// reference sweep's cost).
 //
 // Requests whose ArrivalTime lies in the future are ordered with their
 // λ·arrival credit already applied (the score formula clamps T_queue at
@@ -93,12 +93,21 @@ type Calibrated struct {
 	// waiting request's weight is baked into its key.
 	weights [NumClasses]float64
 
-	chain func(*Request) []uint64
+	watch func(*Request) Watch
 	h     entryHeap
 	seq   uint64
 	idx   hashIndex
 	epoch uint64 // OnCacheChange calls so far; dedupes rekeys per call
+	// affected collects one OnCacheChange call's entries to rekey, so the
+	// index is not modified while its waiter lists are ranged over. It
+	// is cleared after each call and keeps only its capacity.
+	affected []*entry
 }
+
+// Watch is the set of block hashes whose entry into or eviction from the
+// prefix cache can change a waiting request's JCT (see SetWatch). A 0
+// slot is unused: block hashes are never 0.
+type Watch [2]uint64
 
 // uniformWeights is the class-blind default: every class weighs 1.
 func uniformWeights() [NumClasses]float64 {
@@ -159,23 +168,32 @@ func (c *Calibrated) Name() string {
 	return fmt.Sprintf("srjf-calibrated(λ=%g)", c.lambda)
 }
 
-// SetHashChain enables incremental rekeying: chain must return the block-
-// hash chain the JCT function's cache lookup walks (the same block size),
-// so waiting requests can be indexed by the blocks their JCT depends on.
-// It must be wired before any request is enqueued.
-func (c *Calibrated) SetHashChain(chain func(*Request) []uint64) {
+// SetWatch enables incremental rekeying. watch(r) must return, for the
+// cache as it is when called, the block hashes whose insertion or eviction
+// can change jct(r); Calibrated indexes each waiting request under them
+// and calls watch again whenever a change to one of them rekeys the
+// request, so the set may move as the cache does.
+//
+// A JCT function that depends only on the request's cached prefix — a
+// blocks of its hash chain, at the block size of the cache it consults —
+// needs only the chain's frontier {chain[a-1], chain[a]}: the cache is
+// prefix-closed (kvcache.Manager.PeekH), so a grows only when chain[a] is
+// inserted and shrinks only when chain[a-1] is evicted.
+// engine.AttachIncremental wires that frontier. It must be set before any
+// request is enqueued.
+func (c *Calibrated) SetWatch(watch func(*Request) Watch) {
 	if c.h.len() > 0 {
-		panic("sched: SetHashChain with requests already waiting")
+		panic("sched: SetWatch with requests already waiting")
 	}
-	c.chain = chain
+	c.watch = watch
 }
 
 // Enqueue implements Scheduler.
 func (c *Calibrated) Enqueue(r *Request) {
 	e := &entry{r: r, key: c.key(r), seq: c.seq}
 	c.seq++
-	if c.chain != nil {
-		e.hashes = c.chain(r)
+	if c.watch != nil {
+		e.watch = c.watch(r)
 		c.idx.add(e)
 	}
 	c.h.push(e)
@@ -205,7 +223,7 @@ func (c *Calibrated) Score(r *Request, now float64) float64 {
 
 // Next implements Scheduler: the minimum-key request wins.
 func (c *Calibrated) Next(now float64) *Request {
-	if c.chain == nil {
+	if c.watch == nil {
 		// No cache-event feed: every key may be stale, recalibrate all.
 		for _, e := range c.h.items {
 			e.key = c.key(e.r)
@@ -228,31 +246,42 @@ func (c *Calibrated) estimateOf(e *entry) float64 {
 	return (e.key - c.lambda/1000*e.r.ArrivalTime) / classWeight(c.weights, e.r.Class)
 }
 
-// OnCacheChange rekeys the waiting requests whose hash chains include any
-// of the inserted or evicted blocks. Wire it to the owning cache's change
-// feed (kvcache.Manager.Subscribe); a request's JCT can only move when a
-// block of its own chain enters or leaves the cache. Each affected request
-// is rekeyed once per call: the epoch stamp marks the ones already done.
-// Rekey order only permutes the heap's internal array; pop order is a
-// strict total order on (key, len desc, seq), so dispatch does not depend
-// on it — pinned by the sweep-oracle property test.
+// OnCacheChange rekeys the waiting requests watching any of the inserted
+// or evicted blocks and re-indexes each under its new watch set. Wire it
+// to the owning cache's change feed (kvcache.Manager.Subscribe). It first
+// collects the affected requests, each once per call (the epoch stamp
+// marks the ones already collected), and only then rekeys them, so it
+// never modifies a waiter list while ranging over it. Rekey order only
+// permutes the heap's internal array; pop order is a strict total order on
+// (key, len desc, seq), so dispatch does not depend on it — pinned by the
+// sweep-oracle property test.
 func (c *Calibrated) OnCacheChange(inserted, evicted []uint64) {
-	if c.chain == nil {
+	if c.watch == nil {
 		return
 	}
 	c.epoch++
+	affected := c.affected
 	for _, hs := range [2][]uint64{inserted, evicted} {
 		for _, h := range hs {
 			for _, w := range c.idx.waiting(h) {
-				if w.e.epoch == c.epoch {
-					continue
+				if w.e.epoch != c.epoch {
+					w.e.epoch = c.epoch
+					affected = append(affected, w.e)
 				}
-				w.e.epoch = c.epoch
-				w.e.key = c.key(w.e.r)
-				c.h.fix(w.e)
 			}
 		}
 	}
+	for _, e := range affected {
+		e.key = c.key(e.r)
+		c.h.fix(e)
+		if watch := c.watch(e.r); watch != e.watch {
+			c.idx.remove(e)
+			e.watch = watch
+			c.idx.add(e)
+		}
+	}
+	clear(affected)
+	c.affected = affected[:0]
 }
 
 // --- reference sweep (equivalence oracle) ---

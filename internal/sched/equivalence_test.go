@@ -8,6 +8,7 @@ package sched_test
 // twin cache.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -55,8 +56,8 @@ func TestIncrementalCalibratedMatchesSweep(t *testing.T) {
 		// waiters, so dispatches remove entries from the middle of its
 		// waiter list.
 		{name: "long-shared", users: 2, maxShared: 96, maxTail: 4, capBlocks: 256},
-		// Long chains drained to empty and refilled: the index outgrows
-		// what a drained index keeps, so each drain releases it mid-run.
+		// Long chains drained to empty and refilled: each drain empties
+		// the index mid-run, and the refill reuses its freed slots.
 		{name: "drain-refill", users: 3, maxShared: 64, maxTail: 16, capBlocks: 192, drainEvery: 150},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -130,7 +131,8 @@ func runIncrementalVsSweep(t *testing.T, tc eqCase, seed int64) {
 		case a == nil && b == nil:
 			return false
 		case a == nil || b == nil || a.ID != b.ID:
-			t.Fatalf("%s seed %d t=%.3f: incremental dispatched %v, sweep %v", tc.name, seed, now, a, b)
+			t.Fatalf("%s seed %d t=%.3f: incremental dispatched %s, sweep %s",
+				tc.name, seed, now, dispatched(a, inc.Len(), missJCT(mInc)), dispatched(b, sweep.Len(), missJCT(mSweep)))
 		}
 		// Completion: cache what was computed, in both caches.
 		mInc.InsertH(chainOf(a), now)
@@ -195,6 +197,18 @@ func runIncrementalVsSweep(t *testing.T, tc eqCase, seed int64) {
 	if err := mInc.CheckInvariants(); err != nil {
 		t.Fatalf("%s seed %d: %v", tc.name, seed, err)
 	}
+}
+
+// dispatched describes a dispatched request for a failure message by ID,
+// length, the estimate its scheduler stamped and the JCT against the live
+// cache — not with %v, which prints every token and the memoized hash
+// chain.
+func dispatched(r *sched.Request, waiting int, live sched.JCTFunc) string {
+	if r == nil {
+		return fmt.Sprintf("nothing (%d waiting)", waiting)
+	}
+	return fmt.Sprintf("request %d (%d tokens, %s, arrived %.3f, estimate %g, live JCT %g)",
+		r.ID, r.Len(), r.Class, r.ArrivalTime, r.EstimatedSeconds, live(r))
 }
 
 // TestOnCacheChangeZeroAlloc pins the rekey path at zero allocations once

@@ -1,48 +1,45 @@
 package sched
 
-// hashIndex maps each block hash to the waiting entries whose chains
-// contain it, so a cache membership change finds the requests to rekey
-// without scanning the queue.
+// hashIndex maps each block hash to the waiting entries watching it, so a
+// cache membership change finds the requests to rekey without scanning
+// the queue.
 //
 // It is flat: the map holds only a slot number per hash, and a slot is one
-// slice of waiters. Each entry records where each block of its chain sits
-// (entry.locs), so removing an entry swap-removes one waiter per block
-// without a map lookup. The map is written only when a hash gains its
-// first waiter or loses its last. A slot whose hash lost its last waiter
-// goes on a free list and keeps its slice's capacity for the next hash.
+// slice of waiters. Each entry records where each of its watched hashes
+// sits (entry.locs), so removing an entry swap-removes one waiter per
+// hash without a map lookup. The map is written only when a hash gains
+// its first waiter or loses its last. A slot whose hash lost its last
+// waiter goes on a free list and keeps its slice's capacity for the next
+// hash. An entry watches at most two hashes, so the index holds at most
+// twice as many hashes as the queue holds requests.
 type hashIndex struct {
 	slot  map[uint64]int32
 	lists [][]waiter
 	free  []int32
 }
 
-// waiter is one block of a waiting entry's chain: the entry, and the
-// block's position k in the entry's chain.
+// waiter is one watched hash of a waiting entry: the entry, and the
+// hash's position k in the entry's watch set.
 type waiter struct {
 	e *entry
 	k int32
 }
 
-// waiterLoc places one block of an entry's chain in the index: its hash's
+// waiterLoc places one watched hash of an entry in the index: its hash's
 // slot, and its position in that slot's waiter list.
 type waiterLoc struct {
 	slot, pos int32
 }
 
-// drainKeep is the most slots an emptied index keeps for reuse. A Go map
-// never shrinks, so an index that once held a deep queue of long chains
-// (thousands of blocks per request) is released when its last waiter
-// leaves rather than held at its peak size; a small one is kept, so a
-// queue that drains often does not rebuild it each time.
-const drainKeep = 256
-
-// add indexes e under every block of e.hashes.
+// add indexes e under every hash of e.watch.
 func (x *hashIndex) add(e *entry) {
 	if x.slot == nil {
 		x.slot = make(map[uint64]int32)
 	}
-	e.locs = make([]waiterLoc, len(e.hashes))
-	for k, h := range e.hashes {
+	for k, h := range e.watch {
+		if h == 0 {
+			continue
+		}
 		s, ok := x.slot[h]
 		if !ok {
 			s = x.newSlot()
@@ -64,10 +61,13 @@ func (x *hashIndex) newSlot() int32 {
 }
 
 // remove drops e from every list it is on, moving each list's last waiter
-// into the vacated position, and releases an emptied index past drainKeep
-// slots.
+// into the vacated position.
 func (x *hashIndex) remove(e *entry) {
-	for k, loc := range e.locs {
+	for k, h := range e.watch {
+		if h == 0 {
+			continue
+		}
+		loc := e.locs[k]
 		list := x.lists[loc.slot]
 		last := len(list) - 1
 		if moved := list[last]; int(loc.pos) != last {
@@ -77,12 +77,9 @@ func (x *hashIndex) remove(e *entry) {
 		list[last] = waiter{}
 		x.lists[loc.slot] = list[:last]
 		if last == 0 {
-			delete(x.slot, e.hashes[k])
+			delete(x.slot, h)
 			x.free = append(x.free, loc.slot)
 		}
-	}
-	if len(x.slot) == 0 && len(x.lists) > drainKeep {
-		*x = hashIndex{}
 	}
 }
 

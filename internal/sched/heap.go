@@ -2,16 +2,16 @@ package sched
 
 // entry is one waiting request inside a keyed scheduler: the request, its
 // ordering key, its enqueue sequence number (the final tie-breaker), and —
-// when the scheduler indexes requests by prefix hash chain — the chain it
-// was indexed under with where each block sits in the index.
+// when the scheduler watches cache changes — the block hashes it is
+// indexed under with where each sits in the index.
 type entry struct {
-	r      *Request
-	key    float64
-	seq    uint64
-	hashes []uint64
-	locs   []waiterLoc // locs[k] places hashes[k] in the hash index
-	epoch  uint64      // last OnCacheChange that rekeyed this entry
-	idx    int         // position in the heap; -1 once removed
+	r     *Request
+	key   float64
+	seq   uint64
+	watch Watch
+	locs  [2]waiterLoc // locs[k] places watch[k] in the hash index
+	epoch uint64       // last OnCacheChange that collected this entry
+	idx   int          // position in the heap; -1 once removed
 }
 
 // entryHeap is an indexed min-heap of entries ordered by key; ties prefer

@@ -254,15 +254,15 @@ func TestParseClass(t *testing.T) {
 	}
 }
 
-func TestSetHashChainRejectsWaitingRequests(t *testing.T) {
+func TestSetWatchRejectsWaitingRequests(t *testing.T) {
 	c := NewCalibrated(lenJCT, 0)
 	c.Enqueue(req(1, 10, 0))
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SetHashChain accepted with requests waiting")
+			t.Fatal("SetWatch accepted with requests waiting")
 		}
 	}()
-	c.SetHashChain(func(r *Request) []uint64 { return nil })
+	c.SetWatch(func(r *Request) Watch { return Watch{} })
 }
 
 func TestNilJCTPanics(t *testing.T) {
@@ -318,32 +318,26 @@ func TestSchedulerNames(t *testing.T) {
 	}
 }
 
-// TestHashIndexReleasedWhenEmptied: once the last waiter leaves, an index
-// grown past drainKeep slots is released, while a small one is kept for
-// reuse.
-func TestHashIndexReleasedWhenEmptied(t *testing.T) {
-	for _, tc := range []struct {
-		blocks   int // distinct blocks per request
-		released bool
-	}{{blocks: 4, released: false}, {blocks: drainKeep, released: true}} {
-		c := NewCalibrated(lenJCT, 500)
-		c.SetHashChain(func(r *Request) []uint64 {
-			chain := make([]uint64, tc.blocks)
-			for i := range chain {
-				chain[i] = uint64(r.ID)<<32 | uint64(i) + 1
-			}
-			return chain
-		})
-		for id := int64(1); id <= 4; id++ {
-			c.Enqueue(req(id, 10, 0))
+// TestHashIndexEmptiedOnDrain: once the last waiter leaves, no hash is
+// still indexed — including hashes several requests watch, and requests
+// watching one hash or none.
+func TestHashIndexEmptiedOnDrain(t *testing.T) {
+	c := NewCalibrated(lenJCT, 500)
+	c.SetWatch(func(r *Request) Watch {
+		switch r.ID % 3 {
+		case 0:
+			return Watch{}
+		case 1:
+			return Watch{0, uint64(r.ID)}
 		}
-		for c.Next(1) != nil {
-		}
-		if got := c.idx.lists == nil; got != tc.released {
-			t.Fatalf("%d blocks per request: index released = %v, want %v", tc.blocks, got, tc.released)
-		}
-		if len(c.idx.slot) != 0 {
-			t.Fatalf("%d blocks per request: %d hashes still indexed after draining", tc.blocks, len(c.idx.slot))
-		}
+		return Watch{1 << 40, uint64(r.ID)}
+	})
+	for id := int64(1); id <= 8; id++ {
+		c.Enqueue(req(id, 10, 0))
+	}
+	for c.Next(1) != nil {
+	}
+	if len(c.idx.slot) != 0 {
+		t.Fatalf("%d hashes still indexed after draining", len(c.idx.slot))
 	}
 }
