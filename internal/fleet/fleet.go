@@ -352,8 +352,9 @@ func (f *Fleet) Run() float64 {
 func (f *Fleet) RunUntil(deadline float64) { f.kern.RunUntil(deadline) }
 
 // Check verifies a drained run's accounting: no routing bug, no failed
-// autoscale factory, and every one of the offered requests completed,
-// shed at admission, or dropped as a fault orphan.
+// autoscale factory, every one of the offered requests completed, shed
+// at admission, or dropped as a fault orphan, and a router left with no
+// load or pending work.
 func (f *Fleet) Check(offered int) error {
 	if f.err != nil {
 		return f.err
@@ -366,6 +367,9 @@ func (f *Fleet) Check(offered int) error {
 	if f.completed+f.rejected+f.orphanShed != offered {
 		return fmt.Errorf("fleet: %d completed + %d rejected + %d orphan-shed of %d requests",
 			f.completed, f.rejected, f.orphanShed, offered)
+	}
+	if f.rt != nil {
+		return f.rt.CheckIdle()
 	}
 	return nil
 }

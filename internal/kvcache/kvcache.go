@@ -306,20 +306,36 @@ func (m *Manager) Peek(tokens []uint64) int {
 // always a prefix of it and PeekH binary-searches for its end in
 // O(log len(hashes)) probes.
 func (m *Manager) PeekH(hashes []uint64) int {
-	return PrefixLen(hashes, m.blocks) * m.blockTokens
+	return prefixLen(hashes, m.blocks) * m.blockTokens
 }
 
-// PrefixLen returns how many leading hashes of chain are keys of set. set
+// prefixLen returns how many leading hashes of chain are keys of set. set
 // must be prefix-closed along chain — if chain[i] is a key, so is every
 // chain[j] with j < i — which lets it binary-search in O(log len(chain))
-// probes instead of walking the chain. The GPU tier's block map is
-// prefix-closed along any chain that starts at the root (see PeekH), and
-// so is any set that holds whole root-anchored chains.
-func PrefixLen[V any](chain []uint64, set map[uint64]V) int {
+// probes instead of walking the chain.
+func prefixLen(chain []uint64, set map[uint64]*block) int {
 	lo, hi := 0, len(chain)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if _, ok := set[chain[mid]]; ok {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// CommonPrefix returns how many leading hashes two root-anchored chains
+// (as BlockHashes returns them) share. Each block's hash is seeded with
+// its parent's, so equality is prefix-closed — a[i] == b[i] implies
+// a[j] == b[j] for every j < i — and CommonPrefix binary-searches for the
+// first differing index in O(log min(len(a), len(b))) probes.
+func CommonPrefix(a, b []uint64) int {
+	lo, hi := 0, min(len(a), len(b))
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if a[mid] == b[mid] {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -3,6 +3,8 @@ package router
 import (
 	"testing"
 
+	"repro/internal/engine"
+	"repro/internal/kvcache"
 	"repro/internal/sched"
 )
 
@@ -57,5 +59,90 @@ func BenchmarkRouterPick(b *testing.B) {
 				b.Fatal("impossible")
 			}
 		})
+	}
+}
+
+// submitCycle builds a router over 8 cache-backed instances with 64
+// requests in flight and returns one steady-state routing cycle: the
+// oldest request completes and a new one is routed. Prompts are shaped
+// like the paper's WL1 at Table 1 size: 20 users, each request a
+// 14,000-token prompt (an 875-block chain) made of the user's
+// 13,760-token profile and a unique 240-token post. Each instance caches
+// the profiles of the users whose hash home it is, and chains are hashed
+// up front, so a cycle costs the policy's hit probes, admission and the
+// pending-set updates.
+func submitCycle(tb testing.TB) func() {
+	const (
+		instances   = 8
+		inFlight    = 64
+		users       = 20
+		blockTokens = 16
+		profile     = 860 * blockTokens
+		post        = 15 * blockTokens
+	)
+	engines := make([]engine.Engine, instances)
+	caches := make([]*kvcache.Manager, instances)
+	for i := range engines {
+		m, err := kvcache.New(kvcache.Config{BlockTokens: blockTokens, BytesPerToken: 1, CapacityBytes: 4 * profile})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		caches[i] = m
+		engines[i] = &cacheOnlyEngine{c: m}
+	}
+	rt, err := New(Config{}, engines...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	reqs := make([]*sched.Request, 2*inFlight)
+	for i := range reqs {
+		user := i % users
+		toks := make([]uint64, profile+post)
+		for k := range toks[:profile] {
+			toks[k] = uint64(user)<<32 | uint64(k)
+		}
+		for k := range toks[profile:] {
+			toks[profile+k] = 1<<63 | uint64(i)<<32 | uint64(k)
+		}
+		reqs[i] = &sched.Request{ID: int64(i), UserID: user, Tokens: toks}
+		chain := engine.HashesOf(reqs[i], blockTokens)
+		if i < users {
+			caches[homeOf(user, instances)].InsertH(chain[:profile/blockTokens], 0)
+		}
+	}
+	for _, r := range reqs[:inFlight] {
+		if err := rt.Submit(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	next := 0
+	return func() {
+		rt.Completed(engine.Record{Req: reqs[next]})
+		if err := rt.Submit(reqs[(next+inFlight)%len(reqs)]); err != nil {
+			tb.Fatal(err)
+		}
+		next = (next + 1) % len(reqs)
+	}
+}
+
+// BenchmarkRouterSubmit measures one Submit→Completed cycle: the router's
+// per-request cost on the routed path, hit probes and pending-set
+// maintenance included.
+func BenchmarkRouterSubmit(b *testing.B) {
+	cycle := submitCycle(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}
+
+func TestRouterSubmitAllocs(t *testing.T) {
+	cycle := submitCycle(t)
+	for i := 0; i < 256; i++ { // grow the reused buffers to steady state
+		cycle()
+	}
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Fatalf("a steady Submit→Completed cycle allocates %v times, want 0", n)
 	}
 }

@@ -8,9 +8,10 @@ import (
 
 // View exposes the router's live state to a routing policy. Peeking a
 // hit length binary-searches one hash chain against one instance's cache
-// and in-flight blocks — O(log blocks) map probes, hashing the prompt on
-// first use — so policies should only peek the instances they actually
-// score.
+// (O(log blocks) map probes) and against its sorted in-flight chains
+// (O(log in-flight) comparisons of O(log blocks) probes each), hashing
+// the prompt on first use, so policies should only peek the instances
+// they actually score.
 type View interface {
 	// Instances returns the instance count (always >= 1).
 	Instances() int

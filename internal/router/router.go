@@ -25,6 +25,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/engine"
@@ -178,13 +179,12 @@ type instanceState struct {
 	// drains like any scale-down victim but can never be revived, because
 	// the machine under it is going away regardless of load.
 	condemned bool
-	// pendingBlocks refcounts the block hashes of routed, not-yet-
-	// completed requests; a hash leaves the map when its count reaches
-	// 0. Merged into hit estimation so that concurrent requests sharing a
-	// prefix are attracted to the instance already computing it, instead
-	// of stampeding the same prefix onto several instances before the
-	// first one caches it.
-	pendingBlocks map[uint64]int
+	// pending holds the hash chains of routed, not-yet-completed
+	// requests. Merged into hit estimation so that concurrent requests
+	// sharing a prefix are attracted to the instance already computing
+	// it, instead of stampeding the same prefix onto several instances
+	// before the first one caches it.
+	pending chainSet
 }
 
 // pending is the bookkeeping of one routed, not-yet-completed request.
@@ -208,6 +208,8 @@ type Router struct {
 	routableDirty bool
 	inflight      map[int64]pending
 	admission     *metrics.Admission
+	// view is the policy view Submit reuses for every request.
+	view view
 	// released sums the prefix-cache statistics of removed and failed
 	// instances, so CacheStats stays cumulative while the router holds
 	// only live engines.
@@ -274,10 +276,9 @@ func (rt *Router) AddInstance(e engine.Engine) (int, error) {
 		return 0, fmt.Errorf("router: instance is nil")
 	}
 	st := &instanceState{
-		id:            rt.nextID,
-		eng:           e,
-		est:           resolveEstimator(e),
-		pendingBlocks: make(map[uint64]int),
+		id:  rt.nextID,
+		eng: e,
+		est: resolveEstimator(e),
 	}
 	rt.nextID++
 	rt.instances = append(rt.instances, st)
@@ -529,6 +530,41 @@ func (rt *Router) InstanceInfos() []InstanceInfo {
 // InFlight returns the number of routed requests not yet completed.
 func (rt *Router) InFlight() int { return len(rt.inflight) }
 
+// idleBacklogSeconds is how far from zero a drained instance's backlog
+// may sit: the rounding residue of adding and subtracting the same
+// estimates in a different order.
+const idleBacklogSeconds = 1e-9
+
+// CheckIdle verifies that the router holds no routed work, as it must
+// once every routed request has completed or been orphaned: nothing in
+// flight, and on every instance no queued requests or tokens, a backlog
+// (total and per class) within rounding of zero, and no pending chains.
+// Anything else is leaked accounting.
+func (rt *Router) CheckIdle() error {
+	if n := len(rt.inflight); n > 0 {
+		return fmt.Errorf("router: %d requests still in flight", n)
+	}
+	for _, st := range rt.instances {
+		l := st.load
+		if l.QueuedRequests != 0 || l.QueuedTokens != 0 {
+			return fmt.Errorf("router: instance %d still has %d queued requests and %d queued tokens",
+				st.id, l.QueuedRequests, l.QueuedTokens)
+		}
+		if math.Abs(l.BacklogSeconds) > idleBacklogSeconds {
+			return fmt.Errorf("router: instance %d still has a %gs backlog", st.id, l.BacklogSeconds)
+		}
+		for c, b := range l.ClassBacklogSeconds {
+			if math.Abs(b) > idleBacklogSeconds {
+				return fmt.Errorf("router: instance %d still has a %gs %s backlog", st.id, b, sched.Class(c))
+			}
+		}
+		if n := len(st.pending.chains); n > 0 {
+			return fmt.Errorf("router: instance %d still has %d pending chains", st.id, n)
+		}
+	}
+	return nil
+}
+
 // estSeconds prices a request on an instance: the instance estimator
 // evaluated at the request's current prefix-cache hit length there
 // (peeked, so routing sweeps do not disturb LRU order).
@@ -554,7 +590,7 @@ func hitTokens(st *instanceState, r *sched.Request) int {
 		return 0
 	}
 	chain := engine.HashesOf(r, c.BlockTokens())
-	return max(c.PeekH(chain), kvcache.PrefixLen(chain, st.pendingBlocks)*c.BlockTokens())
+	return max(c.PeekH(chain), st.pending.longestPrefix(chain)*c.BlockTokens())
 }
 
 // view adapts the router to the Policy View interface over a snapshot of
@@ -569,13 +605,17 @@ type view struct {
 	hits  []int // per-instance hit, -1 = not yet computed
 }
 
+// newView resets the router's view for routing r. The view and its memo
+// are reused, so a view is valid only until the next call.
 func (rt *Router) newView(r *sched.Request) *view {
-	insts := rt.routable()
-	hits := make([]int, len(insts))
-	for i := range hits {
-		hits[i] = -1
+	v := &rt.view
+	v.insts = rt.routable()
+	v.r = r
+	v.hits = v.hits[:0]
+	for range v.insts {
+		v.hits = append(v.hits, -1)
 	}
-	return &view{insts: insts, r: r, hits: hits}
+	return v
 }
 
 func (v *view) Instances() int  { return len(v.insts) }
@@ -650,9 +690,7 @@ func (rt *Router) Submit(r *sched.Request) error {
 	var hashes []uint64
 	if c := st.eng.Cache(); c != nil {
 		hashes = engine.HashesOf(r, c.BlockTokens())
-		for _, h := range hashes {
-			st.pendingBlocks[h]++
-		}
+		st.pending.add(hashes)
 	}
 	rt.inflight[r.ID] = pending{instance: st.id, tokens: int64(r.Len()), seconds: est, class: r.Class, hashes: hashes}
 	st.load.QueuedRequests++
@@ -694,9 +732,5 @@ func (rt *Router) Completed(rec engine.Record) {
 			st.load.ClassBacklogSeconds[p.class] = 0
 		}
 	}
-	for _, h := range p.hashes {
-		if st.pendingBlocks[h]--; st.pendingBlocks[h] <= 0 {
-			delete(st.pendingBlocks, h)
-		}
-	}
+	st.pending.remove(p.hashes)
 }

@@ -78,6 +78,51 @@ func mkPostReq(id int64, user, prefix, suffix int) *sched.Request {
 	return &sched.Request{ID: id, UserID: user, Tokens: toks}
 }
 
+func TestCheckIdleReportsLeakedAccounting(t *testing.T) {
+	var s sim.Sim
+	_, engines, chain := testCluster(t, &s, 2)
+	rt, err := New(Config{}, engines...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	*chain = rt.Completed
+	r := mkPostReq(1, 3, 512, 64)
+	if err := rt.Submit(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.CheckIdle(); err == nil {
+		t.Fatal("CheckIdle passed with a request in flight")
+	}
+	s.Run()
+	if err := rt.CheckIdle(); err != nil {
+		t.Fatalf("after the request completed: %v", err)
+	}
+	// Each leak on its own, on an instance with nothing in flight.
+	st := rt.instances[1]
+	for _, leak := range []struct {
+		name string
+		make func()
+	}{
+		{"queued request", func() { st.load.QueuedRequests = 1 }},
+		{"queued tokens", func() { st.load.QueuedTokens = 16 }},
+		{"backlog", func() { st.load.BacklogSeconds = 2e-9 }},
+		{"negative backlog", func() { st.load.BacklogSeconds = -2e-9 }},
+		{"class backlog", func() { st.load.ClassBacklogSeconds[sched.ClassBatch] = 2e-9 }},
+		{"pending chain", func() { st.pending.add(r.BlockHashes) }},
+	} {
+		saved := st.load
+		leak.make()
+		if err := rt.CheckIdle(); err == nil {
+			t.Errorf("CheckIdle passed with a leaked %s", leak.name)
+		}
+		st.load, st.pending = saved, chainSet{}
+	}
+	st.load.BacklogSeconds = 1e-12 // rounding residue, not a leak
+	if err := rt.CheckIdle(); err != nil {
+		t.Fatalf("a 1e-12 s backlog residue: %v", err)
+	}
+}
+
 func TestUserHashStickyAndStateless(t *testing.T) {
 	var s sim.Sim
 	wrapped, engines, chain := testCluster(t, &s, 3)
