@@ -7,7 +7,9 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -64,30 +66,37 @@ type Backend struct {
 	// latency accumulates per-class request latency histograms for the
 	// /v1/metrics surface; observations happen in onComplete.
 	latency [sched.NumClasses]*metrics.Histogram
-	// loopTicks counts clock-loop iterations so gauge sampling for the
-	// flight recorder runs every gaugeSampleTicks wall milliseconds
-	// instead of every tick.
-	loopTicks int
+	// loopRuns counts clock-loop iterations, so tests can check that an
+	// idle server sleeps.
+	loopRuns int
 }
 
-// gaugeSampleTicks is how many ~1 ms clock-loop iterations pass between
-// flight-recorder gauge samples (the served path samples on the wall
-// clock; batch runs sample on sim ticks instead).
-const gaugeSampleTicks = 100
+// gaugeSampleInterval is the wall time between flight-recorder gauge
+// samples (the served path samples on the wall clock; batch runs sample on
+// sim ticks instead).
+const gaugeSampleInterval = 100 * time.Millisecond
+
+// maxSleep bounds one clock-loop sleep, so a far-off or absent next event
+// needs no special timer state.
+const maxSleep = time.Hour
+
+// ErrEmptyPrompt is returned for a prompt that encodes to no piece, such
+// as one of only whitespace.
+var ErrEmptyPrompt = errors.New("server: prompt holds no token")
 
 // NewBackend builds a backend over the fleet spec declares. The backend
 // owns the fleet's hooks and clocking, so spec.OnComplete, OnShed and
 // SampleSeconds must be unset: the served path steps the kernel, at any
-// shard count, with the wall clock and samples trace gauges on wall
-// ticks. The fleet is always routed; a nil spec.Router takes the default
+// shard count, with the wall clock and samples trace gauges on a wall
+// interval. The fleet is always routed; a nil spec.Router takes the default
 // policy with no admission bound, which makes a one-instance spec plain
 // single-engine serving. An autoscaled pool ticks for as long as the
 // server is up, and an unset TickSeconds defaults to one control decision
 // per wall millisecond: the tick is a simulated-seconds interval, so at
 // high speedups a sim-time default would flood the event loop with
 // control ticks between completions. The time-series collector, if any,
-// never gets a boundary ticker — the clock free-runs even when idle, so
-// windows close lazily on request events and scrapes.
+// never gets a boundary ticker, so windows close lazily on request events
+// and scrapes.
 func NewBackend(spec fleet.Spec, speedup float64) (*Backend, error) {
 	if spec.OnComplete != nil || spec.OnShed != nil || spec.SampleSeconds != 0 {
 		return nil, fmt.Errorf("server: OnComplete, OnShed and SampleSeconds are owned by the backend")
@@ -218,7 +227,7 @@ func (b *Backend) Stats() StatsSnapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	rt := b.fleet.Router()
-	now := b.fleet.Clock().Now()
+	now := b.stepLocked()
 	snap := StatsSnapshot{
 		SimSeconds: now,
 		Routable:   rt.Routable(),
@@ -301,6 +310,25 @@ func (b *Backend) simNow() float64 {
 	return time.Since(b.started).Seconds() * b.Speedup
 }
 
+// stepLocked runs the kernel up to the wall clock's simulated time and
+// returns that time. The clock loop sleeps while no event is due, so every
+// reader of the kernel clock steps it first; b.mu must be held.
+func (b *Backend) stepLocked() float64 {
+	b.fleet.RunUntil(b.simNow())
+	return b.fleet.Clock().Now()
+}
+
+// sleepFor is how long the clock loop may sleep before the kernel's next
+// event falls due on the wall clock; b.mu must be held.
+func (b *Backend) sleepFor() time.Duration {
+	next := b.fleet.Clock().NextTime()
+	wait := next/b.Speedup - time.Since(b.started).Seconds()
+	if wait >= maxSleep.Seconds() {
+		return maxSleep
+	}
+	return time.Duration(math.Ceil(wait * 1e9))
+}
+
 // onComplete runs inside sim event handlers (loop holds the lock).
 func (b *Backend) onComplete(rec engine.Record) {
 	if c := int(rec.Req.Class); c < len(b.latency) {
@@ -339,26 +367,43 @@ func (b *Backend) onOrphanShed(r *sched.Request, rej *router.RejectError) {
 	ch <- Result{Err: fmt.Errorf("server: %w", rej)}
 }
 
-// loop advances simulated time in lockstep with the wall clock.
+// loop advances simulated time in lockstep with the wall clock. After
+// each step it sleeps until the kernel's next event is due, a submit wakes
+// it, or, with a tracer, the next gauge sample is due; an idle server
+// without a tracer sleeps until the next submit. An autoscaled pool still
+// wakes once per control tick: the tick is an event of the model.
 func (b *Backend) loop() {
-	ticker := time.NewTicker(time.Millisecond)
-	defer ticker.Stop()
+	timer := time.NewTimer(maxSleep)
+	defer timer.Stop()
+	nextSample := b.started.Add(gaugeSampleInterval)
 	for {
+		b.mu.Lock()
+		b.loopRuns++
+		now := b.stepLocked()
+		sleep := b.sleepFor()
+		if b.fleet.Tracer() != nil {
+			if wall := time.Now(); !wall.Before(nextSample) {
+				b.fleet.SampleTrace(now)
+				nextSample = wall.Add(gaugeSampleInterval)
+			}
+			sleep = min(sleep, time.Until(nextSample))
+		}
+		b.mu.Unlock()
+
+		// go.mod predates Go 1.23's timers: stop and drain before Reset.
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		timer.Reset(sleep)
 		select {
 		case <-b.done:
 			return
-		case <-ticker.C:
+		case <-timer.C:
 		case <-b.wake:
 		}
-		b.mu.Lock()
-		b.fleet.RunUntil(b.simNow())
-		if b.fleet.Tracer() != nil {
-			if b.loopTicks++; b.loopTicks >= gaugeSampleTicks {
-				b.loopTicks = 0
-				b.fleet.SampleTrace(b.fleet.Clock().Now())
-			}
-		}
-		b.mu.Unlock()
 	}
 }
 
@@ -376,10 +421,10 @@ func (b *Backend) Timeseries() (timeseries.Export, bool) {
 	if ts == nil {
 		return timeseries.Export{}, false
 	}
-	// Close windows the free-running clock has passed (the server has no
-	// boundary ticker), then snapshot: scrapes see every elapsed window
-	// plus a partial row for the open one.
-	now := b.fleet.Clock().Now()
+	// Close windows the clock has passed (the server has no boundary
+	// ticker), then snapshot: scrapes see every elapsed window plus a
+	// partial row for the open one.
+	now := b.stepLocked()
 	ts.Advance(now)
 	return ts.Snapshot(now), true
 }
@@ -414,8 +459,8 @@ func (b *Backend) SubmitClass(prompt string, allowed []string, userID int, class
 		allowed = []string{"Yes", "No"}
 	}
 	toks := b.Tokenizer.Encode(prompt)
-	if len(toks) == 0 {
-		return Result{}, fmt.Errorf("server: empty prompt")
+	if len(toks) == 0 || len(toks) == 1 && b.Tokenizer.BOS != 0 {
+		return Result{}, ErrEmptyPrompt
 	}
 	ch := make(chan Result, 1)
 
@@ -426,12 +471,11 @@ func (b *Backend) SubmitClass(prompt string, allowed []string, userID int, class
 	}
 	b.nextID++
 	id := b.nextID
-	b.fleet.RunUntil(b.simNow())
 	r := &sched.Request{
 		ID:            id,
 		UserID:        userID,
 		Tokens:        toks,
-		ArrivalTime:   b.fleet.Clock().Now(),
+		ArrivalTime:   b.stepLocked(),
 		AllowedTokens: allowed,
 		Class:         class,
 	}

@@ -20,6 +20,7 @@ func FuzzCompletions(f *testing.F) {
 	f.Add(`{"prompt":"Approve this application? Answer:","max_tokens":2}`, "batch")
 	f.Add(`{"prompt":"Approve`, "")
 	f.Add("{\"prompt\":\"caf\xe9 \xff\xfe r\xc3sum\xc3\xa9 answer:\",\"slo_class\":\"batch\"}", "interactive")
+	f.Add(`{"prompt":" \t\n\u00a0 "}`, "")
 	h := NewHandler(testBackend(f), "m")
 	f.Fuzz(func(t *testing.T, body, class string) {
 		req := httptest.NewRequest(http.MethodPost, "/v1/completions", strings.NewReader(body))
@@ -50,6 +51,9 @@ func FuzzCompletions(f *testing.F) {
 		}
 		if want := h.Backend.Tokenizer.Count(in.Prompt); out.Usage.PromptTokens != want {
 			t.Fatalf("prompt_tokens %d, tokenizer counts %d", out.Usage.PromptTokens, want)
+		}
+		if out.Usage.PromptTokens < 2 {
+			t.Fatalf("served prompt %q, which holds no piece beside the BOS", in.Prompt)
 		}
 		allowed := in.AllowedTokens
 		if len(allowed) == 0 {

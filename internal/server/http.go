@@ -64,8 +64,9 @@ type apiError struct {
 
 // maxCompletionBody caps a /v1/completions request body. 16 MiB allows 128
 // bytes per token for a 131,072-token prompt; the tokenizer's pieces are at
-// most 6 runes, so any prompt an engine can admit fits far below the cap.
-// It only stops a client from making the server buffer an unbounded body.
+// most 6 bytes, and a symbol piece is one rune, so any prompt an engine can
+// admit fits far below the cap. It only stops a client from making the
+// server buffer an unbounded body.
 const maxCompletionBody = 16 << 20
 
 // rejectBody is the payload for typed request sheds — 429 for
@@ -229,6 +230,10 @@ func (h *Handler) completions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := h.Backend.SubmitClass(req.Prompt, req.AllowedTokens, userID, class)
+	if errors.Is(err, ErrEmptyPrompt) {
+		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
+		return
+	}
 	if err != nil {
 		// Admission-control sheds are the client's signal to back off;
 		// the structured fields say which budget tripped and for whom.

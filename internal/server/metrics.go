@@ -52,7 +52,7 @@ func (b *Backend) Metrics() *metrics.Registry {
 	reg := metrics.NewRegistry()
 	f := b.fleet
 	rt := f.Router()
-	now := f.Clock().Now()
+	now := b.stepLocked()
 	executed := f.Clock().Executed()
 
 	reg.Family(famSimSeconds, "Simulated time in seconds.", metrics.TypeGauge).Add(now)

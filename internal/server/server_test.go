@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"maps"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/hw"
@@ -117,9 +119,30 @@ func TestBackendSubmit(t *testing.T) {
 
 func TestBackendRejectsEmptyPrompt(t *testing.T) {
 	b := testBackend(t)
+	// With the default BOS, a whitespace-only prompt encodes to the BOS
+	// alone.
+	if _, err := b.Submit(" \t\n ", nil, 0); !errors.Is(err, ErrEmptyPrompt) {
+		t.Fatalf("whitespace-only prompt: err %v, want ErrEmptyPrompt", err)
+	}
 	b.Tokenizer.BOS = 0
-	if _, err := b.Submit("", nil, 0); err == nil {
-		t.Fatal("empty prompt accepted")
+	if _, err := b.Submit("", nil, 0); !errors.Is(err, ErrEmptyPrompt) {
+		t.Fatalf("empty prompt without a BOS: err %v, want ErrEmptyPrompt", err)
+	}
+}
+
+// TestIdleBackendSleeps checks that the clock loop sleeps while no event
+// is due: an idle server runs it at most once in 100 ms.
+func TestIdleBackendSleeps(t *testing.T) {
+	b := testBackend(t)
+	runs := func() int {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.loopRuns
+	}
+	before := runs()
+	time.Sleep(100 * time.Millisecond)
+	if n := runs() - before; n > 1 {
+		t.Fatalf("the clock loop ran %d times in 100 ms on an idle server", n)
 	}
 }
 
@@ -235,6 +258,9 @@ func TestHTTPValidation(t *testing.T) {
 	}
 	if resp := post(`{"prompt":""}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty prompt: status %d", resp.StatusCode)
+	}
+	if resp := post(`{"prompt":"  \n "}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("whitespace-only prompt: status %d", resp.StatusCode)
 	}
 	if resp := post(`{"prompt":"hi","max_tokens":16}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("multi-token request: status %d", resp.StatusCode)

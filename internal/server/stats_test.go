@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/autoscale"
 	"repro/internal/router"
@@ -152,5 +153,33 @@ func TestSingleEngineStats(t *testing.T) {
 	}
 	if tally := snap.Admission["affinity"]; tally.Accepted != 1 {
 		t.Fatalf("admission block %+v", snap.Admission)
+	}
+}
+
+// TestStatsClockAdvancesWhenIdle scrapes /v1/stats twice, 50 ms apart, on
+// a server that serves nothing: the clock loop sleeps, so each scrape must
+// step the kernel itself and report at least the simulated time the wall
+// clock had reached when it was sent.
+func TestStatsClockAdvancesWhenIdle(t *testing.T) {
+	b := testBackend(t)
+	h := NewHandler(b, "m")
+	scrape := func() float64 {
+		t.Helper()
+		floor := b.simNow()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+		var snap StatsSnapshot
+		if err := json.NewDecoder(rec.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if snap.SimSeconds < floor {
+			t.Fatalf("sim_seconds %v lags the wall clock's %v", snap.SimSeconds, floor)
+		}
+		return snap.SimSeconds
+	}
+	first := scrape()
+	time.Sleep(50 * time.Millisecond)
+	if second := scrape(); second <= first {
+		t.Fatalf("sim_seconds %v, then %v 50 ms later", first, second)
 	}
 }

@@ -311,6 +311,46 @@ func TestRunUntilAtAnyShardCount(t *testing.T) {
 	}
 }
 
+// TestNextTimeAtAnyShardCount checks that NextTime reports the earliest
+// pending event wherever it sits: on the coordinator, on a shard, or in an
+// outbox posted outside a run.
+func TestNextTimeAtAnyShardCount(t *testing.T) {
+	noop := func(any) {}
+	for _, shards := range []int{0, 1, 2, 4} {
+		s := &Sim{}
+		if shards > 0 {
+			s = NewSharded(shards, 0.5)
+		}
+		if got := s.NextTime(); !math.IsInf(got, 1) {
+			t.Fatalf("%d shards: NextTime %v on an empty kernel, want +Inf", shards, got)
+		}
+		s.AtFunc(5, noop, nil)
+		if got := s.NextTime(); got != 5 {
+			t.Fatalf("%d shards: NextTime %v, want the coordinator's 5", shards, got)
+		}
+		if shards == 0 {
+			continue
+		}
+		last := s.Shard(shards - 1)
+		last.AtFunc(3, noop, nil)
+		if got := s.NextTime(); got != 3 {
+			t.Fatalf("%d shards: NextTime %v, want shard %d's 3", shards, got, shards-1)
+		}
+		last.Post(2, noop, nil)
+		if got := s.NextTime(); got != 2 {
+			t.Fatalf("%d shards: NextTime %v, want the posted 2", shards, got)
+		}
+		s.RunUntil(2)
+		if got := s.NextTime(); got != 3 {
+			t.Fatalf("%d shards: NextTime %v after RunUntil(2), want 3", shards, got)
+		}
+		s.Run()
+		if got := s.NextTime(); !math.IsInf(got, 1) {
+			t.Fatalf("%d shards: NextTime %v after Run, want +Inf", shards, got)
+		}
+	}
+}
+
 // TestRunUntilSteppingMatchesRun steps the oracle workload with RunUntil
 // on the serial kernel and on 1, 2 and 8 shards, at steps shorter than,
 // equal to and longer than the lookahead. No step may run an event past

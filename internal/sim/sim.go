@@ -252,6 +252,15 @@ func (s *Sim) Pending() int {
 	return n
 }
 
+// NextTime returns the time of the earliest pending event on any clock,
+// the coordinator's or a shard's, or +Inf when none is pending: how long a
+// caller stepping the kernel with RunUntil may sleep. Call it between
+// runs, never from an event.
+func (s *Sim) NextTime() float64 {
+	cmin, smin := s.nextTimes()
+	return min(cmin, smin)
+}
+
 // Run executes events until none remain and returns the final simulated
 // time, the time of the last event on any clock. Draining shrinks the
 // heaps' backing arrays back toward minEventCap, so a kernel that served a

@@ -1,9 +1,12 @@
 package tokenizer
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestDeterministic(t *testing.T) {
@@ -137,4 +140,153 @@ func FuzzTokenizer(f *testing.F) {
 			}
 		}
 	})
+}
+
+// refEncode, refPieces and refPieceID are the encoder as it stood before
+// Encode, Count and Pieces shared one walk over the text's bytes, kept
+// verbatim as the reference the walk must match byte for byte: token IDs
+// key the prefix cache and the response scores.
+func refEncode(t *Tokenizer, text string) []uint64 {
+	var out []uint64
+	if t.BOS != 0 {
+		out = append(out, t.BOS)
+	}
+	for _, piece := range refPieces(text) {
+		out = append(out, refPieceID(piece))
+	}
+	return out
+}
+
+func refPieces(text string) []string {
+	var pieces []string
+	var b strings.Builder
+	flush := func() {
+		if b.Len() == 0 {
+			return
+		}
+		w := b.String()
+		b.Reset()
+		for len(w) > maxPieceLen {
+			pieces = append(pieces, w[:maxPieceLen])
+			w = w[maxPieceLen:]
+		}
+		pieces = append(pieces, w)
+	}
+	for _, r := range text {
+		switch {
+		case unicode.IsSpace(r):
+			flush()
+		case unicode.IsPunct(r) || unicode.IsSymbol(r):
+			flush()
+			pieces = append(pieces, string(r))
+		default:
+			b.WriteRune(r)
+		}
+	}
+	flush()
+	return pieces
+}
+
+func refPieceID(piece string) uint64 {
+	const (
+		offset = 0xcbf29ce484222325
+		prime  = 0x100000001b3
+	)
+	h := uint64(offset)
+	for i := 0; i < len(piece); i++ {
+		h ^= uint64(piece[i])
+		h *= prime
+	}
+	// Keep IDs out of the special-token range [0, 256).
+	if h < 256 {
+		h += 256
+	}
+	return h
+}
+
+// servePrompt builds a prompt shaped like a served recommendation request:
+// a profile of the given number of words drawn from a 4,096-word
+// vocabulary of 2–9 lowercase letters, then a short post and the question.
+func servePrompt(rng *rand.Rand, words int) string {
+	vocab := make([]string, 4096)
+	for i := range vocab {
+		w := make([]byte, 2+rng.Intn(8))
+		for j := range w {
+			w[j] = byte('a' + rng.Intn(26))
+		}
+		vocab[i] = string(w)
+	}
+	var b strings.Builder
+	b.WriteString("user profile:")
+	for i := 0; i < words; i++ {
+		b.WriteByte(' ')
+		b.WriteString(vocab[rng.Intn(len(vocab))])
+	}
+	b.WriteString(" post 7: a new paper on databases recommend? answer:")
+	return b.String()
+}
+
+// FuzzEncodeMatchesReference checks that Encode, Count and Pieces agree
+// with the reference encoder on arbitrary text, with and without a BOS.
+func FuzzEncodeMatchesReference(f *testing.F) {
+	f.Add("é000é") // a cut inside a rune: the next piece continues the word
+	f.Add("caf\xe9 \xe2\x82")
+	f.Add("\ufffd is not \xff")
+	f.Add("next\u0085line\u00a0no-break")
+	f.Add("日本語のテキスト、長い文章です。")
+	f.Add("abcdefghijklmnopqrst")
+	f.Add(servePrompt(rand.New(rand.NewSource(1)), 2000))
+	f.Fuzz(func(t *testing.T, text string) {
+		for _, tk := range []*Tokenizer{New(), {}} {
+			got, want := tk.Encode(text), refEncode(tk, text)
+			if !slices.Equal(got, want) {
+				t.Fatalf("BOS %d: Encode(%q) = %v, reference %v", tk.BOS, text, got, want)
+			}
+			if n := tk.Count(text); n != len(want) {
+				t.Fatalf("BOS %d: Count(%q) = %d, reference encodes %d IDs", tk.BOS, text, n, len(want))
+			}
+		}
+		if got, want := Pieces(text), refPieces(text); !slices.Equal(got, want) {
+			t.Fatalf("Pieces(%q) = %q, reference %q", text, got, want)
+		}
+	})
+}
+
+// TestEncodeAllocs pins the walk's allocations on a served-size prompt:
+// Encode allocates only the ID slice, and Count nothing.
+func TestEncodeAllocs(t *testing.T) {
+	tk := New()
+	text := servePrompt(rand.New(rand.NewSource(1)), 2000)
+	if n := testing.AllocsPerRun(20, func() { idSink = tk.Encode(text) }); n != 1 {
+		t.Errorf("Encode: %v allocs per run, want 1", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { countSink = tk.Count(text) }); n != 0 {
+		t.Errorf("Count: %v allocs per run, want 0", n)
+	}
+}
+
+var (
+	idSink    []uint64
+	countSink int
+)
+
+// BenchmarkTokenizerEncode encodes served-size prompts (1,000–3,000-word
+// profiles) and reports the cost per produced token.
+func BenchmarkTokenizerEncode(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	texts := make([]string, 16)
+	tokens := 0
+	tk := New()
+	for i := range texts {
+		texts[i] = servePrompt(rng, 1000+rng.Intn(2001))
+		tokens += tk.Count(texts[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, text := range texts {
+			idSink = tk.Encode(text)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tokens), "ns/token")
 }
