@@ -40,7 +40,7 @@ func closureChains() [][]uint64 {
 func linearPeek(m *Manager, chain []uint64) int {
 	hit := 0
 	for _, h := range chain {
-		if _, ok := m.blocks[h]; !ok {
+		if !m.HasBlock(h) {
 			break
 		}
 		hit += m.blockTokens

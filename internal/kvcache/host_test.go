@@ -154,3 +154,24 @@ func TestHostDisabledByDefault(t *testing.T) {
 		t.Fatal("host accounting nonzero when disabled")
 	}
 }
+
+// A crash destroys the GPU tier's blocks instead of demoting them, and
+// wipes the host tier.
+func TestLoseAllDropsBothTiers(t *testing.T) {
+	m := newOffloadMgr(t, 4, 16)
+	m.Insert(seq(1, 64), 64, 1)
+	m.Insert(seq(2, 64), 64, 2) // seq 1 → host
+	before := m.Stats()
+	m.LoseAll()
+	after := m.Stats()
+	if m.Len() != 0 || m.UsedBytes() != 0 || m.HostUsedBytes() != 0 {
+		t.Fatalf("LoseAll left %d blocks, %d bytes, %d host bytes", m.Len(), m.UsedBytes(), m.HostUsedBytes())
+	}
+	if after.EvictedBlocks-before.EvictedBlocks != 4 || after.OffloadedBlocks != before.OffloadedBlocks {
+		t.Fatalf("LoseAll counted %d evicted and %d offloaded blocks, want 4 and 0",
+			after.EvictedBlocks-before.EvictedBlocks, after.OffloadedBlocks-before.OffloadedBlocks)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -27,8 +27,9 @@ type Stats struct {
 	EvictedBlocks int64
 	// OffloadedBlocks counts evicted blocks demoted to the host tier.
 	OffloadedBlocks int64
-	// RejectedBlocks counts insertions dropped because space could not
-	// be reclaimed (everything else was pinned or hotter).
+	// RejectedBlocks counts blocks an insertion dropped because space
+	// could not be reclaimed (everything else was pinned or hotter): the
+	// first block that did not fit and the rest of its chain.
 	RejectedBlocks int64
 }
 
@@ -50,20 +51,27 @@ func (s Stats) HitRate() float64 {
 	return float64(s.HitTokens) / float64(s.LookupTokens)
 }
 
+// block is one cached block, held by value in the Manager's slab and
+// addressed by its slot there. A free slot has depth 0.
 type block struct {
 	hash     uint64
-	parent   uint64
-	depth    int // 1-based chain position
-	children int // blocks that chain onto this one
-	pins     int
 	lastUsed float64
-
-	// heap index for the LRU heap; -1 when not evictable.
-	heapIdx int
+	parent   int32 // parent's slot; -1 for a chain's first block
+	depth    int32 // 1-based chain position
+	children int32 // blocks that chain onto this one
+	pins     int32
+	heapIdx  int32 // position in the LRU heap; -1 when not evictable
 }
 
 // Manager is a single simulated device's (or engine's) prefix cache.
 // It is not goroutine-safe; engines are single-threaded event handlers.
+//
+// The GPU tier holds no pointers: blocks live in a slab addressed by
+// int32 slots and recycled through a free list, an open-addressing table
+// maps block hashes to slots, and the LRU heap, the walk scratch and the
+// pending change lists hold slots or hashes. Once the slab and table have
+// grown to the pool's size, an insert allocates nothing and the GC has
+// nothing in the cache to scan.
 type Manager struct {
 	blockTokens   int
 	bytesPerBlock int64
@@ -71,24 +79,26 @@ type Manager struct {
 	used          int64
 	reserved      int64
 
-	blocks map[uint64]*block
-	lru    lruHeap
-	host   *hostTier // nil when offloading is disabled
-	stats  Stats
+	slab  []block
+	free  []int32 // slab slots not holding a block
+	index blockIndex
+	lru   lruHeap
+	host  *hostTier // nil when offloading is disabled
+	stats Stats
 
 	subs    []func(ChangeEvent)
 	pending ChangeEvent
 
-	// scratch collects the blocks an InsertH or PinH walk touches, so a
-	// walk does not grow a fresh slice block by block. It holds no
-	// pointers between calls.
-	scratch []*block
+	// scratch collects the slots an InsertH or PinH walk touches, so a
+	// walk does not grow a fresh slice block by block.
+	scratch []int32
 }
 
 // ChangeEvent describes the cache-membership changes of one operation:
 // the block hashes newly inserted into the GPU tier and those evicted
 // from it. Pins, unpins and LRU refreshes do not change membership and
-// are not reported.
+// are not reported. The slices belong to the Manager and are reused by
+// its next operation, so a subscriber must copy whatever it keeps.
 type ChangeEvent struct {
 	Inserted []uint64
 	Evicted  []uint64
@@ -99,21 +109,23 @@ type ChangeEvent struct {
 // hashes that changed. Schedulers use the feed to rekey only the waiting
 // requests whose cached-prefix frontier holds a changed block instead of
 // rescanning the queue. fn runs synchronously on the engine's event
-// thread; it may read the Manager but must not mutate it.
+// thread; it may read the Manager but must not mutate it. The event's
+// slices are reused once fn returns: fn must copy what it keeps.
 func (m *Manager) Subscribe(fn func(ChangeEvent)) {
 	m.subs = append(m.subs, fn)
 }
 
-// flushChanges delivers and clears the pending membership changes.
+// flushChanges delivers the pending membership changes and truncates
+// them for reuse.
 func (m *Manager) flushChanges() {
 	if len(m.pending.Inserted) == 0 && len(m.pending.Evicted) == 0 {
 		return
 	}
-	ev := m.pending
-	m.pending = ChangeEvent{}
 	for _, fn := range m.subs {
-		fn(ev)
+		fn(m.pending)
 	}
+	m.pending.Inserted = m.pending.Inserted[:0]
+	m.pending.Evicted = m.pending.Evicted[:0]
 }
 
 // Config configures a Manager.
@@ -145,7 +157,7 @@ func New(cfg Config) (*Manager, error) {
 		blockTokens:   cfg.BlockTokens,
 		bytesPerBlock: cfg.BytesPerToken * int64(cfg.BlockTokens),
 		capacity:      cfg.CapacityBytes,
-		blocks:        make(map[uint64]*block),
+		index:         newSeededIndex(),
 	}
 	if cfg.HostCapacityBytes > 0 {
 		m.host = newHostTier(cfg.HostCapacityBytes, m.bytesPerBlock)
@@ -278,14 +290,12 @@ func (m *Manager) LookupH(hashes []uint64, now float64) int {
 	m.stats.LookupTokens += int64(len(hashes) * m.blockTokens)
 	hit := 0
 	for _, hash := range hashes {
-		b, ok := m.blocks[hash]
+		i, ok := m.index.get(hash)
 		if !ok {
 			break
 		}
-		b.lastUsed = now
-		if b.heapIdx >= 0 {
-			m.lru.fix(b)
-		}
+		m.slab[i].lastUsed = now
+		m.lru.fix(m.slab, i)
 		hit += m.blockTokens
 	}
 	m.stats.HitTokens += int64(hit)
@@ -306,24 +316,7 @@ func (m *Manager) Peek(tokens []uint64) int {
 // always a prefix of it and PeekH binary-searches for its end in
 // O(log len(hashes)) probes.
 func (m *Manager) PeekH(hashes []uint64) int {
-	return prefixLen(hashes, m.blocks) * m.blockTokens
-}
-
-// prefixLen returns how many leading hashes of chain are keys of set. set
-// must be prefix-closed along chain — if chain[i] is a key, so is every
-// chain[j] with j < i — which lets it binary-search in O(log len(chain))
-// probes instead of walking the chain.
-func prefixLen(chain []uint64, set map[uint64]*block) int {
-	lo, hi := 0, len(chain)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if _, ok := set[chain[mid]]; ok {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return m.index.prefixLen(hashes) * m.blockTokens
 }
 
 // CommonPrefix returns how many leading hashes two root-anchored chains
@@ -349,7 +342,7 @@ func CommonPrefix(a, b []uint64) int {
 // at the root, a cached block's predecessors are all cached (see PeekH),
 // so the first miss ends the cached prefix.
 func (m *Manager) HasBlock(hash uint64) bool {
-	_, ok := m.blocks[hash]
+	_, ok := m.index.get(hash)
 	return ok
 }
 
@@ -400,41 +393,46 @@ func (m *Manager) PinH(hashes []uint64, now float64) (int, func()) {
 	m.stats.LookupTokens += int64(len(hashes) * m.blockTokens)
 	walk := m.scratch[:0]
 	for _, hash := range hashes {
-		b, ok := m.blocks[hash]
+		i, ok := m.index.get(hash)
 		if !ok {
 			break
 		}
-		b.pins++
-		if b.heapIdx >= 0 {
-			m.lru.remove(b)
-		}
-		b.lastUsed = now
-		walk = append(walk, b)
+		m.slab[i].pins++
+		m.lru.remove(m.slab, i)
+		m.slab[i].lastUsed = now
+		walk = append(walk, i)
 	}
 	hit := len(walk) * m.blockTokens
 	m.stats.HitTokens += int64(hit)
 	// The release outlives this call: copy the hit prefix out of the
-	// scratch at its exact size (nothing on a miss).
+	// scratch at its exact size (nothing on a miss). A pinned block is
+	// never freed, so its slot stays its own until the release.
 	pinned := slices.Clone(walk)
-	m.releaseScratch(walk)
+	m.scratch = walk[:0]
 	released := false
 	return hit, func() {
 		if released {
 			return
 		}
 		released = true
-		for _, b := range pinned {
-			b.pins--
-			m.maybeEvictable(b)
-		}
+		m.unpin(pinned)
 	}
 }
 
-// maybeEvictable inserts a block into the LRU heap when it has become
+// unpin drops one pin from each slot, making the blocks left with no
+// pins and no children evictable.
+func (m *Manager) unpin(slots []int32) {
+	for _, i := range slots {
+		m.slab[i].pins--
+		m.maybeEvictable(i)
+	}
+}
+
+// maybeEvictable inserts block i into the LRU heap when it has become
 // evictable (no pins and no children).
-func (m *Manager) maybeEvictable(b *block) {
-	if b.pins == 0 && b.children == 0 && b.heapIdx < 0 {
-		m.lru.push(b)
+func (m *Manager) maybeEvictable(i int32) {
+	if b := &m.slab[i]; b.pins == 0 && b.children == 0 && b.heapIdx < 0 {
+		m.lru.push(m.slab, i)
 	}
 }
 
@@ -462,101 +460,113 @@ func (m *Manager) Insert(tokens []uint64, limit int, now float64) int {
 func (m *Manager) InsertH(hashes []uint64, now float64) int {
 	defer m.flushChanges()
 	cached := 0
-	var parent *block
+	parent := int32(-1)
 	path := m.scratch[:0]
-	for _, hash := range hashes {
-		if b, ok := m.blocks[hash]; ok {
+	for k, hash := range hashes {
+		if i, ok := m.index.get(hash); ok {
+			b := &m.slab[i]
 			b.lastUsed = now
 			b.pins++
-			if b.heapIdx >= 0 {
-				m.lru.remove(b)
-			}
-			path = append(path, b)
+			m.lru.remove(m.slab, i)
+			path = append(path, i)
 			cached += m.blockTokens
-			parent = b
+			parent = i
 			continue
 		}
 		if !m.reclaim(m.bytesPerBlock) {
-			m.stats.RejectedBlocks++
+			m.stats.RejectedBlocks += int64(len(hashes) - k)
 			break
 		}
 		if m.host != nil {
 			// The block now lives in the GPU tier; drop the host copy.
 			m.host.remove(hash)
 		}
-		b := &block{hash: hash, depth: 1, lastUsed: now, heapIdx: -1, pins: 1}
-		if parent != nil {
-			b.parent = parent.hash
-			b.depth = parent.depth + 1
-			parent.children++
+		i := m.alloc()
+		b := &m.slab[i]
+		*b = block{hash: hash, lastUsed: now, parent: parent, depth: 1, pins: 1, heapIdx: -1}
+		if parent >= 0 {
+			p := &m.slab[parent]
+			b.depth = p.depth + 1
+			p.children++
 		}
-		m.blocks[hash] = b
+		m.index.put(hash, i)
 		m.used += m.bytesPerBlock
 		if len(m.subs) > 0 {
 			m.pending.Inserted = append(m.pending.Inserted, hash)
 		}
-		path = append(path, b)
+		path = append(path, i)
 		m.stats.InsertedBlocks++
 		cached += m.blockTokens
-		parent = b
+		parent = i
 	}
-	for _, b := range path {
-		b.pins--
-		m.maybeEvictable(b)
-	}
-	m.releaseScratch(path)
+	m.unpin(path)
+	m.scratch = path[:0]
 	return cached
 }
 
-// releaseScratch hands a walk's slice back as the scratch, cleared so it
-// keeps no block alive.
-func (m *Manager) releaseScratch(walk []*block) {
-	clear(walk)
-	m.scratch = walk[:0]
+// alloc returns a free slab slot, growing the slab when none is free.
+func (m *Manager) alloc() int32 {
+	if n := len(m.free); n > 0 {
+		i := m.free[n-1]
+		m.free = m.free[:n-1]
+		return i
+	}
+	m.slab = append(m.slab, block{})
+	return int32(len(m.slab) - 1)
 }
 
 // reclaim evicts LRU blocks until free bytes >= need. Returns false when
 // not enough unpinned leaf blocks exist.
 func (m *Manager) reclaim(need int64) bool {
 	for m.capacity-m.used-m.reserved < need {
-		b := m.lru.popOldest()
-		if b == nil {
+		i, ok := m.lru.popOldest(m.slab)
+		if !ok {
 			return false
 		}
-		m.evict(b)
+		m.remove(i, true)
 	}
 	return true
 }
 
-func (m *Manager) evict(b *block) {
-	delete(m.blocks, b.hash)
+// remove drops evictable block i from the GPU tier and frees its slot.
+// With demote set and the host tier enabled, the block moves to the host
+// tier (eviction); otherwise it is destroyed (a crash). Its parent loses
+// a child and may become evictable.
+func (m *Manager) remove(i int32, demote bool) {
+	b := &m.slab[i]
+	m.index.del(b.hash)
 	m.used -= m.bytesPerBlock
 	if len(m.subs) > 0 {
 		m.pending.Evicted = append(m.pending.Evicted, b.hash)
 	}
 	m.stats.EvictedBlocks++
-	if m.host != nil {
+	if demote && m.host != nil {
 		m.host.add(b.hash)
 		m.stats.OffloadedBlocks++
 	}
-	if b.parent != 0 {
-		if p, ok := m.blocks[b.parent]; ok {
-			p.children--
-			m.maybeEvictable(p)
-		}
+	if p := b.parent; p >= 0 {
+		m.slab[p].children--
+		m.maybeEvictable(p)
 	}
+	*b = block{}
+	m.free = append(m.free, i)
 }
 
 // EvictAll drops every unpinned block (used by tests and by engines on
 // reconfiguration).
 func (m *Manager) EvictAll() {
 	defer m.flushChanges()
+	m.removeAll(true)
+}
+
+// removeAll removes evictable blocks, oldest first, until none is left.
+func (m *Manager) removeAll(demote bool) {
 	for {
-		b := m.lru.popOldest()
-		if b == nil {
+		i, ok := m.lru.popOldest(m.slab)
+		if !ok {
 			return
 		}
-		m.evict(b)
+		m.remove(i, demote)
 	}
 }
 
@@ -568,62 +578,86 @@ func (m *Manager) EvictAll() {
 // survives, exactly as EvictAll would leave it.
 func (m *Manager) LoseAll() {
 	defer m.flushChanges()
-	for {
-		b := m.lru.popOldest()
-		if b == nil {
-			break
-		}
-		delete(m.blocks, b.hash)
-		m.used -= m.bytesPerBlock
-		if len(m.subs) > 0 {
-			m.pending.Evicted = append(m.pending.Evicted, b.hash)
-		}
-		m.stats.EvictedBlocks++
-		if b.parent != 0 {
-			if p, ok := m.blocks[b.parent]; ok {
-				p.children--
-				m.maybeEvictable(p)
-			}
-		}
-	}
+	m.removeAll(false)
 	if m.host != nil {
 		m.host.clear()
 	}
 }
 
 // Len returns the number of cached blocks.
-func (m *Manager) Len() int { return len(m.blocks) }
+func (m *Manager) Len() int { return m.index.n }
 
 // CheckInvariants validates internal consistency; tests call it after
 // operation sequences.
 func (m *Manager) CheckInvariants() error {
-	var used int64
-	children := make(map[uint64]int)
-	//prefill:allow(simdeterminism): test-only invariant sweep; accumulates commutative sums, never touches sim state
-	for _, b := range m.blocks {
-		used += m.bytesPerBlock
-		if b.parent != 0 {
-			if _, ok := m.blocks[b.parent]; !ok {
-				return fmt.Errorf("kvcache: block %x has dangling parent %x", b.hash, b.parent)
+	children := make([]int32, len(m.slab))
+	live := 0
+	for i := range m.slab {
+		b := &m.slab[i]
+		if b.depth == 0 {
+			continue
+		}
+		live++
+		if j, ok := m.index.get(b.hash); !ok || j != int32(i) {
+			return fmt.Errorf("kvcache: block %x in slot %d is indexed at slot %d (found %v)", b.hash, i, j, ok)
+		}
+		if b.parent < 0 {
+			if b.depth != 1 {
+				return fmt.Errorf("kvcache: parentless block %x at depth %d", b.hash, b.depth)
 			}
-			children[b.parent]++
+			continue
+		}
+		if int(b.parent) >= len(m.slab) || m.slab[b.parent].depth == 0 || m.slab[b.parent].depth != b.depth-1 {
+			return fmt.Errorf("kvcache: block %x at depth %d has dangling parent slot %d", b.hash, b.depth, b.parent)
+		}
+		children[b.parent]++
+	}
+	indexed := 0
+	for k, ref := range m.index.refs {
+		if ref == 0 {
+			continue
+		}
+		indexed++
+		if s, h := ref-1, m.index.hashes[k]; int(s) >= len(m.slab) || m.slab[s].depth == 0 || m.slab[s].hash != h {
+			return fmt.Errorf("kvcache: hash %x is indexed at slot %d, which does not hold it", h, s)
 		}
 	}
-	if used != m.used {
+	if indexed != live || m.index.n != live {
+		return fmt.Errorf("kvcache: %d live blocks but %d indexed (count %d)", live, indexed, m.index.n)
+	}
+	isFree := make([]bool, len(m.slab))
+	for _, i := range m.free {
+		if m.slab[i].depth != 0 || isFree[i] {
+			return fmt.Errorf("kvcache: free list holds slot %d twice or while live", i)
+		}
+		isFree[i] = true
+	}
+	if live+len(m.free) != len(m.slab) {
+		return fmt.Errorf("kvcache: %d live + %d free slots, slab has %d", live, len(m.free), len(m.slab))
+	}
+	if used := int64(live) * m.bytesPerBlock; used != m.used {
 		return fmt.Errorf("kvcache: used=%d but blocks sum to %d", m.used, used)
 	}
 	if m.used > m.capacity {
 		return fmt.Errorf("kvcache: used %d exceeds capacity %d", m.used, m.capacity)
 	}
-	//prefill:allow(simdeterminism): test-only invariant sweep; reports error presence, never touches sim state
-	for _, b := range m.blocks {
-		if b.children != children[b.hash] {
-			return fmt.Errorf("kvcache: block %x children=%d, actual %d", b.hash, b.children, children[b.hash])
+	for i := range m.slab {
+		b := &m.slab[i]
+		if b.depth == 0 {
+			continue
+		}
+		if b.children != children[i] {
+			return fmt.Errorf("kvcache: block %x children=%d, actual %d", b.hash, b.children, children[i])
 		}
 		evictable := b.pins == 0 && b.children == 0
 		if evictable != (b.heapIdx >= 0) {
 			return fmt.Errorf("kvcache: block %x evictable=%v but heapIdx=%d (pins=%d children=%d)",
 				b.hash, evictable, b.heapIdx, b.pins, b.children)
+		}
+	}
+	for k, i := range m.lru.items {
+		if m.slab[i].heapIdx != int32(k) {
+			return fmt.Errorf("kvcache: LRU heap item %d is slot %d, whose heapIdx is %d", k, i, m.slab[i].heapIdx)
 		}
 	}
 	return nil

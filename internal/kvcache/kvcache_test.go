@@ -2,6 +2,7 @@ package kvcache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -106,8 +107,8 @@ func TestSuffixDiscarding(t *testing.T) {
 	if got := m.Lookup(toks, 1); got != 64 {
 		t.Fatalf("prefix hit = %d, want 64", got)
 	}
-	if m.Stats().RejectedBlocks == 0 {
-		t.Fatal("expected rejected (discarded) suffix blocks")
+	if got := m.Stats().RejectedBlocks; got != 6 {
+		t.Fatalf("rejected %d blocks, want the 6-block discarded suffix", got)
 	}
 }
 
@@ -123,6 +124,9 @@ func TestPinPreventsEviction(t *testing.T) {
 	ins := m.Insert(seq(2, 64), 64, 2)
 	if ins != 0 {
 		t.Fatalf("inserted %d tokens while cache fully pinned, want 0", ins)
+	}
+	if got := m.Stats().RejectedBlocks; got != 4 {
+		t.Fatalf("rejected %d blocks, want all 4 of the insert", got)
 	}
 	release()
 	release() // idempotent
@@ -312,10 +316,15 @@ func TestRandomOpsInvariants(t *testing.T) {
 
 // --- change-notification feed ---
 
+// cloneEvent copies an event out of the slices the Manager reuses.
+func cloneEvent(ev ChangeEvent) ChangeEvent {
+	return ChangeEvent{Inserted: slices.Clone(ev.Inserted), Evicted: slices.Clone(ev.Evicted)}
+}
+
 func TestSubscribeReportsInsertsAndEvictions(t *testing.T) {
 	m := newMgr(t, 4)
 	var events []ChangeEvent
-	m.Subscribe(func(ev ChangeEvent) { events = append(events, ev) })
+	m.Subscribe(func(ev ChangeEvent) { events = append(events, cloneEvent(ev)) })
 
 	chainA := BlockHashes(seq(1, 4*16), 16)
 	m.InsertH(chainA, 1)
@@ -367,7 +376,7 @@ func TestSubscribeReportsInsertsAndEvictions(t *testing.T) {
 func TestSubscribeReportsReserveAndEvictAll(t *testing.T) {
 	m := newMgr(t, 4)
 	var events []ChangeEvent
-	m.Subscribe(func(ev ChangeEvent) { events = append(events, ev) })
+	m.Subscribe(func(ev ChangeEvent) { events = append(events, cloneEvent(ev)) })
 
 	m.InsertH(BlockHashes(seq(1, 4*16), 16), 1)
 	events = events[:0]
@@ -399,5 +408,64 @@ func TestSubscribeReportsReserveAndEvictAll(t *testing.T) {
 	}
 	if len(events) != 0 {
 		t.Fatalf("no-op operations emitted %+v", events)
+	}
+}
+
+// insertEvictChains returns a pool shaped like one L4 instance of the
+// benchmark's long-unique workload (2,800 blocks) with a subscriber that
+// only reads its events, and two unrelated 3,125-block (50k-token)
+// chains. Inserting either chain evicts every block of the other and
+// discards its own suffix, as each new document does there.
+func insertEvictChains(tb testing.TB) (*Manager, [2][]uint64) {
+	m, err := New(Config{BlockTokens: 16, BytesPerToken: 1, CapacityBytes: 2800 * 16})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var changed int
+	m.Subscribe(func(ev ChangeEvent) { changed += len(ev.Inserted) + len(ev.Evicted) })
+	rng := rand.New(rand.NewSource(1))
+	var chains [2][]uint64
+	for i := range chains {
+		chains[i] = BlockHashes(randTokens(rng, 3125*16), 16)
+	}
+	return m, chains
+}
+
+// TestInsertAllocs pins the steady state of an insert that evicts a whole
+// chain: once the slab, the index and the change lists have grown, it
+// allocates nothing.
+func TestInsertAllocs(t *testing.T) {
+	m, chains := insertEvictChains(t)
+	now := 0.0
+	insert := func() {
+		now++
+		m.InsertH(chains[int(now)%2], now)
+	}
+	insert()
+	insert()
+	before := m.Stats().EvictedBlocks
+	// AllocsPerRun calls insert once more than it is asked to.
+	if allocs := testing.AllocsPerRun(20, insert); allocs != 0 {
+		t.Fatalf("InsertH evicting a whole chain allocated %v times per call, want 0", allocs)
+	}
+	if got, want := m.Stats().EvictedBlocks-before, int64(21*2800); got != want {
+		t.Fatalf("21 inserts evicted %d blocks, want %d", got, want)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkCacheInsertEvict inserts a fresh 3,125-block chain per op into
+// a full 2,800-block pool: 2,800 inserts, 2,800 evictions and 325
+// discarded suffix blocks, the per-instance shape of long-unique.
+func BenchmarkCacheInsertEvict(b *testing.B) {
+	m, chains := insertEvictChains(b)
+	m.InsertH(chains[0], 0)
+	m.InsertH(chains[1], 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.InsertH(chains[i%2], float64(i+1))
 	}
 }
