@@ -461,7 +461,7 @@ func BenchmarkAblationHostOffload(b *testing.B) {
 // saturation (the internal/router subsystem's headline comparison).
 func BenchmarkRoutingPolicies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RoutingSweep(1, true)
+		rows, _, err := experiments.RoutingSweepParallel(1, true, 1, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,7 +7,7 @@ import "testing"
 // the fixed peak-sized fleet at an equal-or-better shed rate, and the
 // trough-sized fleet must demonstrate why scaling is needed (it sheds).
 func TestAutoscaleSweep(t *testing.T) {
-	rows, err := AutoscaleSweep(1, true)
+	rows, _, err := AutoscaleSweepParallel(1, true, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

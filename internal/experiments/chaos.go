@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/autoscale"
 	"repro/internal/chaos"
-	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/router"
@@ -14,7 +10,8 @@ import (
 )
 
 // ChaosRunConfig describes one open-loop run of an elastic pool under
-// deterministic fault injection.
+// deterministic fault injection, at the chaosBacklogSeconds admission
+// bound.
 type ChaosRunConfig struct {
 	Scenario Scenario
 	// Dataset provides the requests; arrival times are overwritten by the
@@ -33,35 +30,11 @@ type ChaosRunConfig struct {
 	// and 4). The ceiling headroom is what lets the autoscaler replace
 	// crashed capacity.
 	MinInstances, MaxInstances int
-	// MaxBacklogSeconds is the admission bound (default 30), applied to
-	// first admissions and orphan re-admissions alike.
-	MaxBacklogSeconds float64
-	// Lambda overrides PrefillOnly's fairness parameter (0 = default).
-	Lambda float64
-	// Shards selects the event kernel: <= 1 serial, >= 2 the sharded
-	// kernel with that many workers. Results are identical either way:
-	// faults are coordinator events, executed at shard barriers.
-	Shards int
 }
 
-func (rc *ChaosRunConfig) defaults() error {
-	if rc.Dataset == nil {
-		return fmt.Errorf("experiments: ChaosRunConfig.Dataset is required")
-	}
-	if rc.QPS <= 0 {
-		return fmt.Errorf("experiments: ChaosRunConfig.QPS must be positive")
-	}
-	if rc.MinInstances <= 0 {
-		rc.MinInstances = 2
-	}
-	if rc.MaxInstances <= 0 {
-		rc.MaxInstances = 4
-	}
-	if rc.MaxBacklogSeconds == 0 {
-		rc.MaxBacklogSeconds = 30
-	}
-	return nil
-}
+// chaosBacklogSeconds is every chaos run's admission bound, applied to
+// first admissions and orphan re-admissions alike.
+const chaosBacklogSeconds = 30
 
 // ChaosRunResult aggregates one faulted run.
 type ChaosRunResult struct {
@@ -95,63 +68,57 @@ type ChaosRunResult struct {
 // restoring routable capacity after a kill — is part of what chaos runs
 // measure.
 func ChaosRun(rc ChaosRunConfig) (*ChaosRunResult, error) {
-	if err := rc.defaults(); err != nil {
-		return nil, err
+	if rc.MinInstances <= 0 {
+		rc.MinInstances = 2
 	}
-	qps := rc.QPS
-	arrivals, err := workload.AssignOpenLoopArrivals(rc.Dataset,
-		func(float64) float64 { return qps }, qps, rc.Seed)
+	if rc.MaxInstances <= 0 {
+		rc.MaxInstances = 4
+	}
+	spec := chaosSpec(rc.MinInstances, rc.MaxInstances, rc.Chaos)
+	spec.Model, spec.GPU = rc.Scenario.Model, rc.Scenario.GPU
+	r, err := FleetRun(spec, rc.Dataset, steady(rc.QPS, rc.Seed))
 	if err != nil {
 		return nil, err
 	}
-	// Bound fault injection to the arrival window so the run drains:
-	// faults land while traffic flows, then the streams stop for good.
-	ccfg := rc.Chaos
-	if ccfg.HorizonSeconds <= 0 && len(arrivals) > 0 {
-		ccfg.HorizonSeconds = arrivals[len(arrivals)-1].Time
-	}
-	var recs []engine.Record
-	f, err := fleet.New(fleet.Spec{
-		Model:         rc.Scenario.Model,
-		GPU:           rc.Scenario.GPU,
-		ProfileMaxLen: profileLen(rc.Dataset),
-		Core:          core.Options{Lambda: rc.Lambda},
-		Router:        &router.Config{Policy: router.AffinityLoad{}, MaxBacklogSeconds: rc.MaxBacklogSeconds},
-		Autoscale:     &autoscale.Config{MinInstances: rc.MinInstances, MaxInstances: rc.MaxInstances},
-		Chaos:         ccfg,
-		Shards:        rc.Shards,
-		OnComplete:    func(r engine.Record) { recs = append(recs, r) },
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range arrivals {
-		f.SubmitAt(a.Time, a.Req)
-	}
-	end := f.Run()
-	offered := len(rc.Dataset.Requests)
-	if err := f.Check(offered); err != nil {
-		return nil, err
-	}
+	return chaosResult(rc.Dataset, r), nil
+}
 
+// chaosSpec is the fleet of every chaos run: an elastic pool behind the
+// affinity router at the chaos admission bound, under the given faults.
+func chaosSpec(minInst, maxInst int, faults chaos.Config) fleet.Spec {
+	return fleet.Spec{
+		Router:    &router.Config{Policy: router.AffinityLoad{}, MaxBacklogSeconds: chaosBacklogSeconds},
+		Autoscale: &autoscale.Config{MinInstances: minInst, MaxInstances: maxInst},
+		Chaos:     faults,
+	}
+}
+
+// steady is the constant-rate open-loop arrival process of chaos runs.
+func steady(qps float64, seed int64) Arrivals {
+	return Arrivals{Rate: func(float64) float64 { return qps }, MaxRate: qps, Seed: seed}
+}
+
+// chaosResult projects a faulted run onto its result.
+func chaosResult(ds *workload.Dataset, r *FleetResult) *ChaosRunResult {
+	f := r.Fleet
 	st := f.Autoscaler().Stats()
-	res := &ChaosRunResult{
+	return &ChaosRunResult{
 		Mode:            "chaos",
-		Dataset:         rc.Dataset.Name,
-		Completed:       len(recs),
+		Dataset:         ds.Name,
+		Completed:       len(r.Records),
 		Rejected:        f.Rejected(),
 		OrphanShed:      f.OrphanShed(),
-		ShedRate:        float64(f.Rejected()+f.OrphanShed()) / float64(offered),
-		MakespanSeconds: end,
-		GPUSeconds:      f.GPUSeconds(end),
+		ShedRate:        float64(f.Rejected()+f.OrphanShed()) / float64(len(ds.Requests)),
+		Latency:         latencySummary(r.Records),
+		ThroughputRPS:   throughput(r.Records),
+		MakespanSeconds: r.Makespan,
+		GPUSeconds:      f.GPUSeconds(r.Makespan),
 		Faults:          f.Chaos().Stats(),
 		ScaleUps:        st.ScaleUps,
 		Revives:         st.Revives,
 		Lost:            st.Lost,
 		PeakInstances:   st.PeakInstances,
 	}
-	_, res.Latency, res.ThroughputRPS = latencyStats(recs)
-	return res, nil
 }
 
 // ChaosSweepRow is one fault mode of the chaos comparison.
@@ -184,107 +151,81 @@ type ChaosSweepRow struct {
 	MeanJCTDegradationVsBaseline float64 `json:"mean_jct_degradation_vs_baseline"`
 }
 
-// ChaosSweep is the serial convenience wrapper around ChaosSweepParallel.
-func ChaosSweep(seed int64, small bool) ([]ChaosSweepRow, error) {
-	rows, _, err := ChaosSweepParallel(seed, small, 1, 1)
-	return rows, err
-}
-
 // ChaosSweepParallel measures fault degradation and recovery: the same
 // steady open-loop workload on the same elastic pool, failure-free and
 // then under each fault kind (instance crashes, slow-node stragglers,
 // spot preemptions). Fault rates are sized relative to the run span so
 // every mode sees a handful of faults regardless of dataset size. The
-// degradation columns are derived after all cells return, so rows are
-// byte-identical at any parallelism — and at any shard count (faults are
-// coordinator events in the sharded kernel).
+// degradation columns are derived after all cells return. Cells fan
+// across parallel workers and run on shards kernel workers (faults are
+// coordinator events); rows are byte-identical at any count of either.
 func ChaosSweepParallel(seed int64, small bool, parallel, shards int) ([]ChaosSweepRow, CellStats, error) {
-	sc, err := ScenarioByName("L4")
-	if err != nil {
-		return nil, CellStats{}, err
-	}
-	mkDataset := func() *workload.Dataset {
-		if small {
-			return workload.Skewed(workload.SkewedConfig{
-				Users: 24, Requests: 144, ProfileMean: 3000, ProfileStd: 800,
-				ProfileMin: 1500, ProfileMax: 5000, Seed: seed,
-			})
-		}
-		return workload.Skewed(workload.SkewedConfig{Seed: seed})
-	}
-	// Load the floor fleet at ~60% of saturation: enough headroom that the
-	// failure-free baseline sheds (almost) nothing, so any degradation in
-	// the fault rows is attributable to the faults.
-	satDS := mkDataset()
-	sat, satStats, err := runCells(1, 1, func(int) (float64, error) {
-		return SaturationQPS(PrefillOnly, sc, satDS)
-	})
-	if err != nil {
-		return nil, satStats, fmt.Errorf("chaos saturation: %w", err)
-	}
 	const minInst, maxInst = 2, 4
-	perInst := sat[0] / 2
-	qps := 0.7 * perInst * minInst
-	// Approximate run span: n requests at qps. Fault rates are sized so a
-	// run sees ~3 kills / ~4 straggler episodes — enough to measure
-	// recovery without the run being one long outage.
-	span := float64(len(satDS.Requests)) / qps
-	modes := []struct {
-		name string
-		cfg  chaos.Config
-	}{
-		{name: "failure-free"},
-		{name: "crash", cfg: chaos.Config{Seed: seed, CrashRate: 6 / span}},
-		{name: "straggler", cfg: chaos.Config{Seed: seed, StragglerRate: 4 / span,
-			SlowFactor: 4, StragglerSeconds: span / 8}},
-		{name: "preempt", cfg: chaos.Config{Seed: seed, PreemptRate: 4 / span,
-			NoticeSeconds: span / 32}},
-	}
-	rows, runStats, err := runCells(parallel, len(modes), func(i int) (ChaosSweepRow, error) {
-		res, err := ChaosRun(ChaosRunConfig{
-			Scenario: sc, Dataset: mkDataset(), QPS: qps, Seed: seed,
-			Chaos: modes[i].cfg, MinInstances: minInst, MaxInstances: maxInst,
-			Shards: shards,
-		})
-		if err != nil {
-			return ChaosSweepRow{}, fmt.Errorf("chaos %s: %w", modes[i].name, err)
-		}
-		return ChaosSweepRow{
-			Mode:                modes[i].name,
-			Dataset:             res.Dataset,
-			MeanJCT:             res.Latency.Mean,
-			P50JCT:              res.Latency.P50,
-			P99JCT:              res.Latency.P99,
-			ShedRate:            res.ShedRate,
-			Completed:           res.Completed,
-			Rejected:            res.Rejected + res.OrphanShed,
-			Faults:              res.Faults.Faults(),
-			Orphaned:            res.Faults.Orphaned,
-			OrphansRerouted:     res.Faults.Rerouted,
-			OrphansShed:         res.Faults.Shed,
-			Recoveries:          res.Faults.Recoveries,
-			MeanRecoverySeconds: res.Faults.MeanRecoverySeconds(),
-			MaxRecoverySeconds:  res.Faults.MaxRecoverySeconds,
-			ScaleUps:            res.ScaleUps,
-			Revives:             res.Revives,
-			GPUSeconds:          res.GPUSeconds,
-		}, nil
-	})
-	if err != nil {
-		return nil, satStats.Merge(runStats), err
-	}
-	base := rows[0]
-	for i := range rows {
-		if i == 0 {
-			continue
-		}
-		if base.P99JCT > 0 {
-			rows[i].P99DegradationVsBaseline = rows[i].P99JCT/base.P99JCT - 1
-		}
-		if base.MeanJCT > 0 {
-			rows[i].MeanJCTDegradationVsBaseline = rows[i].MeanJCT/base.MeanJCT - 1
-		}
-		rows[i].ShedRateDeltaVsBaseline = rows[i].ShedRate - base.ShedRate
-	}
-	return rows, satStats.Merge(runStats), nil
+	ds := skewedDataset(seed, small)
+	return sweep[ChaosSweepRow]{
+		name:     "chaos",
+		datasets: []*workload.Dataset{ds},
+		cells: func(sat []float64) []cell {
+			// Load the floor fleet at ~70% of saturation: enough headroom
+			// that the failure-free baseline sheds (almost) nothing, so any
+			// degradation in the fault rows is attributable to the faults.
+			perInst := sat[0] / 2
+			qps := 0.7 * perInst * minInst
+			// Approximate run span: n requests at qps. Fault rates are sized
+			// so a run sees ~3 kills / ~4 straggler episodes — enough to
+			// measure recovery without the run being one long outage.
+			span := float64(len(ds.Requests)) / qps
+			modes := []struct {
+				name string
+				cfg  chaos.Config
+			}{
+				{name: "failure-free"},
+				{name: "crash", cfg: chaos.Config{Seed: seed, CrashRate: 6 / span}},
+				{name: "straggler", cfg: chaos.Config{Seed: seed, StragglerRate: 4 / span,
+					SlowFactor: 4, StragglerSeconds: span / 8}},
+				{name: "preempt", cfg: chaos.Config{Seed: seed, PreemptRate: 4 / span,
+					NoticeSeconds: span / 32}},
+			}
+			cells := make([]cell, len(modes))
+			for i, m := range modes {
+				cells[i] = cell{name: m.name, spec: chaosSpec(minInst, maxInst, m.cfg), arrivals: steady(qps, seed)}
+			}
+			return cells
+		},
+		row: func(c cell, ds *workload.Dataset, r *FleetResult) ChaosSweepRow {
+			res := chaosResult(ds, r)
+			return ChaosSweepRow{
+				Mode:                c.name,
+				Dataset:             res.Dataset,
+				MeanJCT:             res.Latency.Mean,
+				P50JCT:              res.Latency.P50,
+				P99JCT:              res.Latency.P99,
+				ShedRate:            res.ShedRate,
+				Completed:           res.Completed,
+				Rejected:            res.Rejected + res.OrphanShed,
+				Faults:              res.Faults.Faults(),
+				Orphaned:            res.Faults.Orphaned,
+				OrphansRerouted:     res.Faults.Rerouted,
+				OrphansShed:         res.Faults.Shed,
+				Recoveries:          res.Faults.Recoveries,
+				MeanRecoverySeconds: res.Faults.MeanRecoverySeconds(),
+				MaxRecoverySeconds:  res.Faults.MaxRecoverySeconds,
+				ScaleUps:            res.ScaleUps,
+				Revives:             res.Revives,
+				GPUSeconds:          res.GPUSeconds,
+			}
+		},
+		derive: func(rows []ChaosSweepRow) {
+			base := rows[0]
+			for i := 1; i < len(rows); i++ {
+				if base.P99JCT > 0 {
+					rows[i].P99DegradationVsBaseline = rows[i].P99JCT/base.P99JCT - 1
+				}
+				if base.MeanJCT > 0 {
+					rows[i].MeanJCTDegradationVsBaseline = rows[i].MeanJCT/base.MeanJCT - 1
+				}
+				rows[i].ShedRateDeltaVsBaseline = rows[i].ShedRate - base.ShedRate
+			}
+		},
+	}.run(parallel, shards)
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"testing"
+
+	"repro/internal/fleet"
 )
 
 // TestChaosSweepRecovery pins the sweep's recovery semantics on the
@@ -10,7 +12,7 @@ import (
 // below orphaned under a positive retry budget), and the autoscaler
 // restores routable capacity after kills.
 func TestChaosSweepRecovery(t *testing.T) {
-	rows, err := ChaosSweep(1, true)
+	rows, _, err := ChaosSweepParallel(1, true, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,30 +67,20 @@ func TestChaosSweepRecovery(t *testing.T) {
 	}
 }
 
-// TestChaosSweepShardedOracle: a faulted run must be byte-identical on
-// the sharded kernel — faults are coordinator events, executed at shard
-// barriers — with cell parallelism composed on top.
-func TestChaosSweepShardedOracle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run sweep with profile runs")
-	}
-	serialRows, _, err := ChaosSweepParallel(1, true, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _, err := ChaosSweepParallel(1, true, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := mustJSON(t, serialRows), mustJSON(t, rows)
-	if string(a) != string(b) {
-		t.Fatalf("sharded chaos sweep diverged from serial:\nserial:  %s\nsharded: %s", a, b)
-	}
-}
-
-// TestChaosRunValidation covers the config guards.
+// TestChaosRunValidation covers the run guards: ChaosRun rejects a zero
+// config and a dataset offered at no rate, and FleetRun a missing dataset.
 func TestChaosRunValidation(t *testing.T) {
 	if _, err := ChaosRun(ChaosRunConfig{}); err == nil {
 		t.Error("ChaosRun accepted a zero config")
+	}
+	sc, err := ScenarioByName("L4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ChaosRun(ChaosRunConfig{Scenario: sc, Dataset: skewedDataset(1, true)}); err == nil {
+		t.Error("ChaosRun accepted a zero QPS")
+	}
+	if _, err := FleetRun(fleet.Spec{Model: sc.Model, GPU: sc.GPU, Instances: 1}, nil, Arrivals{}); err == nil {
+		t.Error("FleetRun accepted a nil dataset")
 	}
 }

@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§7) plus its inline micro-measurements. Each artifact has a
+// evaluation (§7) plus its inline micro-measurements, and four extension
+// sweeps (routing, autoscale, SLO classes, chaos). Each artifact has a
 // dedicated function returning structured rows; cmd/prefillbench and the
-// repository-level benchmarks print them.
+// repository-level benchmarks print them. Every experiment fleet runs
+// through FleetRun.
 package experiments
 
 import (
@@ -17,47 +19,32 @@ import (
 	"repro/internal/workload"
 )
 
-// scheduleArrivals schedules a dataset's arrivals on the fleet: Poisson
-// arrivals at qps > 0, or closed-loop saturation (everything at t=0)
-// otherwise.
-func scheduleArrivals(f *fleet.Fleet, ds *workload.Dataset, qps float64, seed int64) error {
-	if qps > 0 {
-		arrivals, err := workload.AssignPoissonArrivals(ds, qps, seed)
-		if err != nil {
-			return err
-		}
-		for _, a := range arrivals {
-			f.SubmitAt(a.Time, a.Req)
-		}
-		return nil
+// latencies returns each completion record's end-to-end latency, in
+// record order.
+func latencies(recs []engine.Record) []float64 {
+	out := make([]float64, len(recs))
+	for i, r := range recs {
+		out[i] = r.Latency()
 	}
-	for _, r := range ds.Requests {
-		r.ArrivalTime = 0
-		f.SubmitAt(0, r)
-	}
-	return nil
+	return out
 }
 
-// profileLen is the profile-run length every experiment fleet uses: the
-// dataset's longest input rounded up to the next thousand tokens.
-func profileLen(ds *workload.Dataset) int { return (ds.MaxLen/1000 + 1) * 1000 }
+// latencySummary summarizes the records' end-to-end latencies.
+func latencySummary(recs []engine.Record) metrics.Summary { return metrics.Summarize(latencies(recs)) }
 
-// latencyStats aggregates completion records: per-request latencies, their
-// summary, and throughput over the busy span (first arrival to last
-// finish).
-func latencyStats(recs []engine.Record) (lats []float64, sum metrics.Summary, tputRPS float64) {
+// throughput is completed requests per second over the busy span: first
+// arrival to last finish.
+func throughput(recs []engine.Record) float64 {
 	firstArrival := math.Inf(1)
 	lastFinish := 0.0
 	for _, r := range recs {
-		lats = append(lats, r.Latency())
 		firstArrival = math.Min(firstArrival, r.Arrival)
 		lastFinish = math.Max(lastFinish, r.Finish)
 	}
-	sum = metrics.Summarize(lats)
 	if span := lastFinish - firstArrival; span > 0 && len(recs) > 0 {
-		tputRPS = float64(len(recs)) / span
+		return float64(len(recs)) / span
 	}
-	return lats, sum, tputRPS
+	return 0
 }
 
 // EngineKind enumerates the five systems of Figure 6.
@@ -218,52 +205,41 @@ type RunResult struct {
 
 // Run executes one serving run to completion and aggregates it.
 func Run(rc RunConfig) (*RunResult, error) {
-	if rc.Dataset == nil {
-		return nil, fmt.Errorf("experiments: RunConfig.Dataset is required")
-	}
 	gpus := rc.TotalGPUs
 	if gpus <= 0 {
 		gpus = 2
 	}
 	eng := rc.Kind.engine()
-	var recs []engine.Record
-	f, err := fleet.New(fleet.Spec{
-		Engine:        eng,
-		Model:         rc.Scenario.Model,
-		GPU:           rc.Scenario.GPU,
-		ProfileMaxLen: profileLen(rc.Dataset),
-		Core:          core.Options{Lambda: rc.Lambda},
-		Instances:     gpus / eng.GPUs(),
-		Shards:        rc.Shards,
-		OnComplete:    func(r engine.Record) { recs = append(recs, r) },
-	})
+	r, err := FleetRun(fleet.Spec{
+		Engine:    eng,
+		Model:     rc.Scenario.Model,
+		GPU:       rc.Scenario.GPU,
+		Core:      core.Options{Lambda: rc.Lambda},
+		Instances: gpus / eng.GPUs(),
+		Shards:    rc.Shards,
+	}, rc.Dataset, Arrivals{QPS: rc.QPS, Seed: rc.Seed})
 	if err != nil {
 		return nil, err
 	}
-	if err := scheduleArrivals(f, rc.Dataset, rc.QPS, rc.Seed); err != nil {
-		return nil, err
-	}
-	f.Run()
-	if err := f.Check(len(rc.Dataset.Requests)); err != nil {
-		return nil, err
-	}
 	res := &RunResult{
-		Kind:         rc.Kind,
-		Scenario:     rc.Scenario.Name,
-		Dataset:      rc.Dataset.Name,
-		QPS:          rc.QPS,
-		Completed:    len(recs),
-		CacheHitRate: f.CacheHitRate(),
-		Records:      recs,
+		Kind:          rc.Kind,
+		Scenario:      rc.Scenario.Name,
+		Dataset:       rc.Dataset.Name,
+		QPS:           rc.QPS,
+		Completed:     len(r.Records),
+		Latencies:     latencies(r.Records),
+		ThroughputRPS: throughput(r.Records),
+		CacheHitRate:  r.Fleet.CacheHitRate(),
+		Records:       r.Records,
 	}
-	res.Latencies, res.Latency, res.ThroughputRPS = latencyStats(recs)
+	res.Latency = metrics.Summarize(res.Latencies)
 	infeasible := 0
-	for _, r := range recs {
-		if r.Infeasible() {
+	for _, rec := range r.Records {
+		if rec.Infeasible() {
 			infeasible++
 		}
 	}
-	res.InfeasibleFrac = float64(infeasible) / float64(len(recs))
+	res.InfeasibleFrac = float64(infeasible) / float64(len(r.Records))
 	return res, nil
 }
 

@@ -14,10 +14,12 @@ type goldenCase struct {
 	run  func() (any, error)
 }
 
-// paperGoldens are the §7.1 reproduction runs whose rows are committed as
+// paperGoldens are the §7 reproduction runs whose rows are committed as
 // golden JSON: Figure 6's two scaled-down L4 panels (all five engines over
-// the QPS grid) and Figure 11's λ sweep. The shape tests elsewhere accept
-// wide ranges; these catch any change to a single reproduced number.
+// the QPS grid), Figure 8's and Figure 9's H100 throughput studies (the
+// chunked, PP and TP engines on H100) and Figure 11's λ sweep. The shape
+// tests elsewhere accept wide ranges; these catch any change to a single
+// reproduced number.
 func paperGoldens() []goldenCase {
 	panel := func(kind DatasetKind) func() (any, error) {
 		return func() (any, error) {
@@ -33,6 +35,14 @@ func paperGoldens() []goldenCase {
 	return []goldenCase{
 		{"fig6_L4_post_small.json", panel(PostRecommendation)},
 		{"fig6_L4_credit_small.json", panel(CreditVerification)},
+		{"fig8.json", func() (any, error) {
+			rows, _, err := Figure8Parallel(1, 2)
+			return rows, err
+		}},
+		{"fig9.json", func() (any, error) {
+			points, _, err := Figure9Parallel(1, 2)
+			return points, err
+		}},
 		{"fig11.json", func() (any, error) {
 			curves, _, err := Figure11Parallel(1, 2)
 			return curves, err

@@ -3,6 +3,9 @@ package experiments
 import (
 	"math"
 	"testing"
+
+	"repro/internal/fleet"
+	"repro/internal/router"
 )
 
 // TestRoutingSweep is the routing acceptance check: all three policies
@@ -10,7 +13,7 @@ import (
 // mean JCT under Zipf-skewed arrivals, and matches it (within noise) on
 // the paper's uniform post-recommendation workload.
 func TestRoutingSweep(t *testing.T) {
-	rows, err := RoutingSweep(1, true)
+	rows, _, err := RoutingSweepParallel(1, true, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +51,7 @@ func TestRoutingSweep(t *testing.T) {
 	}
 }
 
-// TestRoutingRunAdmission checks that the sweep runner surfaces admission
+// TestRoutingRunAdmission checks that a routed run surfaces admission
 // control: a tight backlog bound on closed-loop load must shed requests
 // and still account for every request.
 func TestRoutingRunAdmission(t *testing.T) {
@@ -57,21 +60,23 @@ func TestRoutingRunAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := RoutingDatasets(3, true)[0]
-	res, err := RoutingRun(RoutingRunConfig{
-		Policy: LeastLoadedPolicy, Scenario: sc, Dataset: ds,
-		QPS: 0, Seed: 3, Instances: 2, MaxBacklogSeconds: 5,
-	})
+	pol := router.LeastLoaded{}
+	r, err := FleetRun(fleet.Spec{
+		Model: sc.Model, GPU: sc.GPU, Instances: 2,
+		Router: &router.Config{Policy: pol, MaxBacklogSeconds: 5},
+	}, ds, Arrivals{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rejected == 0 {
+	rejected := r.Fleet.Rejected()
+	if rejected == 0 {
 		t.Fatal("closed-loop load under a 5s bound rejected nothing")
 	}
-	if res.Completed+res.Rejected != len(ds.Requests) {
+	if len(r.Records)+rejected != len(ds.Requests) {
 		t.Fatalf("completed %d + rejected %d != %d requests",
-			res.Completed, res.Rejected, len(ds.Requests))
+			len(r.Records), rejected, len(ds.Requests))
 	}
-	if res.Admission.Rejected != int64(res.Rejected) {
-		t.Fatalf("admission tally %+v vs rejected %d", res.Admission, res.Rejected)
+	if adm := r.Fleet.Router().Admission().Policy(pol.Name()); adm.Rejected != int64(rejected) {
+		t.Fatalf("admission tally %+v vs rejected %d", adm, rejected)
 	}
 }

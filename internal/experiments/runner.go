@@ -2,12 +2,12 @@ package experiments
 
 // The parallel cell executor. Every sweep in this package decomposes into
 // independent (config, seed) cells: each cell builds its own sim.Sim, its
-// own dataset (cloned from an immutable base or regenerated from the
-// seed), and its own seeded RNGs, shares no mutable state, and is fully
-// deterministic. runCells fans those cells across a bounded worker pool
-// and aggregates results in index order, so a parallel sweep's rows are
-// byte-identical to the serial sweep's — parallelism changes wall-clock
-// only, never output (pinned by the oracle tests in runner_test.go).
+// own dataset (cloned from an immutable base), and its own seeded RNGs,
+// shares no mutable state, and is fully deterministic. runCells fans
+// those cells across a bounded worker pool and aggregates results in
+// index order, so a parallel sweep's rows are byte-identical to the
+// serial sweep's — parallelism changes wall-clock only, never output
+// (pinned by prefillbench's TestSweepOracles).
 
 import (
 	"runtime"

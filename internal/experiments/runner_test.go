@@ -92,66 +92,6 @@ func mustJSON(t *testing.T, v any) []byte {
 	return buf
 }
 
-// TestRoutingSweepParallelOracle is the ISSUE-5 determinism oracle for the
-// routing sweep: fanning the cells across 4 workers must produce rows
-// byte-identical to the serial executor — parallelism may change wall
-// clock, never output.
-func TestRoutingSweepParallelOracle(t *testing.T) {
-	serialRows, _, err := RoutingSweepParallel(1, true, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parRows, stats, err := RoutingSweepParallel(1, true, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("executor: %d cells, wall %.2fs, serial-equivalent %.2fs, speedup %.2fx",
-		stats.Cells, stats.WallSeconds, stats.SerialEquivalentSeconds, stats.Speedup)
-	a, b := mustJSON(t, serialRows), mustJSON(t, parRows)
-	if string(a) != string(b) {
-		t.Fatalf("parallel routing sweep diverged from serial:\nserial:   %s\nparallel: %s", a, b)
-	}
-}
-
-// TestSLOSweepParallelOracle is the determinism oracle for the SLO sweep.
-func TestSLOSweepParallelOracle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run sweep with profile runs")
-	}
-	serialRows, _, err := SLOSweepParallel(1, true, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parRows, _, err := SLOSweepParallel(1, true, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := mustJSON(t, serialRows), mustJSON(t, parRows)
-	if string(a) != string(b) {
-		t.Fatalf("parallel slo sweep diverged from serial:\nserial:   %s\nparallel: %s", a, b)
-	}
-}
-
-// TestAutoscaleSweepParallelOracle covers the sweep whose rows carry the
-// most interleaving-sensitive state (controller activity, GPU-seconds).
-func TestAutoscaleSweepParallelOracle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run sweep with profile runs")
-	}
-	serialRows, _, err := AutoscaleSweepParallel(1, true, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parRows, _, err := AutoscaleSweepParallel(1, true, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := mustJSON(t, serialRows), mustJSON(t, parRows)
-	if string(a) != string(b) {
-		t.Fatalf("parallel autoscale sweep diverged from serial:\nserial:   %s\nparallel: %s", a, b)
-	}
-}
-
 func TestKernelBench(t *testing.T) {
 	res, err := KernelBench(100_000, []int{1, 2})
 	if err != nil {

@@ -1,79 +1,21 @@
 package experiments
 
-// Serial-vs-sharded kernel oracles at the experiments layer: every sweep
-// and run family must produce byte-identical results on the sharded kernel
+// Serial-vs-sharded kernel oracles for single runs at the experiments
+// layer: a run must produce byte-identical results on the sharded kernel
 // at any shard count. These are the end-to-end counterpart of
 // internal/sim's TestShardedMatchesSerialOracle — they drive the real
 // engines (pass pipelines, PP stage handoffs), the router (cross-shard
-// completions), the autoscaler (cold starts, drains) and the tracer
-// through both kernels.
+// completions) and the tracer through both kernels. prefillbench's
+// TestSweepOracles covers every extension sweep, and with it the
+// autoscaler and the fault injector, on both axes.
 
 import (
 	"testing"
+
+	"repro/internal/fleet"
+	"repro/internal/router"
+	"repro/internal/trace"
 )
-
-// TestRoutingSweepShardedOracle: the full routing sweep — router churn
-// across four instances, admission accounting, load balance — must be
-// byte-identical on the sharded kernel, with and without cell parallelism
-// on top (the two axes compose).
-func TestRoutingSweepShardedOracle(t *testing.T) {
-	serialRows, _, err := RoutingSweepParallel(1, true, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 8} {
-		rows, _, err := RoutingSweepParallel(1, true, 2, shards)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		a, b := mustJSON(t, serialRows), mustJSON(t, rows)
-		if string(a) != string(b) {
-			t.Fatalf("sharded routing sweep (shards=%d) diverged from serial:\nserial:  %s\nsharded: %s", shards, a, b)
-		}
-	}
-}
-
-// TestAutoscaleSweepShardedOracle covers the most interleaving-sensitive
-// path: the elastic pool's controller ticks on the coordinator while
-// engines execute on shards, with mid-run scale-ups assigning new
-// instances to shard clocks and drains retiring them.
-func TestAutoscaleSweepShardedOracle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run sweep with profile runs")
-	}
-	serialRows, _, err := AutoscaleSweepParallel(1, true, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _, err := AutoscaleSweepParallel(1, true, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := mustJSON(t, serialRows), mustJSON(t, rows)
-	if string(a) != string(b) {
-		t.Fatalf("sharded autoscale sweep diverged from serial:\nserial:  %s\nsharded: %s", a, b)
-	}
-}
-
-// TestSLOSweepShardedOracle: two-class admission and weighted scheduling
-// under the sharded kernel.
-func TestSLOSweepShardedOracle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run sweep with profile runs")
-	}
-	serialRows, _, err := SLOSweepParallel(1, true, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _, err := SLOSweepParallel(1, true, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := mustJSON(t, serialRows), mustJSON(t, rows)
-	if string(a) != string(b) {
-		t.Fatalf("sharded slo sweep diverged from serial:\nserial:  %s\nsharded: %s", a, b)
-	}
-}
 
 // TestRunShardedOraclePipelineParallel drives the PP=2 engines — whose
 // stage handoffs are events between the two halves of one instance, i.e.
@@ -118,7 +60,7 @@ func TestRunShardedOraclePipelineParallel(t *testing.T) {
 }
 
 // TestTracedRoutingRunShardedOracle: tracing must not perturb the sharded
-// run (results equal to the serial traced run), and the recorder's ring
+// run (outcomes equal to the serial traced run's), and the recorder's ring
 // invariant — dropped + held == emitted, counted under the recorder's
 // mutex — must hold exactly even with shard workers emitting concurrently.
 func TestTracedRoutingRunShardedOracle(t *testing.T) {
@@ -127,30 +69,49 @@ func TestTracedRoutingRunShardedOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := RoutingDatasets(1, true)
-	run := func(shards int) (*RoutingRunResult, uint64, uint64, int) {
+	run := func(shards int) ([]byte, *trace.Recorder) {
 		t.Helper()
-		res, rec, err := TracedRoutingRun(RoutingRunConfig{
-			Policy: AffinityLoadPolicy, Scenario: sc, Dataset: base[0].Clone(),
-			QPS: 12, Seed: 1, Instances: 4, Shards: shards,
-		}, 256)
+		rec := trace.New(256)
+		r, err := FleetRun(fleet.Spec{
+			Model: sc.Model, GPU: sc.GPU, Instances: 4,
+			Router: &router.Config{Policy: router.AffinityLoad{}},
+			Shards: shards, Tracer: rec, SampleSeconds: 0.5,
+		}, base[0].Clone(), Arrivals{QPS: 12, Seed: 1})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		return res, rec.TotalEmitted(), rec.Dropped(), rec.Len()
+		return mustJSON(t, outcomesOf(r)), rec
 	}
-	serialRes, serialEmitted, _, _ := run(1)
+	serialOut, serialRec := run(1)
 	for _, shards := range []int{4} {
-		res, emitted, dropped, held := run(shards)
+		out, rec := run(shards)
+		emitted, dropped, held := rec.TotalEmitted(), rec.Dropped(), rec.Len()
 		if dropped+uint64(held) != emitted {
 			t.Fatalf("shards=%d: ring invariant broken: dropped %d + held %d != emitted %d",
 				shards, dropped, held, emitted)
 		}
-		if emitted != serialEmitted {
-			t.Fatalf("shards=%d: emitted %d spans, serial emitted %d", shards, emitted, serialEmitted)
+		if emitted != serialRec.TotalEmitted() {
+			t.Fatalf("shards=%d: emitted %d spans, serial emitted %d", shards, emitted, serialRec.TotalEmitted())
 		}
-		a, b := mustJSON(t, serialRes), mustJSON(t, res)
-		if string(a) != string(b) {
-			t.Fatalf("sharded traced run diverged from serial:\nserial:  %s\nsharded: %s", a, b)
+		if string(out) != string(serialOut) {
+			t.Fatalf("sharded traced run diverged from serial:\nserial:  %s\nsharded: %s", serialOut, out)
 		}
 	}
+}
+
+// runOutcome is what the run oracles compare: each completion record's
+// timing and cache hit, and the run's sheds and cache hit rate.
+type runOutcome struct {
+	Records      [][5]float64 // ID, arrival, start, finish, cached tokens
+	Rejected     int
+	CacheHitRate float64
+}
+
+// outcomesOf extracts a run's outcome.
+func outcomesOf(r *FleetResult) runOutcome {
+	o := runOutcome{Rejected: r.Fleet.Rejected(), CacheHitRate: r.Fleet.CacheHitRate()}
+	for _, rec := range r.Records {
+		o.Records = append(o.Records, [5]float64{float64(rec.Req.ID), rec.Arrival, rec.Start, rec.Finish, float64(rec.CachedTokens)})
+	}
+	return o
 }

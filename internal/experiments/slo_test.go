@@ -11,7 +11,7 @@ func TestSLOSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep with profile runs")
 	}
-	rows, err := SLOSweep(1, true)
+	rows, _, err := SLOSweepParallel(1, true, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

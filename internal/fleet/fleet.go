@@ -120,7 +120,8 @@ type Fleet struct {
 
 	completed, rejected, orphanShed int
 	rejectedByClass                 [sched.NumClasses]int
-	err                             error // first routing failure that was not a shed
+	err                             error         // first routing failure that was not a shed
+	bad                             engine.Record // first malformed completion record (nil Req: none)
 }
 
 // New validates the spec, builds the initial instances (each runs its
@@ -322,6 +323,11 @@ func (f *Fleet) complete(r engine.Record) {
 		f.rt.Completed(r)
 	}
 	f.completed++
+	// Three comparisons: a request starts after it arrives, finishes after
+	// it starts, and hits at most its own input in the cache.
+	if f.bad.Req == nil && (!(r.Arrival <= r.Start && r.Start <= r.Finish) || uint(r.CachedTokens) > uint(r.Req.Len())) {
+		f.bad = r
+	}
 	// The record's own finish time: on the sharded kernel this sink runs
 	// at window barriers, after the coordinator clock has moved on.
 	f.spec.Timeseries.Complete(r.Finish, r.Req.Class, r.Latency())
@@ -351,13 +357,19 @@ func (f *Fleet) Run() float64 {
 // fleet to the end of its events reproduces Run's records in order.
 func (f *Fleet) RunUntil(deadline float64) { f.kern.RunUntil(deadline) }
 
-// Check verifies a drained run's accounting: no routing bug, no failed
-// autoscale factory, every one of the offered requests completed, shed
-// at admission, or dropped as a fault orphan, and a router left with no
-// load or pending work.
+// Check verifies a drained run's accounting: no routing bug, no
+// completion record that starts before its arrival, finishes before its
+// start or caches more tokens than its input, no failed autoscale
+// factory, every one of the offered requests completed, shed at
+// admission, or dropped as a fault orphan, and a router left with no load
+// or pending work.
 func (f *Fleet) Check(offered int) error {
 	if f.err != nil {
 		return f.err
+	}
+	if b := f.bad; b.Req != nil {
+		return fmt.Errorf("fleet: request %d: arrival %g, start %g, finish %g, %d of %d tokens cached",
+			b.Req.ID, b.Arrival, b.Start, b.Finish, b.CachedTokens, b.Req.Len())
 	}
 	if f.ctl != nil {
 		if err := f.ctl.Err(); err != nil {

@@ -178,3 +178,34 @@ func TestRunUntilMatchesRun(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckRejectsMalformedRecords feeds the completion sink one record
+// at a time. A record that starts before it arrives, finishes before it
+// starts or caches tokens outside [0, its input] must fail Check; a
+// well-formed one must not.
+func TestCheckRejectsMalformedRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rec  engine.Record
+		bad  bool
+	}{
+		{"well-formed", engine.Record{Arrival: 1, Start: 1.5, Finish: 2, CachedTokens: 4}, false},
+		{"start-before-arrival", engine.Record{Arrival: 1, Start: 0.5, Finish: 2}, true},
+		{"finish-before-start", engine.Record{Arrival: 1, Start: 2, Finish: 1.5}, true},
+		{"cached-beyond-input", engine.Record{Arrival: 1, Start: 1, Finish: 2, CachedTokens: 5}, true},
+		{"negative-cached", engine.Record{Arrival: 1, Start: 1, Finish: 2, CachedTokens: -1}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := New(Spec{Model: model.Llama31_8B(), GPU: hw.L4(), ProfileMaxLen: 2000, Instances: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := tc.rec
+			rec.Req = &sched.Request{ID: 7, Tokens: make([]uint64, 4)}
+			f.complete(rec)
+			if err := f.Check(1); (err != nil) != tc.bad {
+				t.Fatalf("Check = %v, want an error: %v", err, tc.bad)
+			}
+		})
+	}
+}
