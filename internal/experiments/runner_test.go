@@ -92,6 +92,41 @@ func mustJSON(t *testing.T, v any) []byte {
 	return buf
 }
 
+// sweepOracle requires a sweep's rows at (parallel, shards) to be
+// byte-identical to its rows at parallel 1 on the serial kernel.
+func sweepOracle[R any](t *testing.T, sweep func(seed int64, small bool, parallel, shards int) ([]R, CellStats, error), parallel, shards int) {
+	t.Helper()
+	serialRows, _, err := sweep(1, true, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _, err := sweep(1, true, parallel, shards)
+	if err != nil {
+		t.Fatalf("parallel %d, shards %d: %v", parallel, shards, err)
+	}
+	if a, b := mustJSON(t, serialRows), mustJSON(t, rows); string(a) != string(b) {
+		t.Fatalf("parallel %d, shards %d: rows diverge from the serial run's:\nserial: %s\ngot:    %s", parallel, shards, a, b)
+	}
+}
+
+// TestRoutingSweepParallelOracle: fanning the routing sweep's cells across
+// 4 workers must produce rows byte-identical to the serial executor's —
+// parallelism may change the wall clock, never the output.
+func TestRoutingSweepParallelOracle(t *testing.T) {
+	sweepOracle(t, RoutingSweepParallel, 4, 1)
+}
+
+// TestSLOSweepParallelOracle is the executor oracle for the SLO sweep.
+func TestSLOSweepParallelOracle(t *testing.T) {
+	sweepOracle(t, SLOSweepParallel, 4, 1)
+}
+
+// TestAutoscaleSweepParallelOracle covers the sweep whose rows carry the
+// most interleaving-sensitive state (controller activity, GPU-seconds).
+func TestAutoscaleSweepParallelOracle(t *testing.T) {
+	sweepOracle(t, AutoscaleSweepParallel, 3, 1)
+}
+
 func TestKernelBench(t *testing.T) {
 	res, err := KernelBench(100_000, []int{1, 2})
 	if err != nil {

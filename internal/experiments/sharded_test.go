@@ -1,13 +1,13 @@
 package experiments
 
-// Serial-vs-sharded kernel oracles for single runs at the experiments
-// layer: a run must produce byte-identical results on the sharded kernel
-// at any shard count. These are the end-to-end counterpart of
-// internal/sim's TestShardedMatchesSerialOracle — they drive the real
-// engines (pass pipelines, PP stage handoffs), the router (cross-shard
-// completions) and the tracer through both kernels. prefillbench's
-// TestSweepOracles covers every extension sweep, and with it the
-// autoscaler and the fault injector, on both axes.
+// Serial-vs-sharded kernel oracles at the experiments layer: every sweep
+// and run must produce byte-identical results on the sharded kernel at
+// any shard count. These are the end-to-end counterpart of internal/sim's
+// TestShardedMatchesSerialOracle — they drive the real engines (pass
+// pipelines, PP stage handoffs), the router (cross-shard completions),
+// the autoscaler (cold starts, drains) and the tracer through both
+// kernels. prefillbench's TestSweepOracles runs every sweep of its table,
+// the chaos sweep included, on both axes.
 
 import (
 	"testing"
@@ -16,6 +16,30 @@ import (
 	"repro/internal/router"
 	"repro/internal/trace"
 )
+
+// TestRoutingSweepShardedOracle: the full routing sweep — router churn
+// across four instances, admission accounting, load balance — must be
+// byte-identical on the sharded kernel, with cell parallelism on top (the
+// two axes compose).
+func TestRoutingSweepShardedOracle(t *testing.T) {
+	for _, shards := range []int{2, 8} {
+		sweepOracle(t, RoutingSweepParallel, 2, shards)
+	}
+}
+
+// TestAutoscaleSweepShardedOracle covers the most interleaving-sensitive
+// path: the elastic pool's controller ticks on the coordinator while
+// engines execute on shards, with mid-run scale-ups assigning new
+// instances to shard clocks and drains retiring them.
+func TestAutoscaleSweepShardedOracle(t *testing.T) {
+	sweepOracle(t, AutoscaleSweepParallel, 1, 4)
+}
+
+// TestSLOSweepShardedOracle: two-class admission and weighted scheduling
+// under the sharded kernel.
+func TestSLOSweepShardedOracle(t *testing.T) {
+	sweepOracle(t, SLOSweepParallel, 1, 2)
+}
 
 // TestRunShardedOraclePipelineParallel drives the PP=2 engines — whose
 // stage handoffs are events between the two halves of one instance, i.e.
