@@ -361,8 +361,9 @@ func (f *Fleet) RunUntil(deadline float64) { f.kern.RunUntil(deadline) }
 // completion record that starts before its arrival, finishes before its
 // start or caches more tokens than its input, no failed autoscale
 // factory, every one of the offered requests completed, shed at
-// admission, or dropped as a fault orphan, and a router left with no load
-// or pending work.
+// admission, or dropped as a fault orphan, a router left with no load
+// or pending work, and no live instance's cache holding a pin or a
+// reservation.
 func (f *Fleet) Check(offered int) error {
 	if f.err != nil {
 		return f.err
@@ -381,7 +382,16 @@ func (f *Fleet) Check(offered int) error {
 			f.completed, f.rejected, f.orphanShed, offered)
 	}
 	if f.rt != nil {
-		return f.rt.CheckIdle()
+		if err := f.rt.CheckIdle(); err != nil {
+			return err
+		}
+	}
+	for i, e := range f.Engines() {
+		if c := e.Cache(); c != nil {
+			if err := c.CheckIdle(); err != nil {
+				return fmt.Errorf("fleet: instance %d: %w", i, err)
+			}
+		}
 	}
 	return nil
 }

@@ -2,12 +2,14 @@ package fleet
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/autoscale"
 	"repro/internal/chaos"
 	"repro/internal/engine"
 	"repro/internal/hw"
+	"repro/internal/kvcache"
 	"repro/internal/model"
 	"repro/internal/router"
 	"repro/internal/sched"
@@ -205,6 +207,47 @@ func TestCheckRejectsMalformedRecords(t *testing.T) {
 			f.complete(rec)
 			if err := f.Check(1); (err != nil) != tc.bad {
 				t.Fatalf("Check = %v, want an error: %v", err, tc.bad)
+			}
+		})
+	}
+}
+
+// TestCheckRejectsLeakedCacheHolds drains a routed fleet and then leaks a
+// pin or a reservation on one instance's prefix cache, as an engine that
+// lost a release would: Check must fail until the hold is released.
+func TestCheckRejectsLeakedCacheHolds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hold func(t *testing.T, c *kvcache.Manager, now float64) (release func())
+	}{
+		{"pin", func(t *testing.T, c *kvcache.Manager, now float64) func() {
+			chain := kvcache.BlockHashes(make([]uint64, 4*c.BlockTokens()), c.BlockTokens())
+			c.InsertH(chain, now)
+			n, release := c.PinH(chain, now)
+			if n == 0 {
+				t.Fatal("the pin hit nothing")
+			}
+			return release
+		}},
+		{"reservation", func(t *testing.T, c *kvcache.Manager, now float64) func() {
+			_, release := c.Reserve(c.CapacityBytes() / 2)
+			return release
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var recs []stepRecord
+			f := steppingFleet(t, false, 0, &recs)
+			f.Run()
+			if err := f.Check(120); err != nil {
+				t.Fatal(err)
+			}
+			release := tc.hold(t, f.Engines()[1].Cache(), f.Clock().Now())
+			if err := f.Check(120); err == nil || !strings.Contains(err.Error(), "kvcache") {
+				t.Fatalf("Check = %v with a leaked %s, want the cache's error", err, tc.name)
+			}
+			release()
+			if err := f.Check(120); err != nil {
+				t.Fatalf("after the release: %v", err)
 			}
 		})
 	}

@@ -120,19 +120,22 @@ func (t *blockIndex) del(hash uint64) {
 	}
 }
 
-// prefixLen returns how many leading hashes of chain are keys. The keys
-// must be prefix-closed along chain — if chain[i] is a key, so is every
-// chain[j] with j < i — which lets it binary-search in O(log len(chain))
-// probes instead of walking the chain.
-func (t *blockIndex) prefixLen(chain []uint64) int {
+// prefix returns how many leading hashes of chain are keys, n, and the
+// slot of the last of them, chain[n-1] (-1 when n is 0). The keys must be
+// prefix-closed along chain — if chain[i] is a key, so is every chain[j]
+// with j < i — which lets it binary-search in O(log len(chain)) probes
+// instead of walking the chain. lo only moves on a hit, to just past it,
+// so the last hit probed is chain[n-1].
+func (t *blockIndex) prefix(chain []uint64) (n int, last int32) {
 	lo, hi := 0, len(chain)
+	last = -1
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if _, ok := t.get(chain[mid]); ok {
-			lo = mid + 1
+		if slot, ok := t.get(chain[mid]); ok {
+			lo, last = mid+1, slot
 		} else {
 			hi = mid
 		}
 	}
-	return lo
+	return lo, last
 }

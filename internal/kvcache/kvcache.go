@@ -12,7 +12,6 @@ package kvcache
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 )
 
 // Stats counts cache activity since construction.
@@ -68,16 +67,36 @@ type block struct {
 //
 // The GPU tier holds no pointers: blocks live in a slab addressed by
 // int32 slots and recycled through a free list, an open-addressing table
-// maps block hashes to slots, and the LRU heap, the walk scratch and the
-// pending change lists hold slots or hashes. Once the slab and table have
-// grown to the pool's size, an insert allocates nothing and the GC has
-// nothing in the cache to scan.
+// maps block hashes to slots, and the LRU heap and the pending change
+// lists hold slots or hashes. Once the slab and table have grown to the
+// pool's size, an insert allocates nothing and the GC has nothing in the
+// cache to scan.
+//
+// A hit costs O(log n) index probes for an n-block chain, not one per
+// block. LookupH, PinH and InsertH find a chain's cached prefix by binary
+// search, as PeekH does, and touch only the prefix's deepest block:
+//   - Pinning that block protects the whole prefix, because a block with
+//     children is never evictable.
+//   - Recency rule: a block's recency is the latest timestamp of any
+//     operation that touched it or a block below it. Only the deepest
+//     block is stamped, and remove folds a block's timestamp into its
+//     parent's with max before the parent can become evictable. So every
+//     block in the LRU heap, which has nothing below it, carries exactly
+//     the timestamp a stamp of every block of each touched prefix would
+//     have left, and eviction order is the same.
+//   - Precondition: timestamps never decrease from one operation to the
+//     next, as an engine's sim clock guarantees. An earlier stamp does not
+//     displace a later one already folded in.
+//   - Chains are root-anchored, as BlockHashes returns them. InsertH
+//     trusts this: it chains its first missing block onto the cached
+//     prefix's deepest block without probing the blocks after it.
 type Manager struct {
 	blockTokens   int
 	bytesPerBlock int64
 	capacity      int64
 	used          int64
 	reserved      int64
+	pinned        int // PinH handles holding a pin and not yet released
 
 	slab  []block
 	free  []int32 // slab slots not holding a block
@@ -88,10 +107,6 @@ type Manager struct {
 
 	subs    []func(ChangeEvent)
 	pending ChangeEvent
-
-	// scratch collects the slots an InsertH or PinH walk touches, so a
-	// walk does not grow a fresh slice block by block.
-	scratch []int32
 }
 
 // ChangeEvent describes the cache-membership changes of one operation:
@@ -285,19 +300,17 @@ func (m *Manager) Lookup(tokens []uint64, now float64) int {
 	return m.LookupH(m.blockHashes(tokens), now)
 }
 
-// LookupH is Lookup over a precomputed hash chain (see BlockHashes).
+// LookupH is Lookup over a precomputed hash chain (see BlockHashes). It
+// stamps only the hit prefix's deepest block (see Manager).
 func (m *Manager) LookupH(hashes []uint64, now float64) int {
 	m.stats.LookupTokens += int64(len(hashes) * m.blockTokens)
-	hit := 0
-	for _, hash := range hashes {
-		i, ok := m.index.get(hash)
-		if !ok {
-			break
-		}
-		m.slab[i].lastUsed = now
-		m.lru.fix(m.slab, i)
-		hit += m.blockTokens
+	n, i := m.index.prefix(hashes)
+	if n == 0 {
+		return 0
 	}
+	m.slab[i].lastUsed = now
+	m.lru.fix(m.slab, i)
+	hit := n * m.blockTokens
 	m.stats.HitTokens += int64(hit)
 	return hit
 }
@@ -316,7 +329,8 @@ func (m *Manager) Peek(tokens []uint64) int {
 // always a prefix of it and PeekH binary-searches for its end in
 // O(log len(hashes)) probes.
 func (m *Manager) PeekH(hashes []uint64) int {
-	return m.index.prefixLen(hashes) * m.blockTokens
+	n, _ := m.index.prefix(hashes)
+	return n * m.blockTokens
 }
 
 // CommonPrefix returns how many leading hashes two root-anchored chains
@@ -380,6 +394,15 @@ func (m *Manager) Reserve(bytes int64) (shortfall int64, release func()) {
 // requests.
 func (m *Manager) ReservedBytes() int64 { return m.reserved }
 
+// CheckIdle reports what a drained engine must not hold: a pin that was
+// never released, or reserved bytes.
+func (m *Manager) CheckIdle() error {
+	if m.pinned != 0 || m.reserved != 0 {
+		return fmt.Errorf("kvcache: %d pins and %d reserved bytes still held", m.pinned, m.reserved)
+	}
+	return nil
+}
+
 // Pin marks the cached prefix of the sequence as in-use (unevictable) and
 // returns the pinned token count along with a release function. Engines pin
 // a request's hit prefix for the duration of its execution.
@@ -388,44 +411,42 @@ func (m *Manager) Pin(tokens []uint64, now float64) (int, func()) {
 }
 
 // PinH is Pin over a precomputed hash chain. Like Lookup, it counts
-// toward the hit-rate statistics (engines pin instead of looking up).
+// toward the hit-rate statistics (engines pin instead of looking up). It
+// pins and stamps only the hit prefix's deepest block, which keeps every
+// block above it cached (see Manager).
 func (m *Manager) PinH(hashes []uint64, now float64) (int, func()) {
 	m.stats.LookupTokens += int64(len(hashes) * m.blockTokens)
-	walk := m.scratch[:0]
-	for _, hash := range hashes {
-		i, ok := m.index.get(hash)
-		if !ok {
-			break
-		}
-		m.slab[i].pins++
-		m.lru.remove(m.slab, i)
-		m.slab[i].lastUsed = now
-		walk = append(walk, i)
+	n, i := m.index.prefix(hashes)
+	if n == 0 {
+		return 0, noRelease
 	}
-	hit := len(walk) * m.blockTokens
+	hit := n * m.blockTokens
 	m.stats.HitTokens += int64(hit)
-	// The release outlives this call: copy the hit prefix out of the
-	// scratch at its exact size (nothing on a miss). A pinned block is
-	// never freed, so its slot stays its own until the release.
-	pinned := slices.Clone(walk)
-	m.scratch = walk[:0]
+	m.pin(i, now)
+	m.pinned++
+	// A pinned block is never freed, so slot i stays its own until the
+	// release.
 	released := false
 	return hit, func() {
 		if released {
 			return
 		}
 		released = true
-		m.unpin(pinned)
-	}
-}
-
-// unpin drops one pin from each slot, making the blocks left with no
-// pins and no children evictable.
-func (m *Manager) unpin(slots []int32) {
-	for _, i := range slots {
+		m.pinned--
 		m.slab[i].pins--
 		m.maybeEvictable(i)
 	}
+}
+
+// noRelease is the release of a pin that pinned nothing.
+func noRelease() {}
+
+// pin stamps block i with now and pins it, taking it out of the LRU heap.
+func (m *Manager) pin(i int32, now float64) {
+	b := &m.slab[i]
+	b.lastUsed = now
+	b.pins++
+	m.lru.remove(m.slab, i)
 }
 
 // maybeEvictable inserts block i into the LRU heap when it has become
@@ -442,9 +463,9 @@ func (m *Manager) maybeEvictable(i int32) {
 // first block for which space cannot be reclaimed — this is suffix
 // discarding: the prefix stays, the suffix is dropped.
 //
-// The chain being inserted is pinned while the walk is in progress so that
-// reclaim can never evict a block that a subsequent block of the same
-// request is about to chain onto.
+// The deepest block of the chain so far stays pinned while the insertion
+// is in progress, so that reclaim can never evict the block the next one
+// is about to chain onto, nor (having a child) any block above it.
 func (m *Manager) Insert(tokens []uint64, limit int, now float64) int {
 	if limit > len(tokens) {
 		limit = len(tokens)
@@ -455,53 +476,51 @@ func (m *Manager) Insert(tokens []uint64, limit int, now float64) int {
 	return m.InsertH(m.blockHashes(tokens[:limit]), now)
 }
 
-// InsertH is Insert over a precomputed hash chain (all given blocks are
-// candidates; trim the chain to express a limit).
+// InsertH is Insert over a precomputed, root-anchored hash chain (all
+// given blocks are candidates; trim the chain to express a limit). The
+// GPU tier is prefix-closed, so every block after the cached prefix,
+// which a binary search finds, is missing and is inserted without a
+// lookup.
 func (m *Manager) InsertH(hashes []uint64, now float64) int {
 	defer m.flushChanges()
-	cached := 0
-	parent := int32(-1)
-	path := m.scratch[:0]
-	for k, hash := range hashes {
-		if i, ok := m.index.get(hash); ok {
-			b := &m.slab[i]
-			b.lastUsed = now
-			b.pins++
-			m.lru.remove(m.slab, i)
-			path = append(path, i)
-			cached += m.blockTokens
-			parent = i
-			continue
-		}
+	n, tip := m.index.prefix(hashes)
+	if n > 0 {
+		m.pin(tip, now)
+	}
+	for k := n; k < len(hashes); k++ {
 		if !m.reclaim(m.bytesPerBlock) {
 			m.stats.RejectedBlocks += int64(len(hashes) - k)
 			break
 		}
+		hash := hashes[k]
 		if m.host != nil {
 			// The block now lives in the GPU tier; drop the host copy.
 			m.host.remove(hash)
 		}
 		i := m.alloc()
 		b := &m.slab[i]
-		*b = block{hash: hash, lastUsed: now, parent: parent, depth: 1, pins: 1, heapIdx: -1}
-		if parent >= 0 {
-			p := &m.slab[parent]
+		*b = block{hash: hash, lastUsed: now, parent: tip, depth: 1, pins: 1, heapIdx: -1}
+		if tip >= 0 {
+			// The pin moves to the new block: its child keeps the tip.
+			p := &m.slab[tip]
 			b.depth = p.depth + 1
 			p.children++
+			p.pins--
 		}
 		m.index.put(hash, i)
 		m.used += m.bytesPerBlock
 		if len(m.subs) > 0 {
 			m.pending.Inserted = append(m.pending.Inserted, hash)
 		}
-		path = append(path, i)
 		m.stats.InsertedBlocks++
-		cached += m.blockTokens
-		parent = i
+		n++
+		tip = i
 	}
-	m.unpin(path)
-	m.scratch = path[:0]
-	return cached
+	if tip >= 0 {
+		m.slab[tip].pins--
+		m.maybeEvictable(tip)
+	}
+	return n * m.blockTokens
 }
 
 // alloc returns a free slab slot, growing the slab when none is free.
@@ -531,7 +550,8 @@ func (m *Manager) reclaim(need int64) bool {
 // remove drops evictable block i from the GPU tier and frees its slot.
 // With demote set and the host tier enabled, the block moves to the host
 // tier (eviction); otherwise it is destroyed (a crash). Its parent loses
-// a child and may become evictable.
+// a child and may become evictable, so first it takes i's timestamp if
+// that is later: the recency rule (see Manager).
 func (m *Manager) remove(i int32, demote bool) {
 	b := &m.slab[i]
 	m.index.del(b.hash)
@@ -545,14 +565,17 @@ func (m *Manager) remove(i int32, demote bool) {
 		m.stats.OffloadedBlocks++
 	}
 	if p := b.parent; p >= 0 {
-		m.slab[p].children--
+		pb := &m.slab[p]
+		pb.lastUsed = max(pb.lastUsed, b.lastUsed)
+		pb.children--
 		m.maybeEvictable(p)
 	}
 	*b = block{}
 	m.free = append(m.free, i)
 }
 
-// EvictAll drops every unpinned block (used by tests and by engines on
+// EvictAll drops every block that no pin holds: all but the pinned
+// blocks and the blocks above them (used by tests and by engines on
 // reconfiguration).
 func (m *Manager) EvictAll() {
 	defer m.flushChanges()

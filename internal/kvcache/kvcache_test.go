@@ -469,3 +469,95 @@ func BenchmarkCacheInsertEvict(b *testing.B) {
 		m.InsertH(chains[i%2], float64(i+1))
 	}
 }
+
+// hitPathProfileBlocks and hitPathSuffixBlocks shape a request of the
+// benchmark's prefix-reuse workload (WL1): an 845-block user profile and
+// a 30-block post, 875 blocks of which ~97% hit.
+const (
+	hitPathProfileBlocks = 845
+	hitPathSuffixBlocks  = 30
+	hitPathChains        = 128
+)
+
+// hitPathPool returns a warm pool holding an 845-block profile and 64
+// requests' 30-block posts, and 128 request chains that share the
+// profile and each end in their own post. The pool is 2,765 blocks, so
+// by the time a chain comes round again its post has been evicted: each
+// request hits the profile and inserts its post fresh, evicting the
+// oldest post.
+func hitPathPool(tb testing.TB) (*Manager, [][]uint64) {
+	m, err := New(Config{BlockTokens: 16, BytesPerToken: 1, CapacityBytes: (hitPathProfileBlocks + 64*hitPathSuffixBlocks) * 16})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	profile := randTokens(rng, hitPathProfileBlocks*16)
+	chains := make([][]uint64, hitPathChains)
+	for i := range chains {
+		toks := append(slices.Clone(profile), randTokens(rng, hitPathSuffixBlocks*16)...)
+		chains[i] = BlockHashes(toks, 16)
+	}
+	for i, chain := range chains {
+		m.InsertH(chain, float64(i))
+	}
+	return m, chains
+}
+
+// hitPathRequest serves a chain at time now as an engine does: pin the
+// cached prefix at dispatch, release it and insert the chain at finish.
+func hitPathRequest(m *Manager, chain []uint64, now float64) {
+	_, release := m.PinH(chain, now)
+	release()
+	m.InsertH(chain, now)
+}
+
+// TestHitPathAllocs pins the hit path's allocations: inserting a request's
+// chain onto its cached profile allocates nothing, and a pin allocates at
+// most its release closure and the flag the closure captures.
+func TestHitPathAllocs(t *testing.T) {
+	m, chains := hitPathPool(t)
+	now := float64(len(chains))
+	k := 0
+	next := func() []uint64 {
+		k++
+		now++
+		return chains[k%len(chains)]
+	}
+	if allocs := testing.AllocsPerRun(50, func() { m.InsertH(next(), now) }); allocs != 0 {
+		t.Fatalf("InsertH of a request onto its cached profile allocated %v times per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		_, release := m.PinH(next(), now)
+		release()
+	}); allocs > 2 {
+		t.Fatalf("PinH and its release allocated %v times per call, want at most 2", allocs)
+	}
+	hitPathRequest(m, next(), now)
+	if got, want := m.PeekH(chains[k%len(chains)]), (hitPathProfileBlocks+hitPathSuffixBlocks)*16; got != want {
+		t.Fatalf("after a request its chain hits %d tokens, want all %d", got, want)
+	}
+	if got, want := m.PeekH(chains[(k+1)%len(chains)]), hitPathProfileBlocks*16; got != want {
+		t.Fatalf("a chain not served in the last 64 requests hits %d tokens, want the %d-token profile", got, want)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckIdle(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkCacheHitPath serves one prefix-reuse-shaped request per op
+// against a warm pool: PinH of an 875-block chain whose 845-block profile
+// is cached, its release, and InsertH of the chain, which adds a fresh
+// 30-block post and evicts the oldest one.
+func BenchmarkCacheHitPath(b *testing.B) {
+	m, chains := hitPathPool(b)
+	now := float64(len(chains))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now++
+		hitPathRequest(m, chains[i%len(chains)], now)
+	}
+}

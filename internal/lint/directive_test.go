@@ -42,6 +42,7 @@ func TestScopeMatching(t *testing.T) {
 		{"repro/internal/ringbuf", InDeterministicSet, false},
 		{"repro/internal/engine", InHotPath, true},
 		{"repro/internal/sched", InHotPath, true},
+		{"repro/internal/server", InHotPath, true},
 		{"repro/internal/router", InHotPath, false},
 		{"repro/internal/sim", IsSimPackage, true},
 		{"repro/internal/simulator", IsSimPackage, false},

@@ -8,9 +8,9 @@ import (
 
 // HotPathAlloc guards the zero-alloc event discipline:
 //
-//  1. In the scheduling hot-path packages (engine, sched), passing a
-//     function literal or a bound method value to any sim-package
-//     scheduling call allocates a closure per event — the PR 5
+//  1. In the scheduling hot-path packages (engine, sched, server),
+//     passing a function literal or a bound method value to any
+//     sim-package scheduling call allocates a closure per event — the PR 5
 //     regression vector that the AtFunc/AfterFunc fast path (package-
 //     level callback + payload argument) exists to avoid.
 //  2. In the whole deterministic core, importing container/heap is
@@ -19,7 +19,7 @@ import (
 //     sched indexed heap are hand-rolled value heaps.
 var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
-	Doc: "flag closure arguments to sim scheduling calls in engine/sched " +
+	Doc: "flag closure arguments to sim scheduling calls in engine, sched and server " +
 		"and container/heap imports in the deterministic core",
 	Run: runHotPathAlloc,
 }

@@ -17,6 +17,13 @@ func TestHotPathAllocFixture(t *testing.T) {
 func TestHotPathAllocScopedToEngineSched(t *testing.T) {
 	diags := linttest.Run(t, "testdata", lint.HotPathAlloc, "hotpathalloc/internal/router")
 	if len(diags) != 0 {
-		t.Fatalf("hotpathalloc flagged a coordinator-side closure outside engine/sched: %v", diags)
+		t.Fatalf("hotpathalloc flagged a coordinator-side closure outside engine, sched and server: %v", diags)
+	}
+}
+
+func TestHotPathAllocServerFixture(t *testing.T) {
+	diags := linttest.Run(t, "testdata", lint.HotPathAlloc, "hotpathalloc/internal/server")
+	if len(diags) != 1 {
+		t.Fatalf("hotpathalloc produced %d diagnostics on the server fixture, want its one closure: %v", len(diags), diags)
 	}
 }

@@ -22,8 +22,9 @@ var DeterministicPackages = []string{
 
 // HotPathPackages are the packages whose event-scheduling call sites
 // must stay on the zero-alloc AtFunc/AfterFunc fast path (the PR 5
-// closure-boxing regression vector).
-var HotPathPackages = []string{"engine", "sched"}
+// closure-boxing regression vector): the engines and schedulers, and the
+// HTTP frontend, which steps the simulator on every served request.
+var HotPathPackages = []string{"engine", "sched", "server"}
 
 // ExportPackages are the export/bench paths whose emitted artifacts are
 // under byte-identity contracts (sweep JSON, trace export, time-series
