@@ -74,7 +74,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/fleet"
-	"repro/internal/router"
 	"repro/internal/timeseries"
 	"repro/internal/trace"
 )
@@ -481,23 +480,14 @@ type instrumentedRun func(shards int, instrument func(*fleet.Spec)) (*experiment
 // own cells stay uninstrumented and their determinism and allocation
 // profile untouched. Each run takes a fresh clone of the dataset.
 func affinityRun(o options) (instrumentedRun, error) {
-	sc, err := experiments.ScenarioByName("L4")
+	cell, ds, arr, err := experiments.RoutingAffinityCell(o.seed, o.small)
 	if err != nil {
 		return nil, err
 	}
-	const instances = 4
-	ds := experiments.RoutingDatasets(o.seed, o.small)[0]
-	sat, err := experiments.SaturationQPS(experiments.PrefillOnly, sc, ds.Clone())
-	if err != nil {
-		return nil, fmt.Errorf("routing saturation on %s: %w", ds.Name, err)
-	}
-	arr := experiments.Arrivals{QPS: sat * instances / 2 * 0.9, Seed: o.seed}
+	cell.SampleSeconds = 0.5
 	return func(shards int, instrument func(*fleet.Spec)) (*experiments.FleetResult, error) {
-		spec := fleet.Spec{
-			Model: sc.Model, GPU: sc.GPU, Instances: instances,
-			Router: &router.Config{Policy: router.AffinityLoad{}},
-			Shards: shards, SampleSeconds: 0.5,
-		}
+		spec := cell
+		spec.Shards = shards
 		instrument(&spec)
 		return experiments.FleetRun(spec, ds.Clone(), arr)
 	}, nil

@@ -160,3 +160,26 @@ func (s sweep[R]) run(parallel, shards int) ([]R, CellStats, error) {
 	}
 	return rows, stats, nil
 }
+
+// cell returns the named cell on dataset data as run executes it, shards
+// aside: its spec on the sweep's scenario, the base dataset (clone it for
+// each run) and its arrivals. It measures only that dataset's saturation;
+// the other datasets' cells are built at rate 0 and dropped.
+func (s sweep[R]) cell(name string, data int) (fleet.Spec, *workload.Dataset, Arrivals, error) {
+	sc, err := ScenarioByName("L4")
+	if err != nil {
+		return fleet.Spec{}, nil, Arrivals{}, err
+	}
+	ds := s.datasets[data]
+	sat := make([]float64, len(s.datasets))
+	if sat[data], err = SaturationQPS(PrefillOnly, sc, ds.Clone()); err != nil {
+		return fleet.Spec{}, nil, Arrivals{}, fmt.Errorf("%s saturation on %s: %w", s.name, ds.Name, err)
+	}
+	for _, c := range s.cells(sat) {
+		if c.name == name && c.data == data {
+			c.spec.Model, c.spec.GPU = sc.Model, sc.GPU
+			return c.spec, ds, c.arrivals, nil
+		}
+	}
+	return fleet.Spec{}, nil, Arrivals{}, fmt.Errorf("%s: no %s cell on %s", s.name, name, ds.Name)
+}

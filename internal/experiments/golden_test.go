@@ -14,11 +14,14 @@ type goldenCase struct {
 	run  func() (any, error)
 }
 
-// paperGoldens are the §7 reproduction runs whose rows are committed as
-// golden JSON: Figure 6's two scaled-down L4 panels (all five engines over
-// the QPS grid), Figure 8's and Figure 9's H100 throughput studies (the
-// chunked, PP and TP engines on H100) and Figure 11's λ sweep. The shape
-// tests elsewhere accept wide ranges; these catch any change to a single
+// paperGoldens are the reproduction runs whose rows are committed as
+// golden JSON: Table 2's maximum input lengths, the §2.3 generative
+// slowdown, the §6.3 JCT-proxy correlation, Figure 6's two scaled-down L4
+// panels (all five engines over the QPS grid), Figure 8's and Figure 9's
+// H100 throughput studies (the chunked, PP and TP engines on H100) and
+// Figure 11's λ sweep. Figure 7's -small L4 panel is the Figure 6 panel's
+// P99Latency column, so the Figure 6 goldens pin it too. The shape tests
+// elsewhere accept wide ranges; these catch any change to a single
 // reproduced number.
 func paperGoldens() []goldenCase {
 	panel := func(kind DatasetKind) func() (any, error) {
@@ -33,6 +36,12 @@ func paperGoldens() []goldenCase {
 		}
 	}
 	return []goldenCase{
+		{"table2.json", func() (any, error) {
+			rows, _, err := Table2Parallel(2)
+			return rows, err
+		}},
+		{"sec23.json", func() (any, error) { return Section23(64) }},
+		{"sec63.json", func() (any, error) { return Section63() }},
 		{"fig6_L4_post_small.json", panel(PostRecommendation)},
 		{"fig6_L4_credit_small.json", panel(CreditVerification)},
 		{"fig8.json", func() (any, error) {

@@ -53,6 +53,18 @@ func RoutingDatasets(seed int64, small bool) []*workload.Dataset {
 // workers and run on shards kernel workers; rows are byte-identical at
 // any count of either.
 func RoutingSweepParallel(seed int64, small bool, parallel, shards int) ([]RoutingSweepRow, CellStats, error) {
+	return routingSweep(seed, small).run(parallel, shards)
+}
+
+// RoutingAffinityCell is the routing sweep's affinity cell on its
+// Zipf-skewed dataset, for an instrumented run beside the sweep: the
+// fleet spec, the base dataset (clone it for each run) and the arrivals.
+func RoutingAffinityCell(seed int64, small bool) (fleet.Spec, *workload.Dataset, Arrivals, error) {
+	return routingSweep(seed, small).cell(router.AffinityLoad{}.Name(), 0)
+}
+
+// routingSweep is the routing comparison's datasets, cells and rows.
+func routingSweep(seed int64, small bool) sweep[RoutingSweepRow] {
 	const instances = 4
 	return sweep[RoutingSweepRow]{
 		name:     "routing",
@@ -85,7 +97,7 @@ func RoutingSweepParallel(seed int64, small bool, parallel, shards int) ([]Routi
 				Rejected:      r.Fleet.Rejected(),
 			}
 		},
-	}.run(parallel, shards)
+	}
 }
 
 // balanceRatio is max/min per-instance routed tokens (+Inf when an

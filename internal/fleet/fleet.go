@@ -1,6 +1,6 @@
 // Package fleet assembles a simulated serving fleet from a declarative
 // Spec: the event kernel, the engine instances on their shard clocks, the
-// frontend that routes requests to them, and the optional autoscaler,
+// router that routes requests to them, and the optional autoscaler,
 // fault injector, flight recorder and time-series collector. The library
 // facade, the HTTP server and every experiment build their fleets here,
 // so each subsystem is wired in one place.
@@ -20,7 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/hw"
-	"repro/internal/kvcache"
 	"repro/internal/model"
 	"repro/internal/router"
 	"repro/internal/sched"
@@ -72,10 +71,11 @@ type Spec struct {
 	// Autoscale.MinInstances instead, and Instances is its default
 	// ceiling.
 	Instances int
-	// Router routes requests through internal/router with this config
-	// (its Tracer defaults to the fleet's). Nil keeps the paper's §7.1
-	// frontend: users go to instances round-robin in order of first
-	// appearance and stay there.
+	// Router configures the fleet's internal/router (its Tracer defaults
+	// to the fleet's). Nil routes with a fresh router.FirstSeen, the
+	// paper's §7.1 frontend: users go to instances round-robin in order of
+	// first appearance and stay there. That assignment assumes a fixed
+	// pool, so Autoscale and Chaos require a Router.
 	Router *router.Config
 	// Autoscale enables the elastic pool (requires Router). Its Model,
 	// GPU and Tracer default to the fleet's.
@@ -112,7 +112,6 @@ type Fleet struct {
 	built   int      // instances ever built: the next shard-rotation index
 	gpus    int      // GPUs provisioned at construction
 
-	users   *firstSeen // §7.1 frontend (nil with a Router)
 	rt      *router.Router
 	ctl     *autoscale.Controller
 	inj     *chaos.Injector
@@ -125,7 +124,7 @@ type Fleet struct {
 }
 
 // New validates the spec, builds the initial instances (each runs its
-// profile and sizes its prefix-cache pool) and the frontend, and arms the
+// profile and sizes its prefix-cache pool) and the router, and arms the
 // fleet's tick loops.
 func New(spec Spec) (*Fleet, error) {
 	switch spec.Engine {
@@ -184,34 +183,31 @@ func New(spec Spec) (*Fleet, error) {
 		engines[i] = e
 		f.gpus += e.GPUs()
 	}
-	if spec.Router == nil {
-		users, err := newFirstSeen(engines)
-		if err != nil {
-			return nil, err
-		}
-		f.users = users
-	} else {
-		rcfg := *spec.Router
-		if rcfg.Tracer == nil {
-			rcfg.Tracer = spec.Tracer
-		}
-		rt, err := router.New(rcfg, engines...)
-		if err != nil {
-			return nil, err
-		}
-		f.rt = rt
-		if spec.Autoscale != nil {
-			if f.ctl, err = autoscale.New(acfg, f.kern, rt, f.build); err != nil {
-				return nil, err
-			}
-		}
-		f.inj = chaos.New(spec.Chaos, f.kern, rt, chaos.Options{
-			Controller: f.ctl,
-			Tracer:     spec.Tracer,
-			Timeseries: spec.Timeseries,
-			OnShed:     f.shed,
-		})
+	// A fresh policy per fleet: FirstSeen is stateful, and parallel sweep
+	// cells must share nothing.
+	rcfg := router.Config{Policy: &router.FirstSeen{}}
+	if spec.Router != nil {
+		rcfg = *spec.Router
 	}
+	if rcfg.Tracer == nil {
+		rcfg.Tracer = spec.Tracer
+	}
+	rt, err := router.New(rcfg, engines...)
+	if err != nil {
+		return nil, err
+	}
+	f.rt = rt
+	if spec.Autoscale != nil {
+		if f.ctl, err = autoscale.New(acfg, f.kern, rt, f.build); err != nil {
+			return nil, err
+		}
+	}
+	f.inj = chaos.New(spec.Chaos, f.kern, rt, chaos.Options{
+		Controller: f.ctl,
+		Tracer:     spec.Tracer,
+		Timeseries: spec.Timeseries,
+		OnShed:     f.shed,
+	})
 	spec.Timeseries.SetSample(f.Gauges)
 	if spec.Tracer != nil && spec.SampleSeconds > 0 {
 		f.sampler = trace.NewSampler(f.kern, spec.SampleSeconds, f.SampleTrace)
@@ -275,7 +271,7 @@ func (f *Fleet) Submit(r *sched.Request) error {
 	ts := f.spec.Timeseries
 	ts.Arrival(now, r.Class)
 	ts.Start()
-	err := f.route(r)
+	err := f.rt.Submit(r)
 	// After routing: a fault stream without a horizon only arms while
 	// events are pending, and the request's own events now are.
 	f.startLoops()
@@ -297,15 +293,6 @@ func (f *Fleet) Submit(r *sched.Request) error {
 	return err
 }
 
-// route hands a request to the active frontend.
-func (f *Fleet) route(r *sched.Request) error {
-	if f.rt == nil {
-		f.users.submit(r)
-		return nil
-	}
-	return f.rt.Submit(r)
-}
-
 // SubmitAt schedules a request's arrival at absolute simulated time t.
 // Arrivals land on the coordinator clock, because routing is cross-shard
 // work. Sheds are counted; Check reports routing bugs.
@@ -319,9 +306,7 @@ func (f *Fleet) arriveEvent(arg any) { _ = f.Submit(arg.(*sched.Request)) }
 
 // complete is the fleet's completion sink.
 func (f *Fleet) complete(r engine.Record) {
-	if f.rt != nil {
-		f.rt.Completed(r)
-	}
+	f.rt.Completed(r)
 	f.completed++
 	// Three comparisons: a request starts after it arrives, finishes after
 	// it starts, and hits at most its own input in the cache.
@@ -381,10 +366,8 @@ func (f *Fleet) Check(offered int) error {
 		return fmt.Errorf("fleet: %d completed + %d rejected + %d orphan-shed of %d requests",
 			f.completed, f.rejected, f.orphanShed, offered)
 	}
-	if f.rt != nil {
-		if err := f.rt.CheckIdle(); err != nil {
-			return err
-		}
+	if err := f.rt.CheckIdle(); err != nil {
+		return err
 	}
 	for i, e := range f.Engines() {
 		if c := e.Cache(); c != nil {
@@ -405,55 +388,36 @@ func (f *Fleet) pendingInstances() int {
 }
 
 // Gauges samples the fleet for a time-series window: queue depth and
-// backlog (routed fleets, where the router prices them), pool size and
-// pending cold starts, GPU-seconds and the cumulative cache hit ratio.
+// backlog as the router prices them, pool size and pending cold starts,
+// GPU-seconds and the cumulative cache hit ratio.
 func (f *Fleet) Gauges(now float64) timeseries.Gauges {
 	var g timeseries.Gauges
-	if f.rt != nil {
-		for _, info := range f.rt.InstanceInfos() {
-			g.QueuedRequests += info.Load.QueuedRequests
-			g.BacklogSeconds += info.Load.BacklogSeconds
-		}
-		g.PoolSize = f.rt.Routable()
-		g.PendingInstances = f.pendingInstances()
-	} else {
-		g.PoolSize = len(f.users.instances)
+	for _, info := range f.rt.InstanceInfos() {
+		g.QueuedRequests += info.Load.QueuedRequests
+		g.BacklogSeconds += info.Load.BacklogSeconds
 	}
+	g.PoolSize = f.rt.Routable()
+	g.PendingInstances = f.pendingInstances()
 	g.GPUSeconds = f.GPUSeconds(now)
 	g.CacheHitRatio = f.CacheHitRate()
 	return g
 }
 
 // SampleTrace emits the fleet gauges into the flight recorder:
-// per-instance load (routed fleets), pool size with pending cold starts,
-// and cache residency.
+// per-instance load, pool size with pending cold starts, and cache
+// residency.
 func (f *Fleet) SampleTrace(now float64) {
 	rec := f.spec.Tracer
-	if f.rt != nil {
-		for _, info := range f.rt.InstanceInfos() {
-			rec.LoadGauge(now, info.ID, info.Load.QueuedRequests, info.Load.BacklogSeconds)
-		}
-		rec.PoolGauge(now, f.rt.Routable(), f.pendingInstances())
-	} else {
-		rec.PoolGauge(now, len(f.users.instances), 0)
+	for _, info := range f.rt.InstanceInfos() {
+		rec.LoadGauge(now, info.ID, info.Load.QueuedRequests, info.Load.BacklogSeconds)
 	}
+	rec.PoolGauge(now, f.rt.Routable(), f.pendingInstances())
 	rec.SampleCaches(now)
 }
 
 // CacheHitRate is hit tokens over looked-up tokens across every instance
 // the fleet has run, released ones included.
-func (f *Fleet) CacheHitRate() float64 {
-	if f.rt != nil {
-		return f.rt.CacheStats().HitRate()
-	}
-	var st kvcache.Stats
-	for _, e := range f.users.instances {
-		if c := e.Cache(); c != nil {
-			st.Add(c.Stats())
-		}
-	}
-	return st.HitRate()
-}
+func (f *Fleet) CacheHitRate() float64 { return f.rt.CacheStats().HitRate() }
 
 // GPUSeconds is the fleet's provisioning cost up to now: the autoscaler's
 // accrued integral, or the GPUs provisioned at construction × time for a
@@ -470,14 +434,10 @@ func (f *Fleet) GPUSeconds(now float64) float64 {
 func (f *Fleet) Clock() *sim.Sim { return f.kern }
 
 // Engines returns the live instances in slot order.
-func (f *Fleet) Engines() []engine.Engine {
-	if f.rt != nil {
-		return f.rt.Instances()
-	}
-	return append([]engine.Engine(nil), f.users.instances...)
-}
+func (f *Fleet) Engines() []engine.Engine { return f.rt.Instances() }
 
-// Router returns the routing frontend (nil on a §7.1 fleet).
+// Router returns the routing frontend, never nil: on a §7.1 fleet its
+// policy is router.FirstSeen.
 func (f *Fleet) Router() *router.Router { return f.rt }
 
 // Autoscaler returns the pool controller (nil without Autoscale).

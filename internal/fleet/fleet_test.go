@@ -252,3 +252,65 @@ func TestCheckRejectsLeakedCacheHolds(t *testing.T) {
 		})
 	}
 }
+
+// TestSubmitRoutesByUser drives a §7.1 fleet end to end: user 0's two
+// requests share an instance and queue behind each other, while user 1's
+// request runs on the other instance without waiting.
+func TestSubmitRoutesByUser(t *testing.T) {
+	recs := map[int64]engine.Record{}
+	f, err := New(Spec{
+		Engine: PagedAttention, Model: model.Llama31_8B(), GPU: hw.L4(),
+		ProfileMaxLen: 2000, Instances: 2,
+		OnComplete: func(r engine.Record) { recs[r.Req.ID] = r },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(id int64, user int) *sched.Request {
+		toks := make([]uint64, 1000)
+		for i := range toks {
+			toks[i] = uint64(user)<<32 | uint64(i)
+		}
+		return &sched.Request{ID: id, UserID: user, Tokens: toks}
+	}
+	f.SubmitAt(0, mk(1, 0))
+	f.SubmitAt(0, mk(2, 1))
+	f.SubmitAt(0, mk(3, 0))
+	f.RunUntil(0)
+	// The router prices a §7.1 fleet's queues, so its gauges see them.
+	if g := f.Gauges(0); g.QueuedRequests != 3 || g.BacklogSeconds <= 0 {
+		t.Errorf("gauges after the arrivals: %d queued requests, %gs backlog", g.QueuedRequests, g.BacklogSeconds)
+	}
+	f.Run()
+	if err := f.Check(3); err != nil {
+		t.Fatal(err)
+	}
+	if recs[2].Start != 0 {
+		t.Errorf("user 1's request waited until %g behind user 0's", recs[2].Start)
+	}
+	if recs[3].Start < recs[1].Finish {
+		t.Errorf("user 0's second request started at %g, before its first finished at %g",
+			recs[3].Start, recs[1].Finish)
+	}
+}
+
+// TestNewRejectsEmptyFleet: a fleet rejects an empty instance list, an
+// unknown engine, and chaos on the §7.1 fleet, whose assignment assumes a
+// fixed pool; the spec is validated before any profile run.
+func TestNewRejectsEmptyFleet(t *testing.T) {
+	base := Spec{Model: model.Llama31_8B(), GPU: hw.L4(), ProfileMaxLen: 2000}
+	if _, err := New(base); err == nil {
+		t.Error("zero-instance fleet accepted")
+	}
+	bad := base
+	bad.Instances, bad.Engine = 1, "warp-drive"
+	if _, err := New(bad); err == nil {
+		t.Error("unknown engine accepted")
+	}
+	bad = base
+	bad.Instances = 1
+	bad.Chaos.CrashRate = 1
+	if _, err := New(bad); err == nil {
+		t.Error("chaos without a router accepted")
+	}
+}

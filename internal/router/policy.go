@@ -1,8 +1,10 @@
 package router
 
 import (
+	"cmp"
 	"fmt"
 
+	"repro/internal/ringbuf"
 	"repro/internal/sched"
 )
 
@@ -59,11 +61,76 @@ func hashUser(userID int) uint64 {
 // homeOf returns the user's hash-affinity home instance.
 func homeOf(userID, n int) int { return int(hashUser(userID) % uint64(n)) }
 
-// UserHash is the paper's §7.1 baseline for ablation: every request of a
-// user goes to a fixed instance determined by hashing the user ID. Unlike
-// internal/fleet's first-appearance round-robin it keeps no per-user
-// state, so it scales to millions of users, but it is load-blind: a hot
-// user or a long prompt swamps its home instance while neighbors idle.
+// maxTrackedUsers bounds FirstSeen's per-user table so million-user
+// traffic cannot grow it without limit. Past the bound the
+// longest-tracked user is forgotten (FIFO) and re-assigned round-robin on
+// its next request, giving up that user's prefix locality.
+const maxTrackedUsers = 1 << 20
+
+// FirstSeen is the paper's §7.1 user-id routing and a fleet's policy when
+// its spec has no router config: every request from one user goes to the
+// same instance, and users are assigned to instances in round-robin order
+// of first appearance, so per-user prefix caches stay local to one device.
+// It keeps per-user state, so each router needs its own *FirstSeen; the
+// zero value is ready to use. It assumes a fixed pool, so a fleet with an
+// autoscaler or fault injection needs another policy.
+type FirstSeen struct {
+	byUser map[int]int
+	// order holds tracked user IDs in assignment order (FIFO eviction).
+	// A ring rather than a slice advanced with `order = order[1:]`:
+	// under churn at the cap, the slice advance would regrow the backing
+	// array on every append while pinning every evicted slot.
+	order    ringbuf.Ring[int]
+	next     int
+	maxUsers int // 0 means maxTrackedUsers
+}
+
+// Name implements Policy.
+func (*FirstSeen) Name() string { return "firstseen" }
+
+// Pick implements Policy: the user's instance, assigning a new user the
+// next one round-robin.
+func (p *FirstSeen) Pick(r *sched.Request, v View) int {
+	if idx, ok := p.byUser[r.UserID]; ok {
+		return idx
+	}
+	if p.byUser == nil {
+		p.byUser = make(map[int]int)
+	}
+	if len(p.byUser) >= cmp.Or(p.maxUsers, maxTrackedUsers) {
+		p.evictOldest()
+	}
+	idx := p.next
+	p.next = (p.next + 1) % v.Instances()
+	p.byUser[r.UserID] = idx
+	p.order.PushBack(r.UserID)
+	return idx
+}
+
+// setMaxTrackedUsers overrides the table bound, evicting down to it.
+func (p *FirstSeen) setMaxTrackedUsers(n int) error {
+	if n <= 0 {
+		return fmt.Errorf("router: max tracked users must be positive, got %d", n)
+	}
+	p.maxUsers = n
+	for len(p.byUser) > n {
+		p.evictOldest()
+	}
+	return nil
+}
+
+// evictOldest forgets the longest-tracked user.
+func (p *FirstSeen) evictOldest() {
+	if user, ok := p.order.PopFront(); ok {
+		delete(p.byUser, user)
+	}
+}
+
+// UserHash is the paper's §7.1 assignment made stateless, for ablation:
+// every request of a user goes to a fixed instance determined by hashing
+// the user ID. Unlike FirstSeen it keeps no per-user state, so it scales
+// to millions of users, but it is load-blind: a hot user or a long prompt
+// swamps its home instance while neighbors idle.
 type UserHash struct{}
 
 // Name implements Policy.

@@ -2,13 +2,15 @@
 // across engine instances by live load and prefix-cache affinity, and sheds
 // load when an instance's backlog exceeds an admission bound.
 //
-// It is the alternative to internal/fleet's static §7.1 user-id
-// round-robin. The router tracks, per instance, the requests and tokens it
-// has routed but not yet seen complete, plus an estimated backlog in
-// seconds computed with the instance's JCT estimator (the same estimator
-// PrefillOnly's calibrated scheduler uses). Routing policies are pluggable
-// behind the Policy interface; see policy.go for the three built-ins the
-// experiments compare (UserHash, LeastLoaded, AffinityLoad).
+// Every fleet routes through it. The router tracks, per instance, the
+// requests and tokens it has routed but not yet seen complete, plus an
+// estimated backlog in seconds computed with the instance's JCT estimator
+// (the same estimator PrefillOnly's calibrated scheduler uses). Routing
+// policies are pluggable behind the Policy interface. policy.go holds the
+// paper's §7.1 user-id round-robin (FirstSeen, which internal/fleet uses
+// when a spec has no router config) and the three policies the routing
+// experiments compare and PolicyByName resolves (UserHash, LeastLoaded,
+// AffinityLoad).
 //
 // Membership is dynamic: instances can be added while the router runs
 // (AddInstance), marked draining (Drain) so policies stop offering them

@@ -172,6 +172,94 @@ func TestUserHashStickyAndStateless(t *testing.T) {
 	}
 }
 
+// firstSeenRoute returns a function that routes one request of a user
+// through p on an n-instance view and returns the pick.
+func firstSeenRoute(p *FirstSeen, n int) func(user int) int {
+	v := &benchView{loads: make([]Load, n)}
+	r := &sched.Request{}
+	return func(user int) int {
+		r.UserID = user
+		return p.Pick(r, v)
+	}
+}
+
+func TestRoutingStickyAndRoundRobin(t *testing.T) {
+	route := firstSeenRoute(&FirstSeen{}, 2)
+	// Users assigned round robin in first-seen order; repeat users sticky.
+	if route(10) != 0 || route(20) != 1 || route(30) != 0 {
+		t.Fatal("round-robin assignment broken")
+	}
+	for i := 0; i < 5; i++ {
+		if route(20) != 1 {
+			t.Fatal("user routing not sticky")
+		}
+	}
+}
+
+func TestTrackedUserBound(t *testing.T) {
+	p := &FirstSeen{}
+	route := firstSeenRoute(p, 2)
+	if err := p.setMaxTrackedUsers(0); err == nil {
+		t.Fatal("non-positive cap accepted")
+	}
+	if err := p.setMaxTrackedUsers(3); err != nil {
+		t.Fatal(err)
+	}
+	// A million distinct users must never grow the table past the cap.
+	for u := 0; u < 1_000_000; u++ {
+		route(u)
+		if len(p.byUser) > 3 {
+			t.Fatalf("tracked users %d exceeds cap after user %d", len(p.byUser), u)
+		}
+	}
+	if len(p.byUser) != 3 {
+		t.Fatalf("tracked users = %d, want 3", len(p.byUser))
+	}
+	// The most recent users are still sticky.
+	last := 999_999
+	idx := route(last)
+	for i := 0; i < 5; i++ {
+		if route(last) != idx {
+			t.Fatal("recent user lost stickiness")
+		}
+	}
+	// Shrinking the cap evicts immediately.
+	if err := p.setMaxTrackedUsers(1); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.byUser) != 1 {
+		t.Fatalf("tracked users = %d after shrinking cap to 1", len(p.byUser))
+	}
+}
+
+// Regression for the `order = order[1:]` retention bug: under user churn
+// at the tracked-user cap, Pick appends while evictOldest pops. The order
+// ring's backing array must stay bounded by the cap, not by the total
+// users ever routed.
+func TestOrderRingBoundedUnderChurnAtCap(t *testing.T) {
+	p := &FirstSeen{}
+	route := firstSeenRoute(p, 1)
+	const cap = 1000
+	if err := p.setMaxTrackedUsers(cap); err != nil {
+		t.Fatal(err)
+	}
+	// 10x the cap of distinct users: every pick beyond the cap evicts one
+	// and appends one.
+	for u := 0; u < 10*cap; u++ {
+		route(u)
+	}
+	if len(p.byUser) != cap {
+		t.Fatalf("tracked users = %d, want %d", len(p.byUser), cap)
+	}
+	if p.order.Len() != cap {
+		t.Fatalf("order ring holds %d entries, want %d", p.order.Len(), cap)
+	}
+	if p.order.Cap() > 2*cap {
+		t.Fatalf("order ring backing array holds %d slots after 10x-cap churn (cap %d)",
+			p.order.Cap(), cap)
+	}
+}
+
 func TestLeastLoadedBalancesSingleHotUser(t *testing.T) {
 	var s sim.Sim
 	wrapped, engines, chain := testCluster(t, &s, 4)

@@ -2,6 +2,8 @@ package prefillonly
 
 import (
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func TestSimulationQuickstartFlow(t *testing.T) {
@@ -90,6 +92,29 @@ func TestSimulationRoutedCluster(t *testing.T) {
 	}
 	if _, err := NewSimulation(SimulationConfig{RoutingPolicy: "bogus"}); err == nil {
 		t.Fatal("unknown routing policy accepted")
+	}
+}
+
+// TestDefaultSimulationRoutesFirstSeen: with no RoutingPolicy the
+// simulation still has a router, running the paper's §7.1 assignment, and
+// a traced run records each request's route.
+func TestDefaultSimulationRoutesFirstSeen(t *testing.T) {
+	s, err := NewSimulation(SimulationConfig{MaxInputLen: 4000, TraceSpans: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := s.Router()
+	if rt == nil {
+		t.Fatal("default simulation has no router")
+	}
+	if got := rt.Policy().Name(); got != "firstseen" {
+		t.Fatalf("default policy %q, want firstseen", got)
+	}
+	s.SubmitText(0, 1, "a short prompt to classify. answer:", nil)
+	s.SubmitText(0, 2, "another short prompt. answer:", nil)
+	s.Run()
+	if n := s.Trace().Emitted(trace.KindRoute); n != 2 {
+		t.Fatalf("%d route instants for 2 requests", n)
 	}
 }
 

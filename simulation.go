@@ -54,10 +54,11 @@ type SimulationConfig struct {
 	// the host link when that beats recomputation (0 = discard, the
 	// paper's default).
 	HostCacheBytes int64
-	// RoutingPolicy selects the cluster frontend. Empty keeps the paper's
-	// §7.1 first-appearance round-robin (internal/fleet); "userhash",
-	// "leastloaded" or "affinity" route through internal/router by live
-	// load and prefix-cache affinity.
+	// RoutingPolicy selects the router's policy. Empty keeps the paper's
+	// §7.1 first-appearance round-robin (the router's FirstSeen policy,
+	// named "firstseen"); "userhash", "leastloaded" or "affinity" route
+	// by user hash, live load or prefix-cache affinity. Admission control
+	// and autoscaling need one of the three named policies.
 	RoutingPolicy string
 	// MaxBacklogSeconds enables admission control in routed mode: requests
 	// whose projected completion wait exceeds the bound are rejected and
@@ -269,8 +270,8 @@ func (s *Simulation) Timeseries() *timeseries.Collector { return s.fleet.Timeser
 // WriteTrace exports the run as Chrome trace-event JSON for Perfetto.
 func (s *Simulation) Trace() *trace.Recorder { return s.fleet.Tracer() }
 
-// Router returns the routing frontend (nil when the legacy §7.1 cluster is
-// active).
+// Router returns the routing frontend, never nil. Without a RoutingPolicy
+// its policy is the paper's §7.1 assignment, named "firstseen".
 func (s *Simulation) Router() *router.Router { return s.fleet.Router() }
 
 // Autoscaler returns the elastic pool controller (nil without an
