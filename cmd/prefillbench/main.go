@@ -380,7 +380,7 @@ func header(title string) *tabwriter.Writer {
 // printExecutor summarizes a sweep's cell-executor telemetry under its
 // table.
 func printExecutor(stats experiments.CellStats) {
-	fmt.Printf("executor: %d cells x%d workers, wall %.2fs, serial-equivalent %.2fs, speedup %.2fx, %.0f allocs/cell\n",
+	fmt.Printf("executor: %d cells x%d workers, wall %.3fs, serial-equivalent %.3fs, speedup %.2fx, %.0f allocs/cell\n",
 		stats.Cells, stats.Parallelism, stats.WallSeconds, stats.SerialEquivalentSeconds,
 		stats.Speedup, stats.AllocsPerCell)
 }

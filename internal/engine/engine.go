@@ -120,10 +120,26 @@ func (c *Config) emit(rec Record) {
 // HashesOf returns (computing lazily) the request's prefix-cache hash
 // chain for the given block size, memoized on the request. It is the
 // single hash-chain entry point: engines, routers and schedulers all go
-// through it so a request is hashed at most once per block size.
+// through it so a request is hashed at most once per block size. A
+// request with a Prefix extends the prefix's chain, itself memoized on
+// the shared Prefix, so the shared tokens are hashed once per block size
+// however many requests share them. The result equals
+// kvcache.BlockHashes(r.Tokens, blockTokens) either way.
+//
+// The memos are written here and nowhere else. A routed fleet first
+// reaches this from Router.Submit on the coordinator, so a sharded run's
+// shards only read finished chains.
 func HashesOf(r *sched.Request, blockTokens int) []uint64 {
 	if r.BlockHashes == nil || r.HashBlockTokens != blockTokens {
-		r.BlockHashes = kvcache.BlockHashes(r.Tokens, blockTokens)
+		var prefix []uint64
+		if p := r.Prefix; p != nil {
+			if p.BlockHashes == nil || p.HashBlockTokens != blockTokens {
+				p.BlockHashes = kvcache.BlockHashes(p.Tokens, blockTokens)
+				p.HashBlockTokens = blockTokens
+			}
+			prefix = p.BlockHashes
+		}
+		r.BlockHashes = kvcache.ExtendBlockHashes(prefix, r.Tokens, blockTokens)
 		r.HashBlockTokens = blockTokens
 	}
 	return r.BlockHashes

@@ -217,12 +217,28 @@ func (m *Manager) CapacityTokens() int {
 // outcome, as long as it keeps those two properties and stays
 // collision-free in practice.
 func BlockHashes(tokens []uint64, blockTokens int) []uint64 {
+	return ExtendBlockHashes(nil, tokens, blockTokens)
+}
+
+// ExtendBlockHashes returns BlockHashes(tokens, blockTokens) given prefix,
+// the chain BlockHashes returns for some leading part of tokens at the
+// same block size. It copies prefix and hashes only the full blocks after
+// it, so tokens' first len(prefix) blocks are never read. The caller
+// vouches for prefix: a chain of other tokens, or of another block size,
+// yields a wrong chain.
+func ExtendBlockHashes(prefix, tokens []uint64, blockTokens int) []uint64 {
 	if blockTokens <= 0 {
 		panic("kvcache: blockTokens must be positive")
 	}
 	hashes := make([]uint64, len(tokens)/blockTokens)
+	if len(prefix) > len(hashes) {
+		panic("kvcache: prefix chain is longer than the tokens' chain")
+	}
 	var parent uint64
-	for i := range hashes {
+	if n := copy(hashes, prefix); n > 0 {
+		parent = prefix[n-1]
+	}
+	for i := len(prefix); i < len(hashes); i++ {
 		h := hashBlock(parent, tokens[i*blockTokens:(i+1)*blockTokens])
 		if h == 0 {
 			h = 1 // 0 is reserved for "no parent"

@@ -85,10 +85,18 @@ type Request struct {
 	// observable per request.
 	EstimatedSeconds float64
 
+	// Prefix optionally declares a prompt prefix this request shares with
+	// others (e.g. one user's template and profile). When set, Tokens
+	// starts with Prefix.Tokens, and Tokens is still the whole prompt.
+	// It changes no outcome: it lets engine.HashesOf hash the shared
+	// tokens once rather than once per request.
+	Prefix *Prefix
+
 	// BlockHashes caches the content-addressed prefix-cache hash chain
-	// of Tokens for HashBlockTokens-sized blocks. Engines populate it
-	// lazily (via kvcache.BlockHashes) so repeated cache operations on
-	// large prompts do not re-hash them.
+	// of Tokens for HashBlockTokens-sized blocks. engine.HashesOf
+	// populates it lazily, extending the Prefix's chain when there is
+	// one, so repeated cache operations on large prompts do not re-hash
+	// them.
 	BlockHashes     []uint64
 	HashBlockTokens int
 
@@ -100,6 +108,22 @@ type Request struct {
 
 // Len returns the input length in tokens.
 func (r *Request) Len() int { return len(r.Tokens) }
+
+// Prefix is a prompt prefix shared by several requests, declared by the
+// workload that builds them (a prompt module in the sense of Prompt
+// Cache, Gim et al., MLSys 2024). Its block-hash chain is computed once
+// per block size and extended by each sharing request, so the shared
+// tokens are hashed once rather than once per request.
+type Prefix struct {
+	// Tokens is the shared prefix; immutable once generated.
+	Tokens []uint64
+
+	// BlockHashes memoizes the hash chain of Tokens for
+	// HashBlockTokens-sized blocks, like Request.BlockHashes. Only
+	// engine.HashesOf writes it.
+	BlockHashes     []uint64
+	HashBlockTokens int
+}
 
 // JCTFunc estimates the JCT of a request at the present moment (it
 // consults the prefix cache, so its value changes over time).

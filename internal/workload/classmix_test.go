@@ -29,10 +29,16 @@ func TestClassMixComposition(t *testing.T) {
 			t.Fatalf("user %d appears in both classes", r.UserID)
 		}
 		seenUser[r.UserID] = r.Class
+		checkPrefixContract(t, r)
 		if r.Class == sched.ClassBatch {
 			if r.Len() < 6000 || r.Len() > 12000+templateTokens {
 				t.Fatalf("batch doc length %d outside configured bounds", r.Len())
 			}
+			if r.Prefix != nil {
+				t.Fatalf("batch request %d declares a Prefix; only the template is shared", r.ID)
+			}
+		} else if r.Prefix == nil {
+			t.Fatalf("interactive request %d lost its user's Prefix", r.ID)
 		}
 	}
 	// The two tenants must interleave, not concatenate: the first quarter

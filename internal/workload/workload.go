@@ -3,8 +3,9 @@
 //
 //   - Post recommendation: 20 users, user profiles of 11k–17k tokens
 //     (normal, mean 14k, std 3k), 50 posts of 150 tokens per user. All 50
-//     requests of a user share the profile as a prompt prefix, so this
-//     dataset exercises frequent prefix-cache reuse.
+//     requests of a user share the profile as a prompt prefix (declared
+//     as one sched.Prefix), so this dataset exercises frequent
+//     prefix-cache reuse.
 //   - Credit verification: 60 users, one request each, 40k–60k tokens of
 //     credit history. This dataset exercises long inputs.
 //
@@ -40,17 +41,30 @@ type Dataset struct {
 	MaxLen int
 }
 
-// Clone returns a copy of the dataset whose request structs are fresh but
-// whose token storage (and allowed-token lists) is shared with the
-// original. Tokens are immutable once generated, but runs mutate the
-// wrapping Request — arrival stamps, memoized block-hash chains — so
+// Clone returns a copy of the dataset whose request and Prefix structs
+// are fresh but whose token storage (and allowed-token lists) is shared
+// with the original. Tokens are immutable once generated, but runs mutate
+// the wrapping structs — arrival stamps, memoized block-hash chains — so
 // concurrent sweep cells must each run against their own clone; sharing
-// the multi-megabyte token arrays keeps that cheap.
+// the multi-megabyte token arrays keeps that cheap. Requests that share a
+// Prefix in d share one fresh Prefix in the clone. A clone starts
+// unhashed: it copies no memoized chain, so each run hashes its inputs
+// itself, each distinct prefix once.
 func (d *Dataset) Clone() *Dataset {
 	c := *d
 	c.Requests = make([]*sched.Request, len(d.Requests))
+	prefixes := make(map[*sched.Prefix]*sched.Prefix)
 	for i, r := range d.Requests {
 		rc := *r
+		rc.BlockHashes, rc.HashBlockTokens = nil, 0
+		if r.Prefix != nil {
+			p, ok := prefixes[r.Prefix]
+			if !ok {
+				p = &sched.Prefix{Tokens: r.Prefix.Tokens}
+				prefixes[r.Prefix] = p
+			}
+			rc.Prefix = p
+		}
 		c.Requests[i] = &rc
 	}
 	return &c
@@ -88,6 +102,25 @@ const (
 	kindPost
 	kindCredit
 )
+
+// userPrefix returns a user's shared prompt prefix: the template followed
+// by a plen-token profile streamed from (kind, user).
+func userPrefix(template []uint64, plen, kind, user int) *sched.Prefix {
+	toks := make([]uint64, len(template)+plen)
+	copy(toks, template)
+	tokenStream(toks[len(template):], kind, user, 0)
+	return &sched.Prefix{Tokens: toks}
+}
+
+// withPost returns a fresh prompt: prefix's tokens followed by a
+// postLen-token post streamed from (kind, user, item).
+func withPost(prefix *sched.Prefix, postLen, kind, user, item int) []uint64 {
+	n := len(prefix.Tokens)
+	toks := make([]uint64, n+postLen)
+	copy(toks, prefix.Tokens)
+	tokenStream(toks[n:], kind, user, item)
+	return toks
+}
 
 // PostRecommendationConfig parameterizes the post-recommendation dataset;
 // zero values take the paper's Table-1 numbers.
@@ -147,20 +180,14 @@ func PostRecommendation(cfg PostRecommendationConfig) *Dataset {
 		if plen > cfg.ProfileMax {
 			plen = cfg.ProfileMax
 		}
-		profile := make([]uint64, plen)
-		tokenStream(profile, kindProfile, u, 0)
+		prefix := userPrefix(template, plen, kindProfile, u)
 		for p := 0; p < cfg.PostsPerUser; p++ {
-			post := make([]uint64, cfg.PostLen)
-			tokenStream(post, kindPost, u, p)
-			toks := make([]uint64, 0, templateTokens+plen+cfg.PostLen)
-			toks = append(toks, template...)
-			toks = append(toks, profile...)
-			toks = append(toks, post...)
 			id++
 			r := &sched.Request{
 				ID:            id,
 				UserID:        u,
-				Tokens:        toks,
+				Tokens:        withPost(prefix, cfg.PostLen, kindPost, u, p),
+				Prefix:        prefix,
 				AllowedTokens: []string{"Yes", "No"},
 			}
 			d.Requests = append(d.Requests, r)

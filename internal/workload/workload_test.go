@@ -2,6 +2,8 @@ package workload
 
 import (
 	"testing"
+
+	"repro/internal/sched"
 )
 
 func TestPostRecommendationTable1(t *testing.T) {
@@ -27,10 +29,9 @@ func TestPostRecommendationTable1(t *testing.T) {
 
 func TestPostRecommendationPrefixSharing(t *testing.T) {
 	d := PostRecommendation(PostRecommendationConfig{Seed: 2})
+	checkPrefixPerUser(t, d)
 	// Two requests of the same user share template+profile; different
 	// users share only the template.
-	var u0 []*int
-	_ = u0
 	r1, r2 := d.Requests[0], d.Requests[1]
 	if r1.UserID != r2.UserID {
 		t.Fatal("first two requests should be same user")
@@ -46,6 +47,39 @@ func TestPostRecommendationPrefixSharing(t *testing.T) {
 	cross := commonPrefix(r1.Tokens, other.Tokens)
 	if cross != templateTokens {
 		t.Fatalf("cross-user shared prefix = %d, want template only (%d)", cross, templateTokens)
+	}
+}
+
+// checkPrefixPerUser checks that every request declares a Prefix its
+// tokens start with, that one user's requests share one *Prefix, and that
+// different users' do not.
+func checkPrefixPerUser(t *testing.T, d *Dataset) {
+	t.Helper()
+	byUser := make(map[int]*sched.Prefix)
+	owner := make(map[*sched.Prefix]int)
+	for _, r := range d.Requests {
+		checkPrefixContract(t, r)
+		if r.Prefix == nil {
+			t.Fatalf("request %d declares no Prefix", r.ID)
+		}
+		if p, ok := byUser[r.UserID]; ok && p != r.Prefix {
+			t.Fatalf("user %d's requests hold different *Prefix values", r.UserID)
+		}
+		if u, ok := owner[r.Prefix]; ok && u != r.UserID {
+			t.Fatalf("users %d and %d share one *Prefix", u, r.UserID)
+		}
+		byUser[r.UserID], owner[r.Prefix] = r.Prefix, r.UserID
+	}
+}
+
+// checkPrefixContract checks that a request with a Prefix starts with it.
+func checkPrefixContract(t *testing.T, r *sched.Request) {
+	t.Helper()
+	if r.Prefix == nil {
+		return
+	}
+	if n := len(r.Prefix.Tokens); n == 0 || n > len(r.Tokens) || commonPrefix(r.Tokens, r.Prefix.Tokens) != n {
+		t.Fatalf("request %d does not start with its %d-token Prefix", r.ID, n)
 	}
 }
 
@@ -74,6 +108,11 @@ func TestCreditVerificationTable1(t *testing.T) {
 	}
 	if d.MaxLen > 60_000+templateTokens {
 		t.Fatalf("MaxLen %d too large", d.MaxLen)
+	}
+	for _, r := range d.Requests {
+		if r.Prefix != nil {
+			t.Fatalf("credit request %d declares a Prefix; only the template is shared", r.ID)
+		}
 	}
 }
 
@@ -191,15 +230,50 @@ func TestCloneIsolatesRequestMutation(t *testing.T) {
 			t.Fatalf("clone copied token storage of request %d", i)
 		}
 	}
+	// Each distinct base Prefix maps to one fresh Prefix per clone, over
+	// the base's token storage.
+	fresh := make(map[*sched.Prefix]*sched.Prefix)
+	for i, r := range c1.Requests {
+		bp := base.Requests[i].Prefix
+		if p, ok := fresh[bp]; ok {
+			if r.Prefix != p {
+				t.Fatalf("request %d: one base Prefix became two in the clone", i)
+			}
+			continue
+		}
+		if r.Prefix == nil || r.Prefix == bp {
+			t.Fatalf("request %d: clone has no fresh Prefix", i)
+		}
+		for _, p := range fresh {
+			if p == r.Prefix {
+				t.Fatalf("request %d: two base prefixes share one clone Prefix", i)
+			}
+		}
+		if &r.Prefix.Tokens[0] != &bp.Tokens[0] || len(r.Prefix.Tokens) != len(bp.Tokens) {
+			t.Fatalf("request %d: clone Prefix does not share the base's token storage", i)
+		}
+		fresh[bp] = r.Prefix
+	}
+	if len(fresh) != base.Users {
+		t.Fatalf("clone has %d prefixes, want one per user (%d)", len(fresh), base.Users)
+	}
 	// Mutating a clone (what a run does) must not leak into base or
 	// sibling clones.
 	c1.Requests[0].ArrivalTime = 42
 	c1.Requests[0].BlockHashes = []uint64{1, 2, 3}
 	c1.Requests[0].HashBlockTokens = 16
-	if base.Requests[0].ArrivalTime == 42 || base.Requests[0].BlockHashes != nil {
+	c1.Requests[0].Prefix.BlockHashes = []uint64{1, 2}
+	c1.Requests[0].Prefix.HashBlockTokens = 16
+	if base.Requests[0].ArrivalTime == 42 || base.Requests[0].BlockHashes != nil || base.Requests[0].Prefix.BlockHashes != nil {
 		t.Fatal("clone mutation leaked into base")
 	}
-	if c2.Requests[0].ArrivalTime == 42 || c2.Requests[0].BlockHashes != nil {
+	if c2.Requests[0].ArrivalTime == 42 || c2.Requests[0].BlockHashes != nil || c2.Requests[0].Prefix.BlockHashes != nil {
 		t.Fatal("clone mutation leaked into sibling clone")
+	}
+	// A clone of a hashed dataset starts unhashed.
+	for _, r := range c1.Clone().Requests {
+		if r.BlockHashes != nil || r.HashBlockTokens != 0 || r.Prefix.BlockHashes != nil || r.Prefix.HashBlockTokens != 0 {
+			t.Fatalf("clone of request %d copied a memoized chain", r.ID)
+		}
 	}
 }

@@ -86,11 +86,11 @@ func Skewed(cfg SkewedConfig) *Dataset {
 		Users:           cfg.Users,
 		RequestsPerUser: perUser,
 	}
-	profiles := make(map[int][]uint64, cfg.Users)
+	prefixes := make(map[int]*sched.Prefix, cfg.Users)
 	postSeq := make(map[int]int, cfg.Users)
 	for id := int64(1); id <= int64(cfg.Requests); id++ {
 		u := int(zipf.Uint64())
-		profile, ok := profiles[u]
+		prefix, ok := prefixes[u]
 		if !ok {
 			plen := int(rng.NormFloat64()*cfg.ProfileStd + cfg.ProfileMean)
 			if plen < cfg.ProfileMin {
@@ -99,22 +99,16 @@ func Skewed(cfg SkewedConfig) *Dataset {
 			if plen > cfg.ProfileMax {
 				plen = cfg.ProfileMax
 			}
-			profile = make([]uint64, plen)
-			tokenStream(profile, kindSkewProfile, u, 0)
-			profiles[u] = profile
+			prefix = userPrefix(template, plen, kindSkewProfile, u)
+			prefixes[u] = prefix
 		}
 		p := postSeq[u]
 		postSeq[u] = p + 1
-		post := make([]uint64, cfg.PostLen)
-		tokenStream(post, kindSkewPost, u, p)
-		toks := make([]uint64, 0, templateTokens+len(profile)+cfg.PostLen)
-		toks = append(toks, template...)
-		toks = append(toks, profile...)
-		toks = append(toks, post...)
 		r := &sched.Request{
 			ID:            id,
 			UserID:        u,
-			Tokens:        toks,
+			Tokens:        withPost(prefix, cfg.PostLen, kindSkewPost, u, p),
+			Prefix:        prefix,
 			AllowedTokens: []string{"Yes", "No"},
 		}
 		d.Requests = append(d.Requests, r)

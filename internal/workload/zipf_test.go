@@ -40,6 +40,7 @@ func TestSkewedDeterministicAndSkewed(t *testing.T) {
 
 func TestSkewedSharesPrefixPerUser(t *testing.T) {
 	d := Skewed(SkewedConfig{Users: 8, Requests: 64, Seed: 1})
+	checkPrefixPerUser(t, d)
 	// Two requests of the same user share template+profile, differ in post.
 	byUser := make(map[int][]int)
 	for i, r := range d.Requests {
