@@ -9,7 +9,7 @@
 //	             [-batch-max-backlog 0] [-batch-weight 0]
 //	             [-autoscale] [-min-instances 1] [-trace] [-timeseries]
 //	             [-chaos-crash-rate 0] [-chaos-straggler 0]
-//	             [-chaos-preempt 0] [-chaos-seed 1]
+//	             [-chaos-preempt 0] [-chaos-seed 1] [-pprof ADDR]
 //
 // With -autoscale, -instances is the pool ceiling: the cluster starts at
 // -min-instances engines and scales elastically from live backlog and
@@ -50,6 +50,11 @@
 // rate as JSON (-timeseries-interval sets the window width in simulated
 // seconds).
 //
+// Profiling: -pprof ADDR serves net/http/pprof on its own listener at
+// ADDR (off by default), so a live server's CPU can be profiled with
+// `go tool pprof http://ADDR/debug/pprof/profile`. The API listener never
+// serves /debug/pprof/.
+//
 // SIGINT or SIGTERM drains the server: it stops accepting connections,
 // waits for in-flight requests to finish, closes the backend and exits 0.
 // A second signal exits at once.
@@ -60,7 +65,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -96,6 +103,7 @@ func main() {
 	chaosStraggler := flag.Float64("chaos-straggler", 0, "slow-node straggler onsets per simulated second (requires -instances > 1)")
 	chaosPreempt := flag.Float64("chaos-preempt", 0, "spot preemption notices per simulated second (requires -instances > 1)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injector seed (requires a -chaos-* rate)")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, apart from the API (off when empty)")
 	flag.Parse()
 
 	m, ok := prefillonly.Models()[*modelName]
@@ -206,8 +214,18 @@ func main() {
 	fmt.Printf("prefillserve: listening on %s\n", *addr)
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	served := make(chan error, 1)
+	served := make(chan error, 2) // one send per listener, so neither blocks
 	go func() { served <- hs.ListenAndServe() }()
+	var ps *http.Server
+	if *pprofAddr != "" {
+		ps = pprofServer()
+		ln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("prefillserve: pprof on %s/debug/pprof/\n", ln.Addr())
+		go func() { served <- ps.Serve(ln) }()
+	}
 	select {
 	case err := <-served:
 		log.Fatal(err)
@@ -215,8 +233,25 @@ func main() {
 	}
 	stop() // a second signal now terminates at once
 	fmt.Println("prefillserve: draining in-flight requests")
+	if ps != nil {
+		// A profile in progress is cut short rather than waited for.
+		ps.Close()
+	}
 	if err := hs.Shutdown(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	srv.Close()
+}
+
+// pprofServer serves net/http/pprof's handlers on a mux of its own.
+// Importing net/http/pprof also registers them on http.DefaultServeMux,
+// which neither listener serves.
+func pprofServer() *http.Server {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 }

@@ -9,18 +9,26 @@ import (
 	"testing"
 )
 
+// completionSeeds are FuzzCompletions' seed bodies and X-SLO-Class
+// headers; FuzzDecodeCompletionMatchesJSON starts from the same bodies.
+var completionSeeds = []struct{ body, class string }{
+	{`{"prompt":"user profile: reads systems papers post 7: databases recommend? answer:","max_tokens":1,"allowed_tokens":["Yes","No"],"user":"u3"}`, ""},
+	{`{"prompt":"Approve this application? Answer:","allowed_tokens":["Yes","Yes","No"]}`, ""},
+	{`{"prompt":"Approve this application? Answer:"}`, "premium"},
+	{`{"prompt":"Approve this application? Answer:","max_tokens":2}`, "batch"},
+	{`{"prompt":"Approve`, ""},
+	{"{\"prompt\":\"caf\xe9 \xff\xfe r\xc3sum\xc3\xa9 answer:\",\"slo_class\":\"batch\"}", "interactive"},
+	{`{"prompt":" \t\n\u00a0 "}`, ""},
+}
+
 // FuzzCompletions sends arbitrary bodies and X-SLO-Class headers through
 // the handler. Every answer carries a documented status and a JSON body,
 // and a served completion reports the prompt's token count and a
 // distribution over exactly the distinct allowed tokens.
 func FuzzCompletions(f *testing.F) {
-	f.Add(`{"prompt":"user profile: reads systems papers post 7: databases recommend? answer:","max_tokens":1,"allowed_tokens":["Yes","No"],"user":"u3"}`, "")
-	f.Add(`{"prompt":"Approve this application? Answer:","allowed_tokens":["Yes","Yes","No"]}`, "")
-	f.Add(`{"prompt":"Approve this application? Answer:"}`, "premium")
-	f.Add(`{"prompt":"Approve this application? Answer:","max_tokens":2}`, "batch")
-	f.Add(`{"prompt":"Approve`, "")
-	f.Add("{\"prompt\":\"caf\xe9 \xff\xfe r\xc3sum\xc3\xa9 answer:\",\"slo_class\":\"batch\"}", "interactive")
-	f.Add(`{"prompt":" \t\n\u00a0 "}`, "")
+	for _, s := range completionSeeds {
+		f.Add(s.body, s.class)
+	}
 	h := NewHandler(testBackend(f), "m")
 	f.Fuzz(func(t *testing.T, body, class string) {
 		req := httptest.NewRequest(http.MethodPost, "/v1/completions", strings.NewReader(body))

@@ -13,7 +13,9 @@ import (
 )
 
 // CompletionRequest is the accepted subset of the OpenAI completions API,
-// extended with the paper's allowed-token constraint.
+// extended with the paper's allowed-token constraint. decodeCompletion
+// decodes it, matching each key against the field's JSON name; a new
+// field needs a case there.
 type CompletionRequest struct {
 	Model  string `json:"model"`
 	Prompt string `json:"prompt"`
@@ -193,11 +195,13 @@ func (h *Handler) timeseries(w http.ResponseWriter, r *http.Request) {
 
 func (h *Handler) completions(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
 		writeJSON(w, http.StatusMethodNotAllowed, apiError{"POST required"})
 		return
 	}
-	var req CompletionRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCompletionBody)).Decode(&req); err != nil {
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxCompletionBody), r.ContentLength)
+	req, err := decodeCompletion(body, err)
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeJSON(w, http.StatusRequestEntityTooLarge,

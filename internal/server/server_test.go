@@ -155,9 +155,11 @@ func TestBackendCloseUnblocks(t *testing.T) {
 	b.Close() // idempotent
 }
 
-// TestHTTPCompletionsBodyLimit sends a normal body and one over the cap:
-// the first is served, the second is refused with 413 and the JSON error
-// body once the cap is reached, without the rest being read.
+// TestHTTPCompletionsBodyLimit sends a normal body and two over the cap.
+// The normal body is served. An over-cap body whose first value runs past
+// the cap is refused with 413 and the JSON error body once the cap is
+// reached, without the rest being read; one whose first value ends inside
+// the cap is served.
 func TestHTTPCompletionsBodyLimit(t *testing.T) {
 	h := NewHandler(testBackend(t), "prefillonly-test")
 	post := func(promptBytes int) *httptest.ResponseRecorder {
@@ -181,6 +183,18 @@ func TestHTTPCompletionsBodyLimit(t *testing.T) {
 	var e apiError
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "exceeds") {
 		t.Fatalf("oversized body: error body %q (%v)", rec.Body, err)
+	}
+
+	// Only the first JSON value counts: an over-cap body whose first
+	// value ends inside the cap is served.
+	body := io.MultiReader(
+		strings.NewReader(`{"prompt":"profile Answer:","max_tokens":1}`),
+		io.LimitReader(&repeatReader{word: " "}, maxCompletionBody),
+	)
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/completions", body))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("over-cap body whose first value ends inside the cap: status %d, want 200; body %s", rec.Code, rec.Body)
 	}
 }
 
@@ -253,24 +267,33 @@ func TestHTTPValidation(t *testing.T) {
 		}
 		return resp
 	}
-	if resp := post(`{`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body: status %d", resp.StatusCode)
-	}
-	if resp := post(`{"prompt":""}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty prompt: status %d", resp.StatusCode)
-	}
-	if resp := post(`{"prompt":"  \n "}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("whitespace-only prompt: status %d", resp.StatusCode)
-	}
-	if resp := post(`{"prompt":"hi","max_tokens":16}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("multi-token request: status %d", resp.StatusCode)
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"malformed body", `{`, http.StatusBadRequest},
+		{"empty body", ``, http.StatusBadRequest},
+		{"empty prompt", `{"prompt":""}`, http.StatusBadRequest},
+		{"whitespace-only prompt", `{"prompt":"  \n "}`, http.StatusBadRequest},
+		{"multi-token request", `{"prompt":"hi","max_tokens":16}`, http.StatusBadRequest},
+		// Only the body's first JSON value is read.
+		{"trailing junk after the object", `{"prompt":"hi"} trailing junk`, http.StatusOK},
+		{"wrong-typed field", `{"prompt":"hi","max_tokens":"1"}`, http.StatusBadRequest},
+		{"non-integer max_tokens", `{"prompt":"hi","max_tokens":1.0}`, http.StatusBadRequest},
+	} {
+		resp := post(tc.body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
+		}
 	}
 	getResp, err := http.Get(srv.URL + "/v1/completions")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if getResp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET: status %d", getResp.StatusCode)
+	getResp.Body.Close()
+	if getResp.StatusCode != http.StatusMethodNotAllowed || getResp.Header.Get("Allow") != http.MethodPost {
+		t.Errorf("GET: status %d, Allow %q; want 405 and POST", getResp.StatusCode, getResp.Header.Get("Allow"))
 	}
 	health, err := http.Get(srv.URL + "/healthz")
 	if err != nil || health.StatusCode != http.StatusOK {
