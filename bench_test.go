@@ -43,7 +43,7 @@ func BenchmarkTable1DatasetSummary(b *testing.B) {
 
 func BenchmarkTable2MaxInputLength(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table2()
+		rows, _, err := experiments.Table2Parallel(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func qpsGrid() ([]*experiments.QPSLatencyPanel, error) {
 	gridOnce.Do(func() {
 		for _, sc := range experiments.Scenarios() {
 			for _, ds := range []experiments.DatasetKind{experiments.PostRecommendation, experiments.CreditVerification} {
-				panel, err := experiments.QPSLatency(sc, ds, nil, 1)
+				panel, _, err := experiments.QPSLatencyParallel(sc, ds, nil, 1, 1)
 				if err != nil {
 					gridErr = err
 					return
@@ -189,7 +189,7 @@ func BenchmarkFigure7QPSP99Latency(b *testing.B) {
 
 func BenchmarkFigure8ThroughputNVLink(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure8(1)
+		rows, _, err := experiments.Figure8Parallel(1, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func BenchmarkFigure8ThroughputNVLink(b *testing.B) {
 
 func BenchmarkFigure9ThroughputThrottling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure9(1)
+		rows, _, err := experiments.Figure9Parallel(1, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func BenchmarkFigure10HybridPrefillAblation(b *testing.B) {
 
 func BenchmarkFigure11FairnessCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		curves, err := experiments.Figure11(1)
+		curves, _, err := experiments.Figure11Parallel(1, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,12 +1,12 @@
 // Package autoscale closes the control loop over internal/router: a
 // controller watches the router's load view (per-instance backlog seconds,
-// queue depth, and the admission tally's reject rate over a sliding
-// window) and elastically sizes the instance pool between a floor and a
-// ceiling.
+// queue depth, and the admission tally's sheds over a sliding window of
+// windowTicks control ticks) and elastically sizes the instance pool
+// between a floor and a ceiling.
 //
 // The scale-up signals are SLO-class-aware: the controller reads the
-// interactive share of each instance's backlog and the interactive reject
-// rate, not the aggregates, so batch backlog or batch sheds alone never
+// interactive share of each instance's backlog and the interactive sheds,
+// not the aggregates, so batch backlog or batch sheds alone never
 // trigger a cold start — GPUs are provisioned for latency-sensitive
 // pressure, while batch work absorbs whatever capacity that leaves.
 // Scale-down stays conservative on the aggregate: an instance is not
@@ -62,7 +62,13 @@ func ColdStartSeconds(m *model.Config, g *hw.GPU, gpus int) float64 {
 	return cold
 }
 
-// Config tunes the controller. Zero values take the noted defaults.
+// windowTicks is the length, in control ticks, of the sliding window the
+// shed signals read (8 ticks). Any interactive shed in the window
+// triggers scale-up; any shed of any class vetoes scale-down.
+const windowTicks = 8
+
+// Config tunes the controller. Zero values take the noted defaults. The
+// shed window is fixed at windowTicks (8) ticks.
 type Config struct {
 	// MinInstances is the pool floor (default 1). The controller restores
 	// it unconditionally if the pool ever sits below.
@@ -84,14 +90,6 @@ type Config struct {
 	// class — batch sheds don't provision capacity, but they do veto
 	// releasing it, or draining would amplify the shed rate (default 0.5).
 	DownBacklogSeconds float64
-	// UpRejectRate triggers scale-up when the interactive-class admission
-	// reject rate over the sliding window exceeds it (default 0: any
-	// interactive shed triggers). Batch sheds are the per-class budgets
-	// doing their job and never provision capacity.
-	UpRejectRate float64
-	// WindowTicks is the sliding-window length for the reject-rate signal
-	// (default 8).
-	WindowTicks int
 	// CooldownSeconds damps scale-down flapping: after any scaling action
 	// the controller waits this long before draining an instance (default
 	// max(2·TickSeconds, cold start)).
@@ -134,9 +132,6 @@ func (c *Config) defaults() error {
 	if c.DownBacklogSeconds <= 0 {
 		c.DownBacklogSeconds = 0.5
 	}
-	if c.WindowTicks <= 0 {
-		c.WindowTicks = 8
-	}
 	if c.ColdStartSeconds <= 0 && (c.Model == nil || c.GPU == nil) {
 		return fmt.Errorf("autoscale: need Model and GPU to derive the cold start (or set ColdStartSeconds)")
 	}
@@ -163,12 +158,10 @@ type Stats struct {
 	ColdStartSeconds float64
 }
 
-// windowSample is one tick's admission-decision delta: accepted/rejected
-// cover the scale-up classes (every class but batch), rejectedAll every
-// class.
+// windowSample is one tick's admission-reject delta: rejected covers the
+// scale-up classes (every class but batch), rejectedAll every class.
 type windowSample struct {
-	accepted, rejected int64
-	rejectedAll        int64
+	rejected, rejectedAll int64
 }
 
 // Controller is the elastic pool controller.
@@ -186,7 +179,6 @@ type Controller struct {
 	err         error
 
 	window          ringbuf.Ring[windowSample]
-	lastAccepted    int64
 	lastRejected    int64
 	lastRejectedAll int64
 
@@ -295,47 +287,36 @@ func (c *Controller) accrue(now float64) {
 	}
 }
 
-// windowRates folds the current tick's admission delta into the sliding
-// window and returns two shed signals: upRejects/upRate cover every class
-// but batch — the scale-up trigger, so batch sheds never provision
-// capacity — while allRejects counts every class and vetoes scale-down:
-// draining while batch is actively being shed would only amplify the shed
-// rate.
-func (c *Controller) windowRates() (upRejects int64, upRate float64, allRejects int64) {
-	var acc, rej, accAll, rejAll int64
+// windowRejects folds the current tick's admission rejects into the
+// sliding window and returns two shed counts over it: upRejects covers
+// every class but batch — the scale-up trigger, so batch sheds never
+// provision capacity — while allRejects counts every class and vetoes
+// scale-down: draining while batch is actively being shed would only
+// amplify the shed rate.
+func (c *Controller) windowRejects() (upRejects, allRejects int64) {
+	var rej, rejAll int64
 	batchLabel := sched.ClassBatch.String()
 	//prefill:allow(simdeterminism): commutative sum over per-instance tallies; order cannot change the totals
 	for _, byClass := range c.rt.Admission().ClassSnapshot() {
 		//prefill:allow(simdeterminism): commutative sum over per-class tallies; order cannot change the totals
 		for class, tally := range byClass {
-			accAll += tally.Accepted
 			rejAll += tally.Rejected
-			if class == batchLabel {
-				continue
+			if class != batchLabel {
+				rej += tally.Rejected
 			}
-			acc += tally.Accepted
-			rej += tally.Rejected
 		}
 	}
-	c.window.PushBack(windowSample{
-		accepted: acc - c.lastAccepted, rejected: rej - c.lastRejected,
-		rejectedAll: rejAll - c.lastRejectedAll,
-	})
-	c.lastAccepted, c.lastRejected, c.lastRejectedAll = acc, rej, rejAll
-	if c.window.Len() > c.cfg.WindowTicks {
+	c.window.PushBack(windowSample{rejected: rej - c.lastRejected, rejectedAll: rejAll - c.lastRejectedAll})
+	c.lastRejected, c.lastRejectedAll = rej, rejAll
+	if c.window.Len() > windowTicks {
 		c.window.PopFront()
 	}
-	var wAcc, wRej, wRejAll int64
 	for i := 0; i < c.window.Len(); i++ {
 		s := c.window.At(i)
-		wAcc += s.accepted
-		wRej += s.rejected
-		wRejAll += s.rejectedAll
+		upRejects += s.rejected
+		allRejects += s.rejectedAll
 	}
-	if total := wAcc + wRej; total > 0 {
-		upRate = float64(wRej) / float64(total)
-	}
-	return wRej, upRate, wRejAll
+	return upRejects, allRejects
 }
 
 // tick is one control interval: release drained instances, read the load
@@ -348,7 +329,7 @@ func (c *Controller) tick() {
 	now := c.s.Now()
 	c.stats.Ticks++
 
-	rejects, rejectRate, allRejects := c.windowRates()
+	rejects, allRejects := c.windowRejects()
 	// Scale-up reads the interactive share of the backlog; scale-down and
 	// drain-candidate selection read the aggregate (capacity is released
 	// only when no class has queued work). An unlabeled pre-class router
@@ -392,7 +373,7 @@ func (c *Controller) tick() {
 	case n < c.cfg.MaxInstances && c.err == nil &&
 		(avgUpBacklog > c.cfg.UpBacklogSeconds ||
 			upMaxBacklog > 2*c.cfg.UpBacklogSeconds ||
-			(rejects > 0 && rejectRate > c.cfg.UpRejectRate)):
+			rejects > 0):
 		// Proportional step: provision enough instances to bring the mean
 		// interactive backlog back to the trigger threshold, not one at a
 		// time — a square-wave burst otherwise outruns the tick-by-tick
@@ -405,7 +386,7 @@ func (c *Controller) tick() {
 		if want := int(math.Ceil(upBacklogSum / c.cfg.UpBacklogSeconds)); want > target {
 			target = want
 		}
-		if rejects > 0 && rejectRate > c.cfg.UpRejectRate {
+		if rejects > 0 {
 			target = c.cfg.MaxInstances
 		}
 		if target > c.cfg.MaxInstances {

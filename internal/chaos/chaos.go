@@ -59,6 +59,8 @@ func Labels() []string {
 
 // Config parameterizes the injector. A kind is enabled by a positive
 // rate; with every rate zero New returns a nil (disabled) injector.
+// Recovery is tracked at fixed settings: recoveryCheckSeconds (1 s) and
+// recoveryTimeoutSeconds (600 s).
 type Config struct {
 	// Seed drives the fault-time and victim-choice streams. Each fault
 	// kind derives its own independent substream, so enabling one kind
@@ -91,15 +93,17 @@ type Config struct {
 	// only for online servers whose tick loops are deliberately
 	// KeepAlive.
 	HorizonSeconds float64
-	// RecoveryCheckSeconds is the granularity at which recovery times
-	// are measured after a kill fault (default 1).
-	RecoveryCheckSeconds float64
-	// RecoveryTimeoutSeconds caps how long a kill fault is tracked for
-	// recovery (default 600). An entry that outlives it counts as
-	// Unrecovered — and the cap is what lets the recovery checker (a
-	// periodic loop of its own) terminate when the pool never restores.
-	RecoveryTimeoutSeconds float64
 }
+
+// Recovery tracking after a kill fault: recovery times are measured every
+// recoveryCheckSeconds (1 s), and a fault still unrecovered after
+// recoveryTimeoutSeconds (600 s) counts as Unrecovered. The cap is what
+// lets the recovery checker, a periodic loop of its own, terminate when
+// the pool never restores.
+const (
+	recoveryCheckSeconds   = 1
+	recoveryTimeoutSeconds = 600
+)
 
 func (c *Config) defaults() {
 	if c.SlowFactor <= 0 {
@@ -116,12 +120,6 @@ func (c *Config) defaults() {
 		c.RetryBudget = 0
 	case c.RetryBudget == 0:
 		c.RetryBudget = 3
-	}
-	if c.RecoveryCheckSeconds <= 0 {
-		c.RecoveryCheckSeconds = 1
-	}
-	if c.RecoveryTimeoutSeconds <= 0 {
-		c.RecoveryTimeoutSeconds = 600
 	}
 }
 
@@ -162,9 +160,9 @@ type Stats struct {
 	ShedRetries, ShedRejected uint64
 	// Recoveries counts kill faults after which the routable pool
 	// returned to its pre-fault size; RecoverySecondsTotal sums the
-	// observed recovery times (measured at RecoveryCheckSeconds
-	// granularity) and MaxRecoverySeconds is the worst one. Unrecovered
-	// counts kill faults whose tracking hit RecoveryTimeoutSeconds.
+	// observed recovery times (measured at 1 s granularity) and
+	// MaxRecoverySeconds is the worst one. Unrecovered counts kill faults
+	// still unrecovered after 600 s.
 	Recoveries           uint64
 	Unrecovered          uint64
 	RecoverySecondsTotal float64
@@ -335,8 +333,9 @@ func (st *stream) fire() {
 	victim := candidates[st.victims.Intn(len(candidates))]
 	switch st.label {
 	case LabelCrash:
-		in.stats.Crashes++
-		in.kill(victim, LabelCrash)
+		if in.kill(victim, LabelCrash) {
+			in.stats.Crashes++
+		}
 	case LabelStraggler:
 		in.straggle(victim)
 	case LabelPreemptNotice:
@@ -357,8 +356,9 @@ func candidateIDs(infos []router.InstanceInfo) []int {
 
 // kill force-removes an instance (crash, or preemption deadline): the
 // engine is killed, lost capacity is reported, and every orphan is
-// re-admitted through admission under the retry budget.
-func (in *Injector) kill(id int, label string) {
+// re-admitted through admission under the retry budget. It reports
+// whether the instance was killed, so the caller counts only real faults.
+func (in *Injector) kill(id int, label string) bool {
 	now := in.clock.Now()
 	gpus := 0
 	for _, info := range in.rt.InstanceInfos() {
@@ -369,7 +369,7 @@ func (in *Injector) kill(id int, label string) {
 	}
 	orphans, err := in.rt.Fail(id)
 	if err != nil {
-		return
+		return false
 	}
 	in.opts.Timeseries.Fault(now)
 	in.opts.Tracer.Fault(now, label, id, len(orphans), in.rt.Routable())
@@ -403,6 +403,7 @@ func (in *Injector) kill(id int, label string) {
 		in.stats.Rerouted++
 		in.opts.Timeseries.OrphanRerouted(now)
 	}
+	return true
 }
 
 // shed drops an orphan: counters, timeseries, and the driver's hook.
@@ -463,8 +464,9 @@ func (in *Injector) preempt(id int) {
 			// Drained and released within the notice: graceful preemption.
 			return
 		}
-		in.stats.PreemptKills++
-		in.kill(id, LabelPreemptKill)
+		if in.kill(id, LabelPreemptKill) {
+			in.stats.PreemptKills++
+		}
 	})
 }
 
@@ -476,7 +478,7 @@ func (in *Injector) noteFault(now float64) {
 	in.recovering = append(in.recovering, recovery{start: now, target: in.rt.Routable() + 1})
 	if !in.checking && in.clock.Pending() > 0 {
 		in.checking = true
-		in.clock.AfterFunc(in.cfg.RecoveryCheckSeconds, recoveryTick, in)
+		in.clock.AfterFunc(recoveryCheckSeconds, recoveryTick, in)
 	}
 }
 
@@ -499,7 +501,7 @@ func (in *Injector) checkRecovery() {
 			}
 			continue
 		}
-		if now-rec.start >= in.cfg.RecoveryTimeoutSeconds {
+		if now-rec.start >= recoveryTimeoutSeconds {
 			// The pool never restored (ceiling reached, factory failed, or
 			// the run wound down): give up so the checker — itself a
 			// periodic loop — can park and let the run drain.
@@ -510,7 +512,7 @@ func (in *Injector) checkRecovery() {
 	}
 	in.recovering = keep
 	if len(in.recovering) > 0 && in.clock.Pending() > 0 {
-		in.clock.AfterFunc(in.cfg.RecoveryCheckSeconds, recoveryTick, in)
+		in.clock.AfterFunc(recoveryCheckSeconds, recoveryTick, in)
 	} else {
 		in.checking = false
 	}

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/sched"
@@ -84,45 +84,7 @@ func TestCalibrationPrioritizesCacheHit(t *testing.T) {
 	}
 }
 
-// Without calibration (static SRJF), the shorter cold request goes first.
-func TestNoCalibrationPicksShortest(t *testing.T) {
-	var s sim.Sim
-	var recs []engine.Record
-	eng, err := New(testConfig(&s, &recs), Options{DisableCalibration: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Lambda() != 0 {
-		t.Fatalf("static SRJF reports lambda %v", eng.Lambda())
-	}
-	rA := mkReq(1, 1, 12000, 100, 0)
-	rD := mkReq(2, 1, 12000, 150, 0.01)
-	rC := mkReq(3, 2, 6000, 100, 0.01)
-	for _, r := range []*sched.Request{rA, rD, rC} {
-		r := r
-		s.At(r.ArrivalTime, func() { eng.Submit(r) })
-	}
-	s.Run()
-	if recs[1].Req.ID != 3 {
-		t.Fatalf("static SRJF second completion = %d, want 3 (shortest)", recs[1].Req.ID)
-	}
-}
-
-func TestLinearEstimatorOption(t *testing.T) {
-	var s sim.Sim
-	var recs []engine.Record
-	eng, err := New(testConfig(&s, &recs), Options{Estimator: LinearEstimator})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(eng.Estimator().Name(), "linear") {
-		t.Fatalf("estimator = %q", eng.Estimator().Name())
-	}
-	if eng.Estimator().Estimate(10000, 0) <= eng.Estimator().Estimate(5000, 0) {
-		t.Fatal("linear estimator not increasing")
-	}
-}
-
+// PrefillOnly prices JCT with the cache-miss proxy (§6.3).
 func TestProxyEstimatorDefault(t *testing.T) {
 	var s sim.Sim
 	var recs []engine.Record
@@ -130,16 +92,14 @@ func TestProxyEstimatorDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(eng.Estimator().Name(), "proxy") {
-		t.Fatalf("default estimator = %q, want proxy", eng.Estimator().Name())
+	// The proxy is calibrated from one cold run at the profile length on
+	// the engine's own cost model.
+	cold, err := eng.Executor().EstimateSeconds(graph.PassSpec{Total: 20000}, eng.Options())
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestBadEstimatorRejected(t *testing.T) {
-	var s sim.Sim
-	var recs []engine.Record
-	if _, err := New(testConfig(&s, &recs), Options{Estimator: EstimatorKind(99)}); err == nil {
-		t.Fatal("unknown estimator accepted")
+	if got, want := eng.Estimator().SecondsPerMissToken, cold/20000; got != want || got <= 0 {
+		t.Fatalf("proxy costs %g s per miss token, want %g", got, want)
 	}
 }
 

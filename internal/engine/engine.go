@@ -65,7 +65,12 @@ type Engine interface {
 	Cache() *kvcache.Manager
 }
 
-// Config carries what every engine needs.
+// cacheBlockTokens is every engine's prefix-cache block size in tokens
+// (16, vLLM's default).
+const cacheBlockTokens = 16
+
+// Config carries what every engine needs. Every engine's prefix cache
+// uses cacheBlockTokens (16-token) blocks.
 type Config struct {
 	// Model is the (unsharded) model to serve.
 	Model *model.Config
@@ -76,8 +81,6 @@ type Config struct {
 	// ProfileMaxLen is the user-provided maximum input length used by
 	// the profile run to size the activation reserve (§3.1).
 	ProfileMaxLen int
-	// BlockTokens is the prefix-cache block size (default 16).
-	BlockTokens int
 	// HostCacheBytes enables the §9 CPU-offload extension when positive:
 	// prefix KV evicted from GPU demotes to a host tier of this size,
 	// and serial engines restore host-cached prefixes over the host link
@@ -102,13 +105,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("engine: ProfileMaxLen must be positive, got %d", c.ProfileMaxLen)
 	}
 	return nil
-}
-
-func (c *Config) blockTokens() int {
-	if c.BlockTokens <= 0 {
-		return 16
-	}
-	return c.BlockTokens
 }
 
 func (c *Config) emit(rec Record) {

@@ -163,7 +163,7 @@ func TestChunkedPrefillSlowerThanHybridSameRequest(t *testing.T) {
 		s.Run()
 		return recs[0].ExecTime()
 	}
-	chunked := run(func(c Config) (*Serial, error) { return NewChunkedPrefill(c, 512) })
+	chunked := run(func(c Config) (*Serial, error) { return NewChunkedPrefill(c) })
 	hybrid := run(func(c Config) (*Serial, error) {
 		return NewSerial(c, SerialSpec{Name: "h", Opts: hybridOpts()})
 	})

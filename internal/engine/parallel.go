@@ -63,7 +63,7 @@ func NewTensorParallel(cfg Config) (*TensorParallel, error) {
 		return nil, fmt.Errorf("tensor-parallel: %w", err)
 	}
 	cache, err := kvcache.New(kvcache.Config{
-		BlockTokens:   cfg.blockTokens(),
+		BlockTokens:   cacheBlockTokens,
 		BytesPerToken: cfg.Model.KVBytesPerToken(), // full-depth; halves live on each GPU
 		CapacityBytes: 2 * prof.pool,
 	})
@@ -183,7 +183,7 @@ func NewPipelineParallel(cfg Config) (*PipelineParallel, error) {
 		return nil, fmt.Errorf("pipeline-parallel: %w", err)
 	}
 	cache, err := kvcache.New(kvcache.Config{
-		BlockTokens:   cfg.blockTokens(),
+		BlockTokens:   cacheBlockTokens,
 		BytesPerToken: cfg.Model.KVBytesPerToken(),
 		CapacityBytes: 2 * prof.pool,
 	})

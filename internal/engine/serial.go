@@ -64,7 +64,7 @@ func NewSerial(cfg Config, spec SerialSpec) (*Serial, error) {
 		return nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
 	cache, err := kvcache.New(kvcache.Config{
-		BlockTokens:       cfg.blockTokens(),
+		BlockTokens:       cacheBlockTokens,
 		BytesPerToken:     cfg.Model.KVBytesPerToken(),
 		CapacityBytes:     prof.pool,
 		HostCapacityBytes: cfg.HostCacheBytes,
@@ -235,14 +235,12 @@ func NewPagedAttention(cfg Config) (*Serial, error) {
 }
 
 // NewChunkedPrefill builds the chunked-prefill baseline (Sarathi-Serve):
-// chunked execution, full KV residency, FCFS scheduling.
-func NewChunkedPrefill(cfg Config, chunk int) (*Serial, error) {
-	if chunk <= 0 {
-		chunk = graph.DefaultChunkSize
-	}
+// chunked execution in graph.DefaultChunkSize (512-token) chunks, full KV
+// residency, FCFS scheduling.
+func NewChunkedPrefill(cfg Config) (*Serial, error) {
 	return NewSerial(cfg, SerialSpec{
 		Name:       "chunked-prefill",
-		Opts:       graph.ChunkedOptions(chunk),
+		Opts:       graph.ChunkedOptions(graph.DefaultChunkSize),
 		Scheduler:  sched.NewFIFO(),
 		ResidentKV: true,
 	})

@@ -157,7 +157,12 @@ func (d DatasetKind) Generate(seed int64) *workload.Dataset {
 	return workload.PostRecommendation(workload.PostRecommendationConfig{Seed: seed})
 }
 
-// RunConfig describes one serving run (one line point of Figure 6).
+// scenarioGPUs is every §7.1 scenario's GPU count (2): one instance per
+// GPU, or one GPU pair for the parallel engines.
+const scenarioGPUs = 2
+
+// RunConfig describes one serving run (one line point of Figure 6) on the
+// scenario's scenarioGPUs (2) GPUs and the serial event kernel.
 type RunConfig struct {
 	Kind     EngineKind
 	Scenario Scenario
@@ -173,11 +178,6 @@ type RunConfig struct {
 	// Lambda overrides PrefillOnly's fairness parameter when > 0;
 	// Lambda < 0 means literal zero.
 	Lambda float64
-	// TotalGPUs is the scenario's GPU count (default 2, as in §7.1).
-	TotalGPUs int
-	// Shards selects the event kernel: <= 1 serial, >= 2 the sharded
-	// kernel with that many workers. Results are identical either way.
-	Shards int
 }
 
 // RunResult aggregates one run.
@@ -205,18 +205,13 @@ type RunResult struct {
 
 // Run executes one serving run to completion and aggregates it.
 func Run(rc RunConfig) (*RunResult, error) {
-	gpus := rc.TotalGPUs
-	if gpus <= 0 {
-		gpus = 2
-	}
 	eng := rc.Kind.engine()
 	r, err := FleetRun(fleet.Spec{
 		Engine:    eng,
 		Model:     rc.Scenario.Model,
 		GPU:       rc.Scenario.GPU,
 		Core:      core.Options{Lambda: rc.Lambda},
-		Instances: gpus / eng.GPUs(),
-		Shards:    rc.Shards,
+		Instances: scenarioGPUs / eng.GPUs(),
 	}, rc.Dataset, Arrivals{QPS: rc.QPS, Seed: rc.Seed})
 	if err != nil {
 		return nil, err

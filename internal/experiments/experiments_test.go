@@ -25,7 +25,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestTable2Shapes(t *testing.T) {
-	rows, err := Table2()
+	rows, _, err := Table2Parallel(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func routingSweep(seed int64, small bool) sweep[RoutingSweepRow] {
 			for di, x := range sat {
 				// SaturationQPS measures the default two-instance cluster;
 				// scale to this sweep's instance count at ~90% utilization.
-				arr := Arrivals{QPS: x * instances / 2 * 0.9, Seed: seed}
+				arr := Arrivals{QPS: x * instances / scenarioGPUs * 0.9, Seed: seed}
 				for _, pol := range []router.Policy{router.UserHash{}, router.LeastLoaded{}, router.AffinityLoad{}} {
 					cells = append(cells, cell{name: pol.Name(), data: di, arrivals: arr,
 						spec: fleet.Spec{Instances: instances, Router: &router.Config{Policy: pol}}})

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/fleet"
+	"repro/internal/metrics"
 	"repro/internal/router"
 	"repro/internal/trace"
 )
@@ -50,12 +51,12 @@ func TestRunShardedOraclePipelineParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(shards int) *RunResult {
+	run := func(shards int) *FleetResult {
 		t.Helper()
-		res, err := Run(RunConfig{
-			Kind: PipelineParallel, Scenario: sc, Dataset: base.Clone(),
-			QPS: 8, Seed: 1, TotalGPUs: 8, Shards: shards,
-		})
+		res, err := FleetRun(fleet.Spec{
+			Engine: fleet.PipelineParallel, Model: sc.Model, GPU: sc.GPU,
+			Instances: 4, Shards: shards,
+		}, base.Clone(), Arrivals{QPS: 8, Seed: 1})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -74,11 +75,12 @@ func TestRunShardedOraclePipelineParallel(t *testing.T) {
 					shards, i, a.Req.ID, a.Arrival, a.Start, a.Finish, b.Req.ID, b.Arrival, b.Start, b.Finish)
 			}
 		}
-		if sa, sb := mustJSON(t, serial.Latency), mustJSON(t, got.Latency); string(sa) != string(sb) {
+		sa := mustJSON(t, metrics.Summarize(latencies(serial.Records)))
+		if sb := mustJSON(t, metrics.Summarize(latencies(got.Records))); string(sa) != string(sb) {
 			t.Fatalf("shards=%d: latency summary diverged: %s vs %s", shards, sa, sb)
 		}
-		if serial.CacheHitRate != got.CacheHitRate {
-			t.Fatalf("shards=%d: hit rate %v vs %v", shards, got.CacheHitRate, serial.CacheHitRate)
+		if a, b := serial.Fleet.CacheHitRate(), got.Fleet.CacheHitRate(); a != b {
+			t.Fatalf("shards=%d: hit rate %v vs %v", shards, b, a)
 		}
 	}
 }

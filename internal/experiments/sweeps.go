@@ -26,16 +26,10 @@ type QPSLatencyPanel struct {
 	Points        []QPSLatencyPoint
 }
 
-// QPSLatency regenerates one Figure-6/7 panel: it measures PrefillOnly's
-// saturation throughput x, then sweeps every engine over x·multipliers.
-// Engines may be restricted (nil = all five). Serial convenience wrapper
-// around QPSLatencyParallel.
-func QPSLatency(sc Scenario, kind DatasetKind, engines []EngineKind, seed int64) (*QPSLatencyPanel, error) {
-	panel, _, err := QPSLatencyParallel(sc, kind, engines, seed, 1)
-	return panel, err
-}
-
-// QPSLatencyParallel is QPSLatency fanned across the cell executor.
+// QPSLatencyParallel regenerates one Figure-6/7 panel on the cell
+// executor: it measures PrefillOnly's saturation throughput x, then
+// sweeps every engine over x·multipliers. Engines may be restricted (nil =
+// all five).
 func QPSLatencyParallel(sc Scenario, kind DatasetKind, engines []EngineKind, seed int64, parallel int) (*QPSLatencyPanel, CellStats, error) {
 	return QPSLatencyOn(sc, kind.String(), kind.Generate(seed), engines, seed, parallel)
 }
@@ -102,16 +96,9 @@ type Figure8Row struct {
 	ThroughputRPS float64
 }
 
-// Figure8 regenerates the NVLink throughput comparison. Serial
-// convenience wrapper around Figure8Parallel.
-func Figure8(seed int64) ([]Figure8Row, error) {
-	rows, _, err := Figure8Parallel(seed, 1)
-	return rows, err
-}
-
-// Figure8Parallel is Figure8 fanned across the cell executor: each
-// (scenario, engine) saturation measurement is one cell on its own
-// dataset clone.
+// Figure8Parallel regenerates the NVLink throughput comparison on the
+// cell executor: each (scenario, engine) saturation measurement is one
+// cell on its own dataset clone.
 func Figure8Parallel(seed int64, parallel int) ([]Figure8Row, CellStats, error) {
 	base := CreditVerification.Generate(seed)
 	type cell struct {
@@ -146,16 +133,9 @@ type Figure9Point struct {
 	CacheHitRate  float64
 }
 
-// Figure9 regenerates the prefix-cache-throttling study: post
-// recommendation on 2×H100 (no NVLink), throughput as offered QPS grows,
-// for PrefillOnly, chunked prefill, PP and TP. Serial convenience wrapper
-// around Figure9Parallel.
-func Figure9(seed int64) ([]Figure9Point, error) {
-	rows, _, err := Figure9Parallel(seed, 1)
-	return rows, err
-}
-
-// Figure9Parallel is Figure9 fanned across the cell executor.
+// Figure9Parallel regenerates the prefix-cache-throttling study on the
+// cell executor: post recommendation on 2×H100 (no NVLink), throughput as
+// offered QPS grows, for PrefillOnly, chunked prefill, PP and TP.
 func Figure9Parallel(seed int64, parallel int) ([]Figure9Point, CellStats, error) {
 	sc, err := ScenarioByName("H100")
 	if err != nil {
@@ -203,17 +183,10 @@ type Figure11Curve struct {
 	CDF         []metrics.CDFPoint
 }
 
-// Figure11 regenerates the λ sensitivity study: latency CDFs of
-// PrefillOnly under λ ∈ {0, 200, 2000} on post recommendation at the
-// saturation rate (enough queueing for SRJF starvation to appear, not so
-// much that every policy thrashes). Serial convenience wrapper around
-// Figure11Parallel.
-func Figure11(seed int64) ([]Figure11Curve, error) {
-	rows, _, err := Figure11Parallel(seed, 1)
-	return rows, err
-}
-
-// Figure11Parallel is Figure11 fanned across the cell executor.
+// Figure11Parallel regenerates the λ sensitivity study on the cell
+// executor: latency CDFs of PrefillOnly under λ ∈ {0, 200, 2000} on post
+// recommendation at the saturation rate (enough queueing for SRJF
+// starvation to appear, not so much that every policy thrashes).
 func Figure11Parallel(seed int64, parallel int) ([]Figure11Curve, CellStats, error) {
 	sc, err := ScenarioByName("L4")
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/model"
-	"repro/internal/workload"
 )
 
 // Table1Row summarizes one dataset (paper Table 1).
@@ -91,16 +90,10 @@ func milFor(kind EngineKind, sc Scenario) (int, error) {
 	return exec.MaxInputLength(opts, budget)
 }
 
-// Table2 regenerates the maximum-input-length table over the three GPU
-// types (the paper's Table 2 collapses the two H100 variants). Serial
-// convenience wrapper around Table2Parallel.
-func Table2() ([]Table2Row, error) {
-	rows, _, err := Table2Parallel(1)
-	return rows, err
-}
-
-// Table2Parallel is Table2 fanned across the cell executor: each
-// engine×GPU MIL binary search is a pure, independent cell.
+// Table2Parallel regenerates the maximum-input-length table over the
+// three GPU types (the paper's Table 2 collapses the two H100 variants) on
+// the cell executor: each engine×GPU MIL binary search is a pure,
+// independent cell.
 func Table2Parallel(parallel int) ([]Table2Row, CellStats, error) {
 	scenarios := []string{"L4", "A100", "H100"}
 	engines := []EngineKind{PagedAttention, ChunkedPrefill, PipelineParallel, TensorParallel, PrefillOnly}
@@ -152,7 +145,7 @@ func Table3() []Table3Row {
 		out = append(out, Table3Row{
 			Scenario:     sc.Name,
 			GPUName:      sc.GPU.Name,
-			GPUCount:     2,
+			GPUCount:     scenarioGPUs,
 			MemoryGiB:    float64(sc.GPU.MemoryBytes) / (1 << 30),
 			Interconnect: sc.GPU.Link.String(),
 			ModelName:    sc.Model.Name,
@@ -160,17 +153,6 @@ func Table3() []Table3Row {
 		})
 	}
 	return out
-}
-
-// DatasetForScenario truncates WL2 histories for unit tests that need a
-// smaller population; the full paper datasets come from DatasetKind.Generate.
-func DatasetForScenario(kind DatasetKind, users int, seed int64) *workload.Dataset {
-	switch kind {
-	case CreditVerification:
-		return workload.CreditVerification(workload.CreditVerificationConfig{Users: users, Seed: seed})
-	default:
-		return workload.PostRecommendation(workload.PostRecommendationConfig{Users: users, Seed: seed})
-	}
 }
 
 // modelForFigure10 is the Figure-10 ablation model (Qwen-2.5-32B FP8).

@@ -82,6 +82,9 @@ type Spec struct {
 	Autoscale *autoscale.Config
 	// Chaos injects faults when it enables a fault kind (requires
 	// Router). Fault-orphaned requests that recovery drops go to OnShed.
+	// Only the serial engines can be faulted: TensorParallel and
+	// PipelineParallel have no Kill and no speed factor, so a spec that
+	// enables Chaos on them is rejected.
 	Chaos chaos.Config
 	// Shards selects the event kernel's shard count: <= 1 serial, >= 2
 	// sharded with that many workers. Results are identical either way.
@@ -139,6 +142,9 @@ func New(spec Spec) (*Fleet, error) {
 	}
 	if spec.Router == nil && (spec.Autoscale != nil || spec.Chaos.Enabled()) {
 		return nil, fmt.Errorf("fleet: Autoscale and Chaos require a Router")
+	}
+	if spec.Chaos.Enabled() && (spec.Engine == TensorParallel || spec.Engine == PipelineParallel) {
+		return nil, fmt.Errorf("fleet: Chaos cannot fault %s instances (no kill or straggler support)", spec.Engine)
 	}
 	initial := spec.Instances
 	var acfg autoscale.Config
@@ -240,7 +246,7 @@ func (f *Fleet) build() (engine.Engine, error) {
 	case PagedAttention:
 		return engine.NewPagedAttention(cfg)
 	case ChunkedPrefill:
-		return engine.NewChunkedPrefill(cfg, 0)
+		return engine.NewChunkedPrefill(cfg)
 	case TensorParallel:
 		return engine.NewTensorParallel(cfg)
 	case PipelineParallel:

@@ -314,3 +314,27 @@ func TestNewRejectsEmptyFleet(t *testing.T) {
 		t.Error("chaos without a router accepted")
 	}
 }
+
+// TestNewRejectsChaosOnParallelEngines: the TP and PP engines have no Kill
+// and no speed factor, so a fault injector over them would count crashes
+// that never happen. New rejects Chaos on them and accepts it on the
+// three serial engines.
+func TestNewRejectsChaosOnParallelEngines(t *testing.T) {
+	for _, eng := range []Engine{PrefillOnly, PagedAttention, ChunkedPrefill, TensorParallel, PipelineParallel} {
+		_, err := New(Spec{
+			Engine: eng, Model: model.Llama31_8B(), GPU: hw.L4(), ProfileMaxLen: 2000,
+			Instances: 2,
+			Router:    &router.Config{Policy: router.LeastLoaded{}},
+			Chaos:     chaos.Config{Seed: 3, CrashRate: 1, StragglerRate: 1, PreemptRate: 1, HorizonSeconds: 10},
+		})
+		parallel := eng == TensorParallel || eng == PipelineParallel
+		switch {
+		case parallel && err == nil:
+			t.Errorf("%s: Chaos accepted on an engine that cannot be faulted", eng)
+		case parallel && !strings.Contains(err.Error(), string(eng)):
+			t.Errorf("%s: error %q does not name the engine", eng, err)
+		case !parallel && err != nil:
+			t.Errorf("%s: %v", eng, err)
+		}
+	}
+}

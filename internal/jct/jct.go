@@ -3,13 +3,11 @@
 // exactly one token, its JCT is a deterministic function of its input
 // length and of how many of its tokens hit the prefix cache.
 //
-// Two estimators are provided, matching the paper:
-//
-//   - Linear: offline profiling of jct(nInput, nCached) over a grid at
-//     1000-token granularity, fit with linear regression.
-//   - Proxy: the cache-miss-token count (nInput − nCached) scaled to
-//     seconds, which the paper measures to correlate with true JCT at
-//     Pearson 0.987 and adopts as the default.
+// The estimator is the paper's: the cache-miss-token count (nInput −
+// nCached) scaled to seconds (Proxy), calibrated from one cold run at the
+// profile length (CalibrateProxy). ProxyCorrelation reproduces the
+// paper's check that this count correlates with true JCT at Pearson 0.987
+// over a grid of ProfileGranularity (1,000-token) steps.
 package jct
 
 import (
@@ -22,77 +20,20 @@ import (
 // nInput tokens of which nCached hit the prefix cache.
 type TimeFunc func(nInput, nCached int) (float64, error)
 
-// Estimator predicts the JCT of a request.
-type Estimator interface {
-	// Estimate returns the predicted execution time in seconds.
-	Estimate(nInput, nCached int) float64
-	// Name identifies the estimator in logs and experiment output.
-	Name() string
-}
-
 // ProfileGranularity is the paper's profiling grid step (§6.3).
 const ProfileGranularity = 1000
 
-// Linear is a least-squares fit jct = Intercept + CoefInput·nInput +
-// CoefCached·nCached.
-type Linear struct {
-	Intercept  float64
-	CoefInput  float64
-	CoefCached float64
-}
-
-// Name implements Estimator.
-func (l *Linear) Name() string { return "linear-regression" }
-
-// Estimate implements Estimator. Estimates are clamped at zero: a request
-// can never have negative JCT.
-func (l *Linear) Estimate(nInput, nCached int) float64 {
-	v := l.Intercept + l.CoefInput*float64(nInput) + l.CoefCached*float64(nCached)
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// Profile runs the offline profiling phase: it evaluates measure over all
-// (nInput, nCached) pairs with nCached <= nInput on a grid of the given
-// granularity up to maxLen, and fits a Linear estimator.
-func Profile(measure TimeFunc, maxLen, granularity int) (*Linear, error) {
-	if maxLen < granularity {
-		return nil, fmt.Errorf("jct: maxLen %d below granularity %d", maxLen, granularity)
-	}
-	if granularity <= 0 {
-		return nil, fmt.Errorf("jct: granularity must be positive, got %d", granularity)
-	}
-	var feats [][]float64
-	var ys []float64
-	for n := granularity; n <= maxLen; n += granularity {
-		for c := 0; c <= n; c += granularity {
-			y, err := measure(n, c)
-			if err != nil {
-				return nil, fmt.Errorf("jct: profiling (%d,%d): %w", n, c, err)
-			}
-			feats = append(feats, []float64{float64(n), float64(c)})
-			ys = append(ys, y)
-		}
-	}
-	intercept, coefs, err := metrics.LinearFit(feats, ys)
-	if err != nil {
-		return nil, fmt.Errorf("jct: fitting profile: %w", err)
-	}
-	return &Linear{Intercept: intercept, CoefInput: coefs[0], CoefCached: coefs[1]}, nil
-}
-
 // Proxy estimates JCT as SecondsPerMissToken · (nInput − nCached): the
-// cache-miss-token proxy the paper adopts by default.
+// cache-miss-token proxy the paper adopts.
 type Proxy struct {
 	SecondsPerMissToken float64
 }
 
-// Name implements Estimator.
+// Name identifies the estimator.
 func (p *Proxy) Name() string { return "cache-miss-proxy" }
 
-// Estimate implements Estimator.
+// Estimate returns the predicted execution time in seconds. A request
+// cached at or beyond its own length estimates 0.
 func (p *Proxy) Estimate(nInput, nCached int) float64 {
 	miss := nInput - nCached
 	if miss < 0 {

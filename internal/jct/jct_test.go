@@ -2,7 +2,6 @@ package jct
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -18,44 +17,15 @@ func modelTime(e *graph.Executor) TimeFunc {
 	}
 }
 
-func TestProfileFitsAccurately(t *testing.T) {
-	e := graph.New(model.Llama31_8B(), hw.L4())
-	est, err := Profile(modelTime(e), 20000, ProfileGranularity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Predictions within 15% on off-grid points in the length regime the
-	// workloads live in (attention is quadratic, so the linear fit is
-	// approximate at the extremes — same as the paper's).
-	for _, tc := range []struct{ n, c int }{{11000, 0}, {7777, 3000}, {19000, 12000}} {
-		truth, _ := modelTime(e)(tc.n, tc.c)
-		got := est.Estimate(tc.n, tc.c)
-		if diff := math.Abs(got-truth) / truth; diff > 0.15 {
-			t.Errorf("estimate(%d,%d) = %.4f vs truth %.4f (%.0f%% off)",
-				tc.n, tc.c, got, truth, diff*100)
-		}
-	}
-	// Ranking must be preserved: more miss tokens → larger estimate.
-	prev := -1.0
-	for n := 2000; n <= 20000; n += 2000 {
-		v := est.Estimate(n, 0)
-		if v <= prev {
-			t.Fatalf("estimates not increasing at n=%d", n)
-		}
-		prev = v
-	}
-	if est.CoefInput <= 0 {
-		t.Errorf("CoefInput = %v, want positive", est.CoefInput)
-	}
-	if est.CoefCached >= 0 {
-		t.Errorf("CoefCached = %v, want negative (cache hits reduce JCT)", est.CoefCached)
-	}
-}
-
+// A request can never have negative JCT: a cached count at or beyond the
+// request's length estimates 0.
 func TestEstimateClampedAtZero(t *testing.T) {
-	l := &Linear{Intercept: -5}
-	if got := l.Estimate(0, 0); got != 0 {
-		t.Fatalf("negative estimate not clamped: %v", got)
+	p := &Proxy{SecondsPerMissToken: 1e-4}
+	if got := p.Estimate(1000, 1000); got != 0 {
+		t.Fatalf("fully-cached request estimates %v, want 0", got)
+	}
+	if got := p.Estimate(1000, 2000); got != 0 {
+		t.Fatalf("over-cached request estimates %v, want 0", got)
 	}
 }
 
@@ -81,30 +51,17 @@ func TestCalibrateProxy(t *testing.T) {
 	if p.SecondsPerMissToken <= 0 {
 		t.Fatal("non-positive per-token cost")
 	}
-	if p.Estimate(1000, 1000) != 0 {
-		t.Fatal("fully-cached request should estimate 0")
-	}
-	if p.Estimate(1000, 2000) != 0 {
-		t.Fatal("over-cached request should clamp to 0")
-	}
 	if p.Estimate(2000, 0) <= p.Estimate(1000, 0) {
 		t.Fatal("estimate not increasing in miss tokens")
 	}
 }
 
+// CalibrateProxy rejects a non-positive profile length and surfaces a
+// failed measurement.
 func TestProfileErrors(t *testing.T) {
 	ok := func(n, c int) (float64, error) { return 1, nil }
-	if _, err := Profile(ok, 500, 1000); err == nil {
-		t.Error("maxLen < granularity accepted")
-	}
-	if _, err := Profile(ok, 1000, 0); err == nil {
-		t.Error("zero granularity accepted")
-	}
 	boom := errors.New("boom")
 	bad := func(n, c int) (float64, error) { return 0, boom }
-	if _, err := Profile(bad, 5000, 1000); !errors.Is(err, boom) {
-		t.Errorf("measurement error not propagated: %v", err)
-	}
 	if _, err := CalibrateProxy(bad, 1000); !errors.Is(err, boom) {
 		t.Errorf("calibration error not propagated: %v", err)
 	}
@@ -114,7 +71,7 @@ func TestProfileErrors(t *testing.T) {
 }
 
 func TestEstimatorNames(t *testing.T) {
-	if (&Linear{}).Name() == "" || (&Proxy{}).Name() == "" {
-		t.Fatal("empty estimator names")
+	if (&Proxy{}).Name() == "" {
+		t.Fatal("empty estimator name")
 	}
 }

@@ -127,82 +127,3 @@ func Pearson(xs, ys []float64) (float64, error) {
 	}
 	return cov / math.Sqrt(vx*vy), nil
 }
-
-// LinearFit fits y = intercept + sum_i coef[i]*x[i] by ordinary least
-// squares over rows of features (normal equations with Gaussian
-// elimination; the JCT profile has two features, so conditioning is not a
-// concern).
-func LinearFit(features [][]float64, ys []float64) (intercept float64, coefs []float64, err error) {
-	if len(features) != len(ys) {
-		return 0, nil, fmt.Errorf("metrics: %d feature rows vs %d targets", len(features), len(ys))
-	}
-	if len(features) == 0 {
-		return 0, nil, fmt.Errorf("metrics: empty fit")
-	}
-	k := len(features[0]) + 1 // +1 for intercept column
-	if len(features) < k {
-		return 0, nil, fmt.Errorf("metrics: need >= %d rows, got %d", k, len(features))
-	}
-	// Build normal equations A^T A w = A^T y.
-	ata := make([][]float64, k)
-	for i := range ata {
-		ata[i] = make([]float64, k)
-	}
-	aty := make([]float64, k)
-	row := make([]float64, k)
-	for r, f := range features {
-		if len(f) != k-1 {
-			return 0, nil, fmt.Errorf("metrics: row %d has %d features, want %d", r, len(f), k-1)
-		}
-		row[0] = 1
-		copy(row[1:], f)
-		for i := 0; i < k; i++ {
-			for j := 0; j < k; j++ {
-				ata[i][j] += row[i] * row[j]
-			}
-			aty[i] += row[i] * ys[r]
-		}
-	}
-	w, err := solve(ata, aty)
-	if err != nil {
-		return 0, nil, err
-	}
-	return w[0], w[1:], nil
-}
-
-// solve performs Gaussian elimination with partial pivoting on a small
-// dense system.
-func solve(a [][]float64, b []float64) ([]float64, error) {
-	n := len(b)
-	// Work on copies.
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = append(append([]float64(nil), a[i]...), b[i])
-	}
-	for col := 0; col < n; col++ {
-		pivot := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(m[pivot][col]) < 1e-12 {
-			return nil, fmt.Errorf("metrics: singular system")
-		}
-		m[col], m[pivot] = m[pivot], m[col]
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := m[r][col] / m[col][col]
-			for c := col; c <= n; c++ {
-				m[r][c] -= f * m[col][c]
-			}
-		}
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = m[i][n] / m[i][i]
-	}
-	return out, nil
-}

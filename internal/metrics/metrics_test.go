@@ -95,40 +95,6 @@ func TestPearsonErrors(t *testing.T) {
 	}
 }
 
-func TestLinearFitRecoversCoefficients(t *testing.T) {
-	// y = 2 + 3*x0 - 0.5*x1
-	rng := rand.New(rand.NewSource(2))
-	var features [][]float64
-	var ys []float64
-	for i := 0; i < 200; i++ {
-		x0 := rng.Float64() * 100
-		x1 := rng.Float64() * 10
-		features = append(features, []float64{x0, x1})
-		ys = append(ys, 2+3*x0-0.5*x1)
-	}
-	icpt, coefs, err := LinearFit(features, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(icpt-2) > 1e-6 || math.Abs(coefs[0]-3) > 1e-8 || math.Abs(coefs[1]+0.5) > 1e-8 {
-		t.Fatalf("fit = %v + %v", icpt, coefs)
-	}
-}
-
-func TestLinearFitErrors(t *testing.T) {
-	if _, _, err := LinearFit(nil, nil); err == nil {
-		t.Error("empty fit accepted")
-	}
-	if _, _, err := LinearFit([][]float64{{1, 2}}, []float64{1}); err == nil {
-		t.Error("underdetermined fit accepted")
-	}
-	// Singular: duplicate feature column.
-	feats := [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}
-	if _, _, err := LinearFit(feats, []float64{1, 2, 3, 4}); err == nil {
-		t.Error("singular system accepted")
-	}
-}
-
 // Property: percentiles are monotone in p and bounded by min/max.
 func TestPercentileProperties(t *testing.T) {
 	f := func(raw []float64, p1, p2 float64) bool {

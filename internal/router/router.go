@@ -174,7 +174,7 @@ const estimatorProbeLen = 4096
 type instanceState struct {
 	id       int
 	eng      engine.Engine
-	est      jct.Estimator
+	est      *jct.Proxy
 	load     Load
 	draining bool
 	// condemned marks an instance that received a preemption notice: it
@@ -219,9 +219,9 @@ type Router struct {
 }
 
 // estimatorEngine is satisfied by engines that expose a calibrated JCT
-// estimator (core.Engine does).
+// proxy (core.Engine does).
 type estimatorEngine interface {
-	Estimator() jct.Estimator
+	Estimator() *jct.Proxy
 }
 
 // executorEngine is satisfied by engines that expose their cost model
@@ -444,11 +444,11 @@ func (rt *Router) routable() []*instanceState {
 	return rt.routableCache
 }
 
-// resolveEstimator picks the JCT estimator used to price an instance's
-// backlog: the engine's own calibrated estimator if it exposes one, a
-// cache-miss proxy calibrated from the engine's cost model if it exposes
-// that, and otherwise a fixed per-token constant.
-func resolveEstimator(e engine.Engine) jct.Estimator {
+// resolveEstimator picks the JCT proxy used to price an instance's
+// backlog: the engine's own calibrated proxy if it exposes one, a proxy
+// calibrated from the engine's cost model if it exposes that, and
+// otherwise a fixed per-token constant.
+func resolveEstimator(e engine.Engine) *jct.Proxy {
 	if ee, ok := e.(estimatorEngine); ok {
 		if est := ee.Estimator(); est != nil {
 			return est

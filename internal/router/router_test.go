@@ -284,6 +284,46 @@ func TestLeastLoadedBalancesSingleHotUser(t *testing.T) {
 	s.Run()
 }
 
+// TestRouterUsesEngineEstimator: the router prices an instance's backlog
+// with the engine's own calibrated JCT proxy. The engines go in
+// unwrapped, because countingEngine hides Estimator and leaves the router
+// on its fallback price. If core.Engine stopped satisfying
+// estimatorEngine, the router would calibrate its own proxy from the cost
+// model at estimatorProbeLen instead of the engine's profile length, and
+// the backlog below would change.
+func TestRouterUsesEngineEstimator(t *testing.T) {
+	var s sim.Sim
+	cfg := engine.Config{Model: model.Llama31_8B(), GPU: hw.L4(), Sim: &s, ProfileMaxLen: 16000}
+	engines := make([]*core.Engine, 2)
+	for i := range engines {
+		e, err := core.New(cfg, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = e
+	}
+	rt, err := New(Config{Policy: LeastLoaded{}}, engines[0], engines[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := mkReq(1, 7, 6000)
+	if err := rt.Submit(r); err != nil {
+		t.Fatal(err)
+	}
+	want := engines[0].Estimator().Estimate(r.Len(), 0)
+	probe := resolveEstimator(engines[0].Serial).Estimate(r.Len(), 0)
+	if probe == want || fallbackSecondsPerToken*float64(r.Len()) == want {
+		t.Fatalf("engine proxy prices %g s, indistinguishable from the router's own calibrations", want)
+	}
+	var got float64
+	for _, l := range rt.Loads() {
+		got += l.BacklogSeconds
+	}
+	if got != want {
+		t.Fatalf("cold request's backlog = %g s, want the engine proxy's %g s", got, want)
+	}
+}
+
 func TestAffinityLoadKeepsHomeUntilBacklogged(t *testing.T) {
 	var s sim.Sim
 	wrapped, engines, chain := testCluster(t, &s, 2)

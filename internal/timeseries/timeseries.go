@@ -52,8 +52,9 @@ const (
 var DefSLOTargetSeconds = [sched.NumClasses]float64{2.5, 25}
 
 // Gauges is one point-in-time sample of fleet state, taken as a window
-// closes. The Sample callback fills it from whatever sources the caller
-// wires (router instance infos, cache manager, autoscale controller).
+// closes. The sampler installed with SetSample fills it from whatever
+// sources the caller wires (router instance infos, cache manager,
+// autoscale controller).
 type Gauges struct {
 	// QueuedRequests is the fleet-wide queue depth (admitted, unfinished).
 	QueuedRequests int
@@ -70,6 +71,8 @@ type Gauges struct {
 }
 
 // Config parameterizes a Collector. Zero values take the Def defaults.
+// Gauges come from the sampler installed with SetSample; until one is
+// installed they stay zero.
 type Config struct {
 	// IntervalSeconds is the window width in simulated seconds.
 	IntervalSeconds float64
@@ -84,8 +87,6 @@ type Config struct {
 	RollingWindows int
 	// MaxWindows bounds retained rows; excess drops oldest-first.
 	MaxWindows int
-	// Sample fills gauges at window close. Nil leaves gauges zero.
-	Sample func(now float64) Gauges
 }
 
 // classAccum is one class's counters within the current window.
@@ -185,7 +186,6 @@ func New(cfg Config) *Collector {
 		objective: cfg.SLOObjective,
 		targets:   cfg.SLOTargetSeconds,
 		maxRows:   cfg.MaxWindows,
-		sample:    cfg.Sample,
 	}
 	if c.interval <= 0 {
 		c.interval = DefIntervalSeconds
@@ -213,8 +213,9 @@ func New(cfg Config) *Collector {
 // Enabled reports whether the collector is live (non-nil).
 func (c *Collector) Enabled() bool { return c != nil }
 
-// SetSample installs (or replaces) the gauge sampler — for callers that
-// build the collector before the fleet it observes exists.
+// SetSample installs (or replaces) the gauge sampler, which fills the
+// gauges at each window close. Callers build the collector before the
+// fleet it observes exists, so the sampler is installed afterwards.
 func (c *Collector) SetSample(fn func(now float64) Gauges) {
 	if c == nil {
 		return
