@@ -7,6 +7,7 @@
 //	             [-scenario L4|A100|H100|H100-NVLink] [-dataset post|credit]
 //	             [-seed N] [-small] [-parallel N] [-shards N] [-json FILE]
 //	             [-compare-serial] [-compare-unsharded] [-trace FILE] [-timeseries FILE]
+//	             [-cpuprofile FILE]
 //
 // Every experiment is one entry of an ordered sweep table. -exp NAME runs
 // one entry; -exp all runs every entry the table marks, in table order, at
@@ -60,6 +61,9 @@
 // "executor": ...}: the executor block records serial-equivalent vs.
 // parallel wall seconds and allocations per cell, so harness-speed
 // regressions are as visible as simulation-result regressions.
+//
+// -cpuprofile FILE writes a CPU profile of the chosen experiment (every
+// experiment, for -exp all) to FILE; read it with go tool pprof.
 package main
 
 import (
@@ -69,6 +73,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"text/tabwriter"
 
@@ -98,12 +103,35 @@ func main() {
 		"event-kernel shards per run (1 = serial kernel; routing, autoscale, slo, chaos, kernel — rows are identical at any count)")
 	flag.BoolVar(&o.compareUnsharded, "compare-unsharded", false,
 		"rerun the sweep on the serial kernel and fail unless rows are byte-identical to the -shards run (routing, autoscale, slo, chaos)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the chosen experiment to FILE (read it with go tool pprof)")
 	flag.Parse()
 
-	if err := run(*exp, o); err != nil {
+	if err := profiled(*cpuProfile, func() error { return run(*exp, o) }); err != nil {
 		fmt.Fprintln(os.Stderr, "prefillbench:", err)
 		os.Exit(1)
 	}
+}
+
+// profiled calls fn under a CPU profile written to path, or just calls it
+// when path is empty.
+func profiled(path string, fn func() error) error {
+	if path == "" {
+		return fn()
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("-cpuprofile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("-cpuprofile: %w", err)
+	}
+	err = fn()
+	pprof.StopCPUProfile()
+	if cerr := f.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("-cpuprofile: %w", cerr)
+	}
+	return err
 }
 
 // options are the parsed flags every experiment reads from.

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -68,5 +72,28 @@ func TestUnsupportedFlagsFail(t *testing.T) {
 		if err := run(tc.exp, tc.o); err == nil {
 			t.Errorf("-exp %s accepted %+v", tc.exp, tc.o)
 		}
+	}
+}
+
+// TestProfiled checks -cpuprofile's wrapper: it writes a gzip-compressed
+// profile around the run and returns the run's error, and a profile it
+// cannot create fails before the run starts.
+func TestProfiled(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	boom := errors.New("boom")
+	if err := profiled(path, func() error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("the run's error came back as %v", err)
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(buf, []byte{0x1f, 0x8b}) {
+		t.Fatalf("profile starts % x, want gzip's magic 1f 8b", buf[:min(len(buf), 4)])
+	}
+	ran := false
+	err = profiled(filepath.Join(t.TempDir(), "missing", "cpu.pprof"), func() error { ran = true; return nil })
+	if err == nil || ran {
+		t.Fatalf("an uncreatable profile returned %v and ran the experiment: %v", err, ran)
 	}
 }

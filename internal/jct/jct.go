@@ -29,9 +29,6 @@ type Proxy struct {
 	SecondsPerMissToken float64
 }
 
-// Name identifies the estimator.
-func (p *Proxy) Name() string { return "cache-miss-proxy" }
-
 // Estimate returns the predicted execution time in seconds. A request
 // cached at or beyond its own length estimates 0.
 func (p *Proxy) Estimate(nInput, nCached int) float64 {

@@ -69,9 +69,3 @@ func TestProfileErrors(t *testing.T) {
 		t.Error("zero maxLen accepted")
 	}
 }
-
-func TestEstimatorNames(t *testing.T) {
-	if (&Proxy{}).Name() == "" {
-		t.Fatal("empty estimator name")
-	}
-}

@@ -21,6 +21,10 @@ import (
 // plus one, so a zero ref marks an empty cell and any hash, 0 included,
 // can be a key. Two arrays instead of one of structs save the struct's
 // padding: 12 bytes a cell, not 16.
+//
+// Like lruHeap, the methods that place keys take the slab the slots
+// index and keep each block's cell, so a block is deleted by its cell
+// without a probe.
 type blockIndex struct {
 	hashes       []uint64
 	refs         []int32 // len(refs) == len(hashes), a power of two
@@ -30,6 +34,16 @@ type blockIndex struct {
 
 // minIndexCells is the initial table size.
 const minIndexCells = 16
+
+// cellsFor returns the fewest cells, a power of two and at least
+// minIndexCells, that hold keys keys at most half full.
+func cellsFor(keys int) int {
+	cells := minIndexCells
+	for cells < 2*keys {
+		cells *= 2
+	}
+	return cells
+}
 
 // newBlockIndex returns an empty table of cells cells (a power of two)
 // whose probe starts are mixed with seed0 and seed1.
@@ -71,39 +85,40 @@ func (t *blockIndex) get(hash uint64) (int32, bool) {
 	return t.refs[i] - 1, ok
 }
 
-// put maps hash to slot, replacing any earlier slot.
-func (t *blockIndex) put(hash uint64, slot int32) {
+// put maps hash to slot, replacing any earlier slot, and records the
+// cell in s[slot]. A table that would pass half full doubles first.
+func (t *blockIndex) put(s []block, hash uint64, slot int32) {
 	i, ok := t.find(hash)
 	if !ok {
 		if 2*(t.n+1) > len(t.refs) {
-			t.grow()
+			t.resize(s, 2*len(t.refs))
 			i, _ = t.find(hash)
 		}
 		t.n++
 	}
 	t.hashes[i], t.refs[i] = hash, slot+1
+	s[slot].cell = int32(i)
 }
 
-// grow doubles the table and reinserts every key.
-func (t *blockIndex) grow() {
+// resize moves every key into a new table of cells cells, a power of two
+// at least twice the key count, and rewrites each key's cell in s.
+func (t *blockIndex) resize(s []block, cells int) {
 	hashes, refs := t.hashes, t.refs
-	t.hashes, t.refs = make([]uint64, 2*len(refs)), make([]int32, 2*len(refs))
+	t.hashes, t.refs = make([]uint64, cells), make([]int32, cells)
 	for k, ref := range refs {
 		if ref != 0 {
 			i, _ := t.find(hashes[k])
 			t.hashes[i], t.refs[i] = hashes[k], ref
+			s[ref-1].cell = int32(i)
 		}
 	}
 }
 
-// del removes hash if present. The cells after the hole, up to the next
+// del empties occupied cell i. The cells after the hole, up to the next
 // empty one, shift back into it unless their probe run starts after the
-// hole, so every remaining key stays reachable from its home.
-func (t *blockIndex) del(hash uint64) {
-	i, ok := t.find(hash)
-	if !ok {
-		return
-	}
+// hole, so every remaining key stays reachable from its home; each key
+// that moves has its cell rewritten in s.
+func (t *blockIndex) del(s []block, i int) {
 	t.n--
 	mask := len(t.refs) - 1
 	for j := i; ; {
@@ -115,6 +130,7 @@ func (t *blockIndex) del(hash uint64) {
 		// Cell j fills the hole unless its home lies cyclically in (i, j].
 		if (j-t.home(t.hashes[j]))&mask >= (j-i)&mask {
 			t.hashes[i], t.refs[i] = t.hashes[j], t.refs[j]
+			s[t.refs[i]-1].cell = int32(i)
 			i = j
 		}
 	}

@@ -31,29 +31,39 @@ func clusterKeys(seed0, seed1 uint64) []uint64 {
 
 // runIndexOps applies the operations encoded in ops, two bytes each
 // (operation, argument), to a 16-cell table and to a map, and after each
-// checks that every key of the universe maps alike in both and that the
-// table holds no other key. Up to 24 live keys grow the table to 64
-// cells, so the run of clustered keys wraps at every size.
+// checks that every key of the universe maps alike in both, that each
+// key's slot records the cell holding it, and that the table holds no
+// other key. A delete empties the cell the key's slot records, so a cell
+// left stale by a backward shift or a resize deletes the wrong key. Up to
+// 24 live keys grow the table to 64 cells, so the run of clustered keys
+// wraps at every size.
 func runIndexOps(t *testing.T, seed0, seed1 uint64, ops []byte) {
 	keys := clusterKeys(seed0, seed1)
 	idx := newBlockIndex(minIndexCells, seed0, seed1)
+	slab := make([]block, 256) // slots are op arguments
 	ref := map[uint64]int32{}
 	for i := 0; i+1 < len(ops); i += 2 {
 		op, arg := ops[i]%3, int(ops[i+1])
 		key := keys[arg%len(keys)]
 		switch op {
 		case 0, 1: // insert, or overwrite a present key's slot
-			idx.put(key, int32(arg))
+			idx.put(slab, key, int32(arg))
 			ref[key] = int32(arg)
 		case 2:
-			idx.del(key)
-			delete(ref, key)
+			if slot, ok := ref[key]; ok {
+				idx.del(slab, int(slab[slot].cell))
+				delete(ref, key)
+			}
 		}
 		for _, k := range keys {
 			got, ok := idx.get(k)
 			want, wantOK := ref[k]
 			if ok != wantOK || (ok && got != want) {
 				t.Fatalf("op %d (%d, %d): get(%x) = %d, %v; map has %d, %v", i/2, op, arg, k, got, ok, want, wantOK)
+			}
+			if c := slab[want].cell; ok && (idx.hashes[c] != k || idx.refs[c] != want+1) {
+				t.Fatalf("op %d (%d, %d): slot %d of key %x records cell %d, which holds %x for slot %d",
+					i/2, op, arg, want, k, c, idx.hashes[c], idx.refs[c]-1)
 			}
 		}
 		occupied := 0
@@ -94,8 +104,10 @@ func TestBlockIndexMatchesMap(t *testing.T) {
 // 64-cell table, sits in a cell before its home.
 func clusterWraps(seed0, seed1 uint64) bool {
 	idx := newBlockIndex(64, seed0, seed1)
-	for i, k := range clusterKeys(seed0, seed1) {
-		idx.put(k, int32(i))
+	keys := clusterKeys(seed0, seed1)
+	slab := make([]block, len(keys))
+	for i, k := range keys {
+		idx.put(slab, k, int32(i))
 	}
 	for i, ref := range idx.refs {
 		if ref != 0 && i < idx.home(idx.hashes[i]) {

@@ -60,6 +60,7 @@ type block struct {
 	children int32 // blocks that chain onto this one
 	pins     int32
 	heapIdx  int32 // position in the LRU heap; -1 when not evictable
+	cell     int32 // the index cell that maps hash to this slot
 }
 
 // Manager is a single simulated device's (or engine's) prefix cache.
@@ -68,9 +69,14 @@ type block struct {
 // The GPU tier holds no pointers: blocks live in a slab addressed by
 // int32 slots and recycled through a free list, an open-addressing table
 // maps block hashes to slots, and the LRU heap and the pending change
-// lists hold slots or hashes. Once the slab and table have grown to the
-// pool's size, an insert allocates nothing and the GC has nothing in the
-// cache to scan.
+// lists hold slots or hashes. Each block records its table cell, so
+// removing it needs no probe. The table starts with room for
+// minIndexCells/2 blocks and the slab grows to as many; the first insert
+// past that sizes both for the pool's block count, which bounds the live
+// blocks because used never passes capacity. So neither grows again, and
+// a cache that never holds more than minIndexCells/2 blocks allocates no
+// pool-sized arrays. Once the change lists have grown too, an insert
+// allocates nothing and the GC has nothing in the cache to scan.
 //
 // A hit costs O(log n) index probes for an n-block chain, not one per
 // block. LookupH, PinH and InsertH find a chain's cached prefix by binary
@@ -523,7 +529,7 @@ func (m *Manager) InsertH(hashes []uint64, now float64) int {
 			p.children++
 			p.pins--
 		}
-		m.index.put(hash, i)
+		m.index.put(m.slab, hash, i)
 		m.used += m.bytesPerBlock
 		if len(m.subs) > 0 {
 			m.pending.Inserted = append(m.pending.Inserted, hash)
@@ -540,14 +546,29 @@ func (m *Manager) InsertH(hashes []uint64, now float64) int {
 }
 
 // alloc returns a free slab slot, growing the slab when none is free.
+// With no slot free the slab holds exactly the live blocks, so at
+// minIndexCells/2 of them the next insert would outgrow the index's first
+// table: growToPool sizes both for the pool before it.
 func (m *Manager) alloc() int32 {
 	if n := len(m.free); n > 0 {
 		i := m.free[n-1]
 		m.free = m.free[:n-1]
 		return i
 	}
+	if len(m.slab) == minIndexCells/2 {
+		m.growToPool()
+	}
 	m.slab = append(m.slab, block{})
 	return int32(len(m.slab) - 1)
+}
+
+// growToPool sizes the slab and the index for the pool's block count.
+func (m *Manager) growToPool() {
+	blocks := int(m.capacity / m.bytesPerBlock)
+	slab := make([]block, len(m.slab), blocks)
+	copy(slab, m.slab)
+	m.slab = slab
+	m.index.resize(m.slab, cellsFor(blocks))
 }
 
 // reclaim evicts LRU blocks until free bytes >= need. Returns false when
@@ -570,7 +591,7 @@ func (m *Manager) reclaim(need int64) bool {
 // that is later: the recency rule (see Manager).
 func (m *Manager) remove(i int32, demote bool) {
 	b := &m.slab[i]
-	m.index.del(b.hash)
+	m.index.del(m.slab, int(b.cell))
 	m.used -= m.bytesPerBlock
 	if len(m.subs) > 0 {
 		m.pending.Evicted = append(m.pending.Evicted, b.hash)
@@ -639,6 +660,9 @@ func (m *Manager) CheckInvariants() error {
 		live++
 		if j, ok := m.index.get(b.hash); !ok || j != int32(i) {
 			return fmt.Errorf("kvcache: block %x in slot %d is indexed at slot %d (found %v)", b.hash, i, j, ok)
+		}
+		if c := int(b.cell); c < 0 || c >= len(m.index.refs) || m.index.refs[c] != int32(i)+1 || m.index.hashes[c] != b.hash {
+			return fmt.Errorf("kvcache: block %x in slot %d records cell %d, which does not map it there", b.hash, i, c)
 		}
 		if b.parent < 0 {
 			if b.depth != 1 {

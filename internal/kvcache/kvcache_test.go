@@ -411,24 +411,108 @@ func TestSubscribeReportsReserveAndEvictAll(t *testing.T) {
 	}
 }
 
-// insertEvictChains returns a pool shaped like one L4 instance of the
-// benchmark's long-unique workload (2,800 blocks) with a subscriber that
-// only reads its events, and two unrelated 3,125-block (50k-token)
-// chains. Inserting either chain evicts every block of the other and
-// discards its own suffix, as each new document does there.
-func insertEvictChains(tb testing.TB) (*Manager, [2][]uint64) {
-	m, err := New(Config{BlockTokens: 16, BytesPerToken: 1, CapacityBytes: 2800 * 16})
+// insertEvictBlocks is the pool of insertEvictPool: one L4 instance of
+// the benchmark's long-unique workload.
+const insertEvictBlocks = 2800
+
+// insertEvictPool returns an empty 2,800-block pool with a subscriber that
+// only reads its events, as a scheduler's feed does.
+func insertEvictPool(tb testing.TB) *Manager {
+	m, err := New(Config{BlockTokens: 16, BytesPerToken: 1, CapacityBytes: insertEvictBlocks * 16})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	var changed int
 	m.Subscribe(func(ev ChangeEvent) { changed += len(ev.Inserted) + len(ev.Evicted) })
+	return m
+}
+
+// insertEvictChains returns insertEvictPool's pool and two unrelated
+// 3,125-block (50k-token) chains. Inserting either chain evicts every
+// block of the other and discards its own suffix, as each new document
+// does there.
+func insertEvictChains(tb testing.TB) (*Manager, [2][]uint64) {
 	rng := rand.New(rand.NewSource(1))
 	var chains [2][]uint64
 	for i := range chains {
 		chains[i] = BlockHashes(randTokens(rng, 3125*16), 16)
 	}
-	return m, chains
+	return insertEvictPool(tb), chains
+}
+
+// TestFillGrowsOnceToPool: the insert that takes a fresh cache past
+// minIndexCells/2 blocks sizes the slab at the pool's block count and the
+// index for it, and filling the pool and evicting through it leave both
+// as they are.
+func TestFillGrowsOnceToPool(t *testing.T) {
+	m, chains := insertEvictChains(t)
+	m.InsertH(chains[0][:minIndexCells/2], 1)
+	if cap(m.slab) > minIndexCells/2 || len(m.index.refs) != minIndexCells {
+		t.Fatalf("%d blocks: slab capacity %d, %d index cells; want at most %d and %d",
+			m.Len(), cap(m.slab), len(m.index.refs), minIndexCells/2, minIndexCells)
+	}
+	m.InsertH(chains[0][:minIndexCells/2+1], 2)
+	cells := len(m.index.refs)
+	if cap(m.slab) != insertEvictBlocks || cells != 8192 {
+		t.Fatalf("%d blocks: slab capacity %d, %d index cells; want %d and 8192",
+			m.Len(), cap(m.slab), cells, insertEvictBlocks)
+	}
+	for k, chain := range [][]uint64{chains[0], chains[1], chains[0]} {
+		m.InsertH(chain, float64(3+k))
+		if cap(m.slab) != insertEvictBlocks || len(m.index.refs) != cells {
+			t.Fatalf("insert %d: slab capacity %d, %d index cells; want %d and %d",
+				k, cap(m.slab), len(m.index.refs), insertEvictBlocks, cells)
+		}
+	}
+	if m.Len() != insertEvictBlocks {
+		t.Fatalf("%d blocks cached, want the full pool of %d", m.Len(), insertEvictBlocks)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSmallCacheAllocatesNoPool: a cache that never holds more than
+// minIndexCells/2 blocks keeps its first slab and index however large its
+// pool, so a short run on a large device allocates no pool-sized arrays.
+func TestSmallCacheAllocatesNoPool(t *testing.T) {
+	m, err := New(Config{BlockTokens: 16, BytesPerToken: 1, CapacityBytes: 1 << 20 * 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for user := uint64(1); user <= 20; user++ {
+		m.Insert(seq(user, 4*16), 4*16, float64(user))
+		m.Insert(seq(user, 8*16), 8*16, float64(user))
+		if user%2 == 0 {
+			m.EvictAll()
+		} else {
+			m.LoseAll()
+		}
+	}
+	if got := m.Stats().InsertedBlocks; got != 20*8 {
+		t.Fatalf("inserted %d blocks, want %d", got, 20*8)
+	}
+	if cap(m.slab) > minIndexCells/2 || len(m.index.refs) != minIndexCells {
+		t.Fatalf("slab capacity %d, %d index cells; want at most %d and %d",
+			cap(m.slab), len(m.index.refs), minIndexCells/2, minIndexCells)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckInvariantsChecksCells: a live block whose recorded index cell
+// is not the one that maps its hash to its slot fails CheckInvariants.
+func TestCheckInvariantsChecksCells(t *testing.T) {
+	m := newMgr(t, 100)
+	m.Insert(seq(1, 64), 64, 0)
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	m.slab[0].cell, m.slab[1].cell = m.slab[1].cell, m.slab[0].cell
+	if err := m.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted two blocks with swapped index cells")
+	}
 }
 
 // TestInsertAllocs pins the steady state of an insert that evicts a whole
@@ -467,6 +551,22 @@ func BenchmarkCacheInsertEvict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.InsertH(chains[i%2], float64(i+1))
+	}
+}
+
+// BenchmarkCacheFill runs one benchmark run's life of a cache per op: a
+// fresh 2,800-block pool is filled by one 3,125-block chain, which
+// discards its 325-block suffix, and then evicted through by the other.
+// It prices the slab's and the index's growth, which the steady-state
+// BenchmarkCacheInsertEvict never meets.
+func BenchmarkCacheFill(b *testing.B) {
+	_, chains := insertEvictChains(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := insertEvictPool(b)
+		m.InsertH(chains[0], 1)
+		m.InsertH(chains[1], 2)
 	}
 }
 

@@ -102,7 +102,7 @@ func refInsertH(m *Manager, hashes []uint64, now float64) int {
 			b.depth = p.depth + 1
 			p.children++
 		}
-		m.index.put(hash, i)
+		m.index.put(m.slab, hash, i)
 		m.used += m.bytesPerBlock
 		if len(m.subs) > 0 {
 			m.pending.Inserted = append(m.pending.Inserted, hash)

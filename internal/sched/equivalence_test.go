@@ -46,6 +46,10 @@ type eqCase struct {
 	// drainEvery > 0 dispatches the queue to empty every drainEvery
 	// operations, then refills it.
 	drainEvery int
+	// oneBucket makes every block hash fall in filter bucket 0, so all
+	// watched hashes share one bucket of the hash index's filter and
+	// every changed hash passes it to the map.
+	oneBucket bool
 }
 
 func TestIncrementalCalibratedMatchesSweep(t *testing.T) {
@@ -65,6 +69,40 @@ func TestIncrementalCalibratedMatchesSweep(t *testing.T) {
 				runIncrementalVsSweep(t, tc, seed)
 			}
 		})
+	}
+}
+
+// TestFilterBucketSharedByAllWatches runs the sweep oracle on requests
+// whose every block hash falls in one bucket of the hash index's filter.
+// The bucket's count must equal the hashes indexed after every operation
+// and return to 0 as the queue drains.
+func TestFilterBucketSharedByAllWatches(t *testing.T) {
+	for _, tc := range []eqCase{
+		{name: "churn", users: 6, maxShared: 8, maxTail: 8, capBlocks: 48, oneBucket: true},
+		{name: "drain-refill", users: 3, maxShared: 24, maxTail: 6, capBlocks: 64, drainEvery: 150, oneBucket: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(0); seed < 4; seed++ {
+				runIncrementalVsSweep(t, tc, seed)
+			}
+		})
+	}
+}
+
+// inBucket rewrites the last token of each of toks' blocks from block
+// from on until the block's hash falls in filter bucket 0, so the chain
+// of toks and of every prefix of it lies in that bucket. The rewrite
+// depends only on the tokens before it, so equal prefixes stay equal.
+func inBucket(toks []uint64, from int) {
+	chain := kvcache.BlockHashes(toks[:from*eqBlockTokens], eqBlockTokens)
+	for k := from; k < len(toks)/eqBlockTokens; k++ {
+		end := (k + 1) * eqBlockTokens
+		for ; ; toks[end-1] += 1 << 48 {
+			chain = kvcache.ExtendBlockHashes(chain[:k], toks[:end], eqBlockTokens)
+			if chain[k]%sched.FilterBuckets == 0 {
+				break
+			}
+		}
 	}
 }
 
@@ -100,6 +138,16 @@ func runIncrementalVsSweep(t *testing.T, tc eqCase, seed int64) {
 		sweep.SetClassWeights(weights)
 	}
 
+	// Each user's requests share a prefix of the user's profile.
+	profiles := make([][]uint64, tc.users)
+	for user := range profiles {
+		for i := 0; i < tc.maxShared*eqBlockTokens; i++ {
+			profiles[user] = append(profiles[user], uint64(user+1)<<40|uint64(i))
+		}
+		if tc.oneBucket {
+			inBucket(profiles[user], 0)
+		}
+	}
 	nextID := int64(1)
 	now := 0.0
 	mkReq := func() *sched.Request {
@@ -107,11 +155,12 @@ func runIncrementalVsSweep(t *testing.T, tc eqCase, seed int64) {
 		shared := rng.Intn(tc.maxShared) * eqBlockTokens
 		tail := (rng.Intn(tc.maxTail) + 1) * eqBlockTokens
 		toks := make([]uint64, 0, shared+tail)
-		for i := 0; i < shared; i++ {
-			toks = append(toks, uint64(user+1)<<40|uint64(i))
-		}
+		toks = append(toks, profiles[user][:shared]...)
 		for i := 0; i < tail; i++ {
 			toks = append(toks, uint64(nextID)<<16|uint64(i))
+		}
+		if tc.oneBucket {
+			inBucket(toks, shared/eqBlockTokens)
 		}
 		class := sched.ClassInteractive
 		if rng.Intn(3) == 0 {
@@ -141,6 +190,7 @@ func runIncrementalVsSweep(t *testing.T, tc eqCase, seed int64) {
 	}
 
 	var releases [][2]func() // open reservations/pins, mirrored pairwise
+	peak := 0                // most watched hashes in filter bucket 0
 	for op := 0; op < 800; op++ {
 		now += rng.Float64() * 0.3
 		if tc.drainEvery > 0 && op%tc.drainEvery == tc.drainEvery-1 {
@@ -186,6 +236,13 @@ func runIncrementalVsSweep(t *testing.T, tc eqCase, seed int64) {
 		if inc.Len() != sweep.Len() {
 			t.Fatalf("%s seed %d: queue lengths diverged (%d vs %d)", tc.name, seed, inc.Len(), sweep.Len())
 		}
+		if tc.oneBucket {
+			count, hashes := inc.FilterCount(0)
+			if count != hashes {
+				t.Fatalf("%s seed %d op %d: filter bucket 0 counts %d of the %d watched hashes", tc.name, seed, op, count, hashes)
+			}
+			peak = max(peak, count)
+		}
 	}
 	for _, rel := range releases {
 		rel[0]()
@@ -193,6 +250,14 @@ func runIncrementalVsSweep(t *testing.T, tc eqCase, seed int64) {
 	}
 	for dispatch() {
 		now += rng.Float64() * 0.3
+	}
+	if tc.oneBucket {
+		if count, hashes := inc.FilterCount(0); count != 0 || hashes != 0 {
+			t.Fatalf("%s seed %d: drained queue leaves filter bucket 0 at %d with %d hashes indexed", tc.name, seed, count, hashes)
+		}
+		if peak < 8 {
+			t.Fatalf("%s seed %d: at most %d watched hashes shared the bucket", tc.name, seed, peak)
+		}
 	}
 	if err := mInc.CheckInvariants(); err != nil {
 		t.Fatalf("%s seed %d: %v", tc.name, seed, err)

@@ -12,11 +12,24 @@ package sched
 // waiter goes on a free list and keeps its slice's capacity for the next
 // hash. An entry watches at most two hashes, so the index holds at most
 // twice as many hashes as the queue holds requests.
+//
+// A cache change reports every block it inserts or evicts, thousands per
+// long request, and few of them are watched. So the index also counts
+// its hashes by their low bits: waiting skips the map for a hash whose
+// count is 0, and a non-zero count still consults the map, so the filter
+// never hides a waiter. A count is at most twice the queue length and
+// cannot wrap.
 type hashIndex struct {
-	slot  map[uint64]int32
-	lists [][]waiter
-	free  []int32
+	slot    map[uint64]int32
+	lists   [][]waiter
+	free    []int32
+	watched [filterBuckets]uint32 // indexed hashes h, counted by h & (filterBuckets-1)
 }
+
+// filterBuckets is the number of counts in hashIndex's filter, a power of
+// two: with w hashes watched, a changed hash consults the map with
+// probability at most w/filterBuckets.
+const filterBuckets = 1 << 10
 
 // waiter is one watched hash of a waiting entry: the entry, and the
 // hash's position k in the entry's watch set.
@@ -44,6 +57,7 @@ func (x *hashIndex) add(e *entry) {
 		if !ok {
 			s = x.newSlot()
 			x.slot[h] = s
+			x.watched[h&(filterBuckets-1)]++
 		}
 		e.locs[k] = waiterLoc{slot: s, pos: int32(len(x.lists[s]))}
 		x.lists[s] = append(x.lists[s], waiter{e: e, k: int32(k)})
@@ -78,6 +92,7 @@ func (x *hashIndex) remove(e *entry) {
 		x.lists[loc.slot] = list[:last]
 		if last == 0 {
 			delete(x.slot, h)
+			x.watched[h&(filterBuckets-1)]--
 			x.free = append(x.free, loc.slot)
 		}
 	}
@@ -87,6 +102,9 @@ func (x *hashIndex) remove(e *entry) {
 // The slice is the index's own: callers must not modify the index while
 // iterating it.
 func (x *hashIndex) waiting(h uint64) []waiter {
+	if x.watched[h&(filterBuckets-1)] == 0 {
+		return nil
+	}
 	s, ok := x.slot[h]
 	if !ok {
 		return nil
