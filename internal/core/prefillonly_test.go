@@ -6,6 +6,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/hw"
+	"repro/internal/kvcache"
 	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -122,7 +123,8 @@ func TestSuffixDiscardingOnInsert(t *testing.T) {
 	r := mkReq(1, 1, n, 0, 0)
 	s.At(0, func() { eng.Submit(r) })
 	s.Run()
-	got := eng.Cache().Peek(r.Tokens)
+	c := eng.Cache()
+	got := c.PeekH(&kvcache.Chain{Own: kvcache.BlockHashes(r.Tokens, c.BlockTokens())})
 	if got == 0 {
 		t.Fatal("nothing cached after long request")
 	}

@@ -117,28 +117,32 @@ func (c *Config) emit(rec Record) {
 // chain for the given block size, memoized on the request. It is the
 // single hash-chain entry point: engines, routers and schedulers all go
 // through it so a request is hashed at most once per block size. A
-// request with a Prefix extends the prefix's chain, itself memoized on
-// the shared Prefix, so the shared tokens are hashed once per block size
-// however many requests share them. The result equals
-// kvcache.BlockHashes(r.Tokens, blockTokens) either way.
+// request with a Prefix references the prefix's chain, itself memoized on
+// the shared Prefix, as its chain's Shared part and hashes only the
+// blocks after it: the shared tokens are hashed once per block size, and
+// their chain held once, however many requests share them. The chain's
+// content equals kvcache.BlockHashes(r.Tokens, blockTokens) either way.
 //
 // The memos are written here and nowhere else. A routed fleet first
 // reaches this from Router.Submit on the coordinator, so a sharded run's
-// shards only read finished chains.
-func HashesOf(r *sched.Request, blockTokens int) []uint64 {
-	if r.BlockHashes == nil || r.HashBlockTokens != blockTokens {
+// shards only read finished chains. The result points into r: the
+// router's pending set holds it from Submit until Completed, so while a
+// request is in flight nothing may ask for its chain at another block
+// size, which would rewrite the memo. Every engine uses one block size.
+func HashesOf(r *sched.Request, blockTokens int) *kvcache.Chain {
+	if r.HashBlockTokens != blockTokens {
 		var prefix []uint64
 		if p := r.Prefix; p != nil {
-			if p.BlockHashes == nil || p.HashBlockTokens != blockTokens {
+			if p.HashBlockTokens != blockTokens {
 				p.BlockHashes = kvcache.BlockHashes(p.Tokens, blockTokens)
 				p.HashBlockTokens = blockTokens
 			}
 			prefix = p.BlockHashes
 		}
-		r.BlockHashes = kvcache.ExtendBlockHashes(prefix, r.Tokens, blockTokens)
+		r.Chain = kvcache.ExtendBlockHashes(prefix, r.Tokens, blockTokens)
 		r.HashBlockTokens = blockTokens
 	}
-	return r.BlockHashes
+	return &r.Chain
 }
 
 // AttachIncremental switches a Calibrated scheduler into incremental mode
@@ -157,10 +161,10 @@ func AttachIncremental(c *sched.Calibrated, m *kvcache.Manager) {
 		chain := HashesOf(r, bt)
 		a := m.PeekH(chain) / bt
 		if a > 0 {
-			w[0] = chain[a-1]
+			w[0] = chain.At(a - 1)
 		}
-		if a < len(chain) {
-			w[1] = chain[a]
+		if a < chain.Len() {
+			w[1] = chain.At(a)
 		}
 		return w
 	})

@@ -44,9 +44,9 @@ type lifecycle struct {
 // inflight is one request travelling the lifecycle between begin and
 // finish.
 type inflight struct {
-	req    *sched.Request
-	start  float64
-	hashes []uint64
+	req   *sched.Request
+	start float64
+	chain *kvcache.Chain // HashesOf(req), which req holds
 	// cached counts prefix tokens served without recompute: GPU-tier
 	// hits plus restored, the host-restored share.
 	cached, restored int
@@ -75,12 +75,12 @@ func (f *inflight) fresh() int { return f.req.Len() - f.cached }
 // restore from the host tier, reserve resident KV, and account activation
 // and KV spill.
 func (l *lifecycle) begin(r *sched.Request, now float64) *inflight {
-	hashes := HashesOf(r, l.cache.BlockTokens())
-	cached, unpin := l.cache.PinH(hashes, now)
+	chain := HashesOf(r, l.cache.BlockTokens())
+	cached, unpin := l.cache.PinH(chain, now)
 	if cached > r.Len() {
 		cached = r.Len()
 	}
-	inf := &inflight{req: r, start: now, hashes: hashes, cached: cached, unpin: unpin}
+	inf := &inflight{req: r, start: now, chain: chain, cached: cached, unpin: unpin}
 	l.ti.Queue(r.ID, r.Class, r.ArrivalTime, now)
 	if l.hostRestore {
 		l.maybeRestore(inf)
@@ -105,7 +105,7 @@ func (l *lifecycle) begin(r *sched.Request, now float64) *inflight {
 // that beats recomputing them.
 func (l *lifecycle) maybeRestore(inf *inflight) {
 	r := inf.req
-	hostHit := l.cache.HostHitH(inf.hashes, inf.cached/l.cache.BlockTokens())
+	hostHit := l.cache.HostHitH(inf.chain, inf.cached/l.cache.BlockTokens())
 	if hostHit <= 0 {
 		return
 	}
@@ -167,7 +167,7 @@ func (l *lifecycle) finish(inf *inflight, finish float64) {
 	if inf.unreserve != nil {
 		inf.unreserve()
 	}
-	l.cache.InsertH(inf.hashes, finish)
+	l.cache.InsertH(inf.chain, finish)
 	l.ti.Exec(inf.req.ID, inf.req.Class, inf.start, finish, inf.cached, inf.req.EstimatedSeconds)
 	l.cfg.emit(Record{
 		Req:            inf.req,

@@ -221,7 +221,7 @@ func TestCheckRejectsLeakedCacheHolds(t *testing.T) {
 		hold func(t *testing.T, c *kvcache.Manager, now float64) (release func())
 	}{
 		{"pin", func(t *testing.T, c *kvcache.Manager, now float64) func() {
-			chain := kvcache.BlockHashes(make([]uint64, 4*c.BlockTokens()), c.BlockTokens())
+			chain := &kvcache.Chain{Own: kvcache.BlockHashes(make([]uint64, 4*c.BlockTokens()), c.BlockTokens())}
 			c.InsertH(chain, now)
 			n, release := c.PinH(chain, now)
 			if n == 0 {

@@ -40,7 +40,7 @@ func closureChains() [][]uint64 {
 func linearPeek(m *Manager, chain []uint64) int {
 	hit := 0
 	for _, h := range chain {
-		if !m.HasBlock(h) {
+		if !m.hasBlock(h) {
 			break
 		}
 		hit += m.blockTokens
@@ -80,12 +80,12 @@ func runClosureOps(t *testing.T, ops []byte) {
 		now++
 		switch op {
 		case 0, 1: // insert a prefix of a chain; a full pool rejects its suffix
-			m.InsertH(chain[:arg/len(chains)%(len(chain)+1)], now)
+			m.InsertH(flat(chain[:arg/len(chains)%(len(chain)+1)]), now)
 		case 2: // reserve pool space, evicting, until released
 			_, release := m.Reserve(int64(arg%16) * closureBlockTokens)
 			releases = append(releases, release)
 		case 3: // pin a chain's cached prefix until released
-			_, release := m.PinH(chain, now)
+			_, release := m.PinH(flat(chain), now)
 			releases = append(releases, release)
 		case 4:
 			if len(releases) > 0 {
@@ -98,16 +98,16 @@ func runClosureOps(t *testing.T, ops []byte) {
 		case 6:
 			m.LoseAll()
 		case 7: // refresh a chain's cached prefix in the LRU
-			m.LookupH(chain, now)
+			m.LookupH(flat(chain), now)
 		case 8: // jump the clock, possibly backwards
 			now = float64(arg % 64)
 		}
 		for c, ch := range chains {
-			if got, want := m.PeekH(ch), linearPeek(m, ch); got != want {
+			if got, want := m.PeekH(flat(ch)), linearPeek(m, ch); got != want {
 				t.Fatalf("op %d (%d, %d): PeekH(chain %d) = %d, linear walk = %d", i/2, op, arg, c, got, want)
 			}
 			for k := 1; k < len(ch); k++ {
-				if m.HasBlock(ch[k]) && !m.HasBlock(ch[k-1]) {
+				if m.hasBlock(ch[k]) && !m.hasBlock(ch[k-1]) {
 					t.Fatalf("op %d (%d, %d): block %d of chain %d is cached without block %d", i/2, op, arg, k, c, k-1)
 				}
 			}

@@ -127,21 +127,30 @@ func (h *hostTier) contains(hash uint64) bool {
 
 // HostHitH returns how many tokens, contiguously following the first
 // skipBlocks blocks of the chain, are available in the host tier. Unlike
-// PeekH it walks the chain block by block: the host tier evicts FIFO and
-// gives blocks back to the GPU tier one at a time, so a block there can
-// outlive its parent and the tier is not prefix-closed.
-func (m *Manager) HostHitH(hashes []uint64, skipBlocks int) int {
-	if m.host == nil || skipBlocks >= len(hashes) {
+// PeekH it walks the chain block by block, the rest of c.Shared and then
+// the rest of c.Own: the host tier evicts FIFO and gives blocks back to
+// the GPU tier one at a time, so a block there can outlive its parent and
+// the tier is not prefix-closed.
+func (m *Manager) HostHitH(c *Chain, skipBlocks int) int {
+	if m.host == nil || skipBlocks >= c.Len() {
 		return 0
 	}
-	hit := 0
-	for _, hash := range hashes[skipBlocks:] {
-		if !m.host.contains(hash) {
-			break
-		}
-		hit += m.blockTokens
+	shared, own := c.after(skipBlocks)
+	n := m.host.run(shared)
+	if n == len(shared) {
+		n += m.host.run(own)
 	}
-	return hit
+	return n * m.blockTokens
+}
+
+// run returns how many leading hashes of hashes the tier holds.
+func (h *hostTier) run(hashes []uint64) int {
+	for k, hash := range hashes {
+		if !h.contains(hash) {
+			return k
+		}
+	}
+	return len(hashes)
 }
 
 // HostUsedBytes returns the bytes held by the host tier (0 when disabled).

@@ -22,11 +22,11 @@ func TestEvictionOffloadsToHost(t *testing.T) {
 	b := seq(2, 64)
 	m.Insert(a, 64, 1)
 	m.Insert(b, 64, 2) // evicts a's 4 blocks → host tier
-	if got := m.Peek(a); got != 0 {
+	hashes := BlockHashes(a, 16)
+	if got := m.PeekH(flat(hashes)); got != 0 {
 		t.Fatalf("a still in GPU tier (%d tokens)", got)
 	}
-	hashes := BlockHashes(a, 16)
-	if got := m.HostHitH(hashes, 0); got != 64 {
+	if got := m.HostHitH(flat(hashes), 0); got != 64 {
 		t.Fatalf("host hit = %d tokens, want 64", got)
 	}
 	if m.Stats().OffloadedBlocks != 4 {
@@ -43,17 +43,17 @@ func TestHostHitSkipsGPUPrefix(t *testing.T) {
 	m.Insert(toks, 128, 1)
 	// Suffix discarding kept blocks 1-4 on GPU; nothing offloaded yet.
 	hashes := BlockHashes(toks, 16)
-	gpuHit := m.PeekH(hashes)
+	gpuHit := m.PeekH(flat(hashes))
 	if gpuHit != 64 {
 		t.Fatalf("gpu hit = %d, want 64", gpuHit)
 	}
-	if got := m.HostHitH(hashes, gpuHit/16); got != 0 {
+	if got := m.HostHitH(flat(hashes), gpuHit/16); got != 0 {
 		t.Fatalf("host hit = %d, want 0 (suffix was discarded, not offloaded)", got)
 	}
 	// Now evict the GPU prefix by inserting another request: the prefix
 	// moves to host, and HostHitH counts from block 0.
 	m.Insert(seq(2, 64), 64, 2)
-	if got := m.HostHitH(hashes, 0); got != 64 {
+	if got := m.HostHitH(flat(hashes), 0); got != 64 {
 		t.Fatalf("host hit after eviction = %d, want 64", got)
 	}
 }
@@ -65,10 +65,10 @@ func TestHostTierFIFOEviction(t *testing.T) {
 	m.Insert(seq(3, 32), 32, 3) // evicts seq2 → host, pushing seq1 out (FIFO)
 	h1 := BlockHashes(seq(1, 32), 16)
 	h2 := BlockHashes(seq(2, 32), 16)
-	if got := m.HostHitH(h1, 0); got != 0 {
+	if got := m.HostHitH(flat(h1), 0); got != 0 {
 		t.Fatalf("oldest host blocks not FIFO-evicted (hit %d)", got)
 	}
-	if got := m.HostHitH(h2, 0); got != 32 {
+	if got := m.HostHitH(flat(h2), 0); got != 32 {
 		t.Fatalf("newest host blocks missing (hit %d)", got)
 	}
 }
@@ -79,10 +79,10 @@ func TestGPUInsertRemovesHostCopy(t *testing.T) {
 	m.Insert(a, 64, 1)
 	m.Insert(seq(2, 64), 64, 2) // a → host
 	m.Insert(a, 64, 3)          // a promoted back to GPU
-	if got := m.Peek(a); got != 64 {
+	if got := m.PeekH(flat(BlockHashes(a, 16))); got != 64 {
 		t.Fatalf("a not back on GPU (%d)", got)
 	}
-	if got := m.HostHitH(BlockHashes(a, 16), 0); got != 0 {
+	if got := m.HostHitH(flat(BlockHashes(a, 16)), 0); got != 0 {
 		t.Fatalf("stale host copy remains (%d tokens)", got)
 	}
 }
@@ -147,7 +147,7 @@ func TestHostDisabledByDefault(t *testing.T) {
 	m := newMgr(t, 2)
 	m.Insert(seq(1, 32), 32, 1)
 	m.Insert(seq(2, 32), 32, 2)
-	if got := m.HostHitH(BlockHashes(seq(1, 32), 16), 0); got != 0 {
+	if got := m.HostHitH(flat(BlockHashes(seq(1, 32), 16)), 0); got != 0 {
 		t.Fatalf("host tier active without configuration (%d)", got)
 	}
 	if m.HostUsedBytes() != 0 || m.Stats().OffloadedBlocks != 0 {

@@ -136,18 +136,33 @@ func (t *blockIndex) del(s []block, i int) {
 	}
 }
 
-// prefix returns how many leading hashes of chain are keys, n, and the
-// slot of the last of them, chain[n-1] (-1 when n is 0). The keys must be
-// prefix-closed along chain — if chain[i] is a key, so is every chain[j]
-// with j < i — which lets it binary-search in O(log len(chain)) probes
-// instead of walking the chain. lo only moves on a hit, to just past it,
-// so the last hit probed is chain[n-1].
-func (t *blockIndex) prefix(chain []uint64) (n int, last int32) {
-	lo, hi := 0, len(chain)
-	last = -1
+// prefix returns how many leading blocks of c are keys, n, and the slot
+// of the last of them, c.At(n-1) (-1 when n is 0). The keys must be
+// prefix-closed along c — if block i is a key, so is every block j < i —
+// which lets it binary-search in O(log c.Len()) probes instead of walking
+// the chain. One probe of c.Shared's last block tells which part the
+// prefix ends in, so the search runs over one flat part.
+func (t *blockIndex) prefix(c *Chain) (n int, last int32) {
+	if k := len(c.Shared); k > 0 {
+		if slot, ok := t.get(c.Shared[k-1]); ok {
+			n, last = t.search(c.Own, slot)
+			return k + n, last
+		}
+		return t.search(c.Shared[:k-1], -1)
+	}
+	return t.search(c.Own, -1)
+}
+
+// search binary-searches part, a run of a chain whose blocks before it
+// are keys, the last of them at slot last (-1 when there are none). It
+// returns how many leading hashes of part are keys and the slot of the
+// last key, last itself when none is. lo only moves on a hit, to just
+// past it, so the last hit probed is part[n-1].
+func (t *blockIndex) search(part []uint64, last int32) (int, int32) {
+	lo, hi := 0, len(part)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if slot, ok := t.get(chain[mid]); ok {
+		if slot, ok := t.get(part[mid]); ok {
 			lo, last = mid+1, slot
 		} else {
 			hi = mid

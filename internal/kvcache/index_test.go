@@ -125,10 +125,11 @@ func FuzzBlockIndex(f *testing.F) {
 }
 
 // runTwinOps applies one random script to two Managers whose indexes are
-// seeded differently and requires identical return values, Stats, sizes
-// and change events after every operation: nothing observable may depend
-// on where the table puts a hash.
-func runTwinOps(t *testing.T, host bool, ops []byte) {
+// seeded differently, twin k reading chains[k], and requires identical
+// return values, Stats, sizes and change events after every operation,
+// and equal hits for every chain: nothing observable may depend on where
+// the table puts a hash, nor on how a chain of equal content is split.
+func runTwinOps(t *testing.T, host bool, chains [2][]*Chain, ops []byte) {
 	cfg := Config{BlockTokens: closureBlockTokens, BytesPerToken: 1, CapacityBytes: 12 * closureBlockTokens}
 	if host {
 		cfg.HostCapacityBytes = 8 * closureBlockTokens
@@ -144,18 +145,18 @@ func runTwinOps(t *testing.T, host bool, ops []byte) {
 		m.Subscribe(func(ev ChangeEvent) { events[k] = append(events[k], cloneEvent(ev)) })
 		twins[k] = m
 	}
-	chains := closureChains()
 	var releases [2][]func()
 	now := 0.0
 	for i := 0; i+1 < len(ops); i += 2 {
 		op, arg := ops[i]%8, int(ops[i+1])
-		chain := chains[arg%len(chains)]
+		c := arg % len(chains[0])
 		now++
 		var got [2][2]int64
 		for k, m := range twins {
+			chain := chains[k][c]
 			switch op {
 			case 0, 1:
-				got[k][0] = int64(m.InsertH(chain[:arg/len(chains)%(len(chain)+1)], now))
+				got[k][0] = int64(m.InsertH(head(chain, arg/len(chains[0])%(chain.Len()+1)), now))
 			case 2:
 				short, release := m.Reserve(int64(arg%16) * closureBlockTokens)
 				got[k][0] = short
@@ -186,8 +187,22 @@ func runTwinOps(t *testing.T, host bool, ops []byte) {
 		if a.Stats() != b.Stats() || a.Len() != b.Len() || a.UsedBytes() != b.UsedBytes() || a.HostUsedBytes() != b.HostUsedBytes() {
 			t.Fatalf("op %d (%d, %d): state differs: %+v, %d blocks vs %+v, %d blocks", i/2, op, arg, a.Stats(), a.Len(), b.Stats(), b.Len())
 		}
-		if err := a.CheckInvariants(); err != nil {
-			t.Fatalf("op %d (%d, %d): %v", i/2, op, arg, err)
+		for k, m := range twins {
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatalf("op %d (%d, %d): twin %d: %v", i/2, op, arg, k, err)
+			}
+		}
+		for c := range chains[0] {
+			ca, cb := chains[0][c], chains[1][c]
+			pa, pb := a.PeekH(ca), b.PeekH(cb)
+			if pa != pb {
+				t.Fatalf("op %d (%d, %d): PeekH(chain %d) = %d and %d", i/2, op, arg, c, pa, pb)
+			}
+			for _, skip := range []int{0, pa / closureBlockTokens} {
+				if ha, hb := a.HostHitH(ca, skip), b.HostHitH(cb, skip); ha != hb {
+					t.Fatalf("op %d (%d, %d): HostHitH(chain %d, %d) = %d and %d", i/2, op, arg, c, skip, ha, hb)
+				}
+			}
 		}
 	}
 	if len(events[0]) != len(events[1]) {
@@ -201,10 +216,19 @@ func runTwinOps(t *testing.T, host bool, ops []byte) {
 	}
 }
 
+// flatChains returns closureChains as flat chains.
+func flatChains() []*Chain {
+	var chains []*Chain
+	for _, h := range closureChains() {
+		chains = append(chains, flat(h))
+	}
+	return chains
+}
+
 func TestOutcomesIndependentOfIndexSeed(t *testing.T) {
 	for _, host := range []bool{false, true} {
 		for seed := int64(0); seed < 50; seed++ {
-			runTwinOps(t, host, closureOps(seed))
+			runTwinOps(t, host, [2][]*Chain{flatChains(), flatChains()}, closureOps(seed))
 		}
 	}
 }

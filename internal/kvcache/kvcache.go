@@ -12,6 +12,7 @@ package kvcache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Stats counts cache activity since construction.
@@ -223,36 +224,7 @@ func (m *Manager) CapacityTokens() int {
 // outcome, as long as it keeps those two properties and stays
 // collision-free in practice.
 func BlockHashes(tokens []uint64, blockTokens int) []uint64 {
-	return ExtendBlockHashes(nil, tokens, blockTokens)
-}
-
-// ExtendBlockHashes returns BlockHashes(tokens, blockTokens) given prefix,
-// the chain BlockHashes returns for some leading part of tokens at the
-// same block size. It copies prefix and hashes only the full blocks after
-// it, so tokens' first len(prefix) blocks are never read. The caller
-// vouches for prefix: a chain of other tokens, or of another block size,
-// yields a wrong chain.
-func ExtendBlockHashes(prefix, tokens []uint64, blockTokens int) []uint64 {
-	if blockTokens <= 0 {
-		panic("kvcache: blockTokens must be positive")
-	}
-	hashes := make([]uint64, len(tokens)/blockTokens)
-	if len(prefix) > len(hashes) {
-		panic("kvcache: prefix chain is longer than the tokens' chain")
-	}
-	var parent uint64
-	if n := copy(hashes, prefix); n > 0 {
-		parent = prefix[n-1]
-	}
-	for i := len(prefix); i < len(hashes); i++ {
-		h := hashBlock(parent, tokens[i*blockTokens:(i+1)*blockTokens])
-		if h == 0 {
-			h = 1 // 0 is reserved for "no parent"
-		}
-		parent = h
-		hashes[i] = h
-	}
-	return hashes
+	return ExtendBlockHashes(nil, tokens, blockTokens).Own
 }
 
 // XXH64's primes.
@@ -312,21 +284,24 @@ func mergeRound(h, lane uint64) uint64 {
 	return h*prime1 + prime4
 }
 
-func (m *Manager) blockHashes(tokens []uint64) []uint64 {
-	return BlockHashes(tokens, m.blockTokens)
+// blockHashes returns the flat chain of tokens at the Manager's block
+// size.
+func (m *Manager) blockHashes(tokens []uint64) Chain {
+	return Chain{Own: BlockHashes(tokens, m.blockTokens)}
 }
 
 // Lookup returns the number of leading tokens of the sequence that are
 // cached (whole blocks only) and refreshes their LRU timestamps.
 func (m *Manager) Lookup(tokens []uint64, now float64) int {
-	return m.LookupH(m.blockHashes(tokens), now)
+	c := m.blockHashes(tokens)
+	return m.LookupH(&c, now)
 }
 
 // LookupH is Lookup over a precomputed hash chain (see BlockHashes). It
 // stamps only the hit prefix's deepest block (see Manager).
-func (m *Manager) LookupH(hashes []uint64, now float64) int {
-	m.stats.LookupTokens += int64(len(hashes) * m.blockTokens)
-	n, i := m.index.prefix(hashes)
+func (m *Manager) LookupH(c *Chain, now float64) int {
+	m.stats.LookupTokens += int64(c.Len() * m.blockTokens)
+	n, i := m.index.prefix(c)
 	if n == 0 {
 		return 0
 	}
@@ -337,49 +312,17 @@ func (m *Manager) LookupH(hashes []uint64, now float64) int {
 	return hit
 }
 
-// Peek returns the number of leading tokens of the sequence that are
-// cached without refreshing LRU state or stats. Schedulers use it during
-// continuous JCT calibration sweeps, which must not distort eviction order.
-func (m *Manager) Peek(tokens []uint64) int {
-	return m.PeekH(m.blockHashes(tokens))
-}
-
-// PeekH is Peek over a precomputed hash chain, which must start at the
-// sequence's first block (as BlockHashes returns it). The GPU tier is
-// prefix-closed: InsertH adds a block only after its parent, and eviction
-// takes only childless blocks, so the cached blocks of such a chain are
-// always a prefix of it and PeekH binary-searches for its end in
-// O(log len(hashes)) probes.
-func (m *Manager) PeekH(hashes []uint64) int {
-	n, _ := m.index.prefix(hashes)
+// PeekH returns the number of leading tokens of a chain's sequence that
+// are cached, without refreshing LRU state or stats. Schedulers use it
+// during continuous JCT calibration sweeps, which must not distort
+// eviction order. The chain must start at the sequence's first block (as
+// BlockHashes returns it). The GPU tier is prefix-closed: InsertH adds a
+// block only after its parent, and eviction takes only childless blocks,
+// so the cached blocks of such a chain are always a prefix of it and
+// PeekH binary-searches for its end in O(log c.Len()) probes.
+func (m *Manager) PeekH(c *Chain) int {
+	n, _ := m.index.prefix(c)
 	return n * m.blockTokens
-}
-
-// CommonPrefix returns how many leading hashes two root-anchored chains
-// (as BlockHashes returns them) share. Each block's hash is seeded with
-// its parent's, so equality is prefix-closed — a[i] == b[i] implies
-// a[j] == b[j] for every j < i — and CommonPrefix binary-searches for the
-// first differing index in O(log min(len(a), len(b))) probes.
-func CommonPrefix(a, b []uint64) int {
-	lo, hi := 0, min(len(a), len(b))
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] == b[mid] {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// HasBlock reports whether the block with the given content hash is
-// cached, without refreshing LRU state or stats. Along a chain that starts
-// at the root, a cached block's predecessors are all cached (see PeekH),
-// so the first miss ends the cached prefix.
-func (m *Manager) HasBlock(hash uint64) bool {
-	_, ok := m.index.get(hash)
-	return ok
 }
 
 // Reserve claims bytes of pool space for a request's execution-time KV
@@ -425,20 +368,15 @@ func (m *Manager) CheckIdle() error {
 	return nil
 }
 
-// Pin marks the cached prefix of the sequence as in-use (unevictable) and
-// returns the pinned token count along with a release function. Engines pin
-// a request's hit prefix for the duration of its execution.
-func (m *Manager) Pin(tokens []uint64, now float64) (int, func()) {
-	return m.PinH(m.blockHashes(tokens), now)
-}
-
-// PinH is Pin over a precomputed hash chain. Like Lookup, it counts
-// toward the hit-rate statistics (engines pin instead of looking up). It
-// pins and stamps only the hit prefix's deepest block, which keeps every
-// block above it cached (see Manager).
-func (m *Manager) PinH(hashes []uint64, now float64) (int, func()) {
-	m.stats.LookupTokens += int64(len(hashes) * m.blockTokens)
-	n, i := m.index.prefix(hashes)
+// PinH marks the cached prefix of a chain as in use (unevictable) and
+// returns the pinned token count along with a release function. Engines
+// pin a request's hit prefix for the duration of its execution. Like
+// LookupH, it counts toward the hit-rate statistics (engines pin instead
+// of looking up). It pins and stamps only the hit prefix's deepest block,
+// which keeps every block above it cached (see Manager).
+func (m *Manager) PinH(c *Chain, now float64) (int, func()) {
+	m.stats.LookupTokens += int64(c.Len() * m.blockTokens)
+	n, i := m.index.prefix(c)
 	if n == 0 {
 		return 0, noRelease
 	}
@@ -495,26 +433,55 @@ func (m *Manager) Insert(tokens []uint64, limit int, now float64) int {
 	if limit < 0 {
 		limit = 0
 	}
-	return m.InsertH(m.blockHashes(tokens[:limit]), now)
+	c := m.blockHashes(tokens[:limit])
+	return m.InsertH(&c, now)
 }
 
 // InsertH is Insert over a precomputed, root-anchored hash chain (all
 // given blocks are candidates; trim the chain to express a limit). The
 // GPU tier is prefix-closed, so every block after the cached prefix,
 // which a binary search finds, is missing and is inserted without a
-// lookup.
-func (m *Manager) InsertH(hashes []uint64, now float64) int {
+// lookup: first the rest of c.Shared, then the rest of c.Own.
+//
+// With a subscriber attached, the change lists first grow once to hold
+// the blocks the insert may add, at most the pool's block count. Each
+// added block evicts at most one, because used+reserved never passes
+// capacity, so neither list grows again during the insert.
+func (m *Manager) InsertH(c *Chain, now float64) int {
 	defer m.flushChanges()
-	n, tip := m.index.prefix(hashes)
+	n, tip := m.index.prefix(c)
 	if n > 0 {
 		m.pin(tip, now)
 	}
-	for k := n; k < len(hashes); k++ {
+	shared, own := c.after(n)
+	if len(m.subs) > 0 {
+		add := min(len(shared)+len(own), int(m.capacity/m.bytesPerBlock))
+		m.pending.Inserted = slices.Grow(m.pending.Inserted, add)
+		m.pending.Evicted = slices.Grow(m.pending.Evicted, add)
+	}
+	tip, k := m.insertRun(shared, tip, now)
+	if k == len(shared) {
+		var ko int
+		tip, ko = m.insertRun(own, tip, now)
+		k += ko
+	}
+	m.stats.RejectedBlocks += int64(len(shared) + len(own) - k)
+	if tip >= 0 {
+		m.slab[tip].pins--
+		m.maybeEvictable(tip)
+	}
+	return (n + k) * m.blockTokens
+}
+
+// insertRun inserts hashes, a run of missing blocks, below the pinned
+// block tip (-1 for the root), moving the pin down to each new block. It
+// stops at the first block for which space cannot be reclaimed and
+// returns the new tip and how many blocks it inserted.
+func (m *Manager) insertRun(hashes []uint64, tip int32, now float64) (int32, int) {
+	for k, hash := range hashes {
 		if !m.reclaim(m.bytesPerBlock) {
-			m.stats.RejectedBlocks += int64(len(hashes) - k)
-			break
+			return tip, k
 		}
-		hash := hashes[k]
 		if m.host != nil {
 			// The block now lives in the GPU tier; drop the host copy.
 			m.host.remove(hash)
@@ -535,14 +502,9 @@ func (m *Manager) InsertH(hashes []uint64, now float64) int {
 			m.pending.Inserted = append(m.pending.Inserted, hash)
 		}
 		m.stats.InsertedBlocks++
-		n++
 		tip = i
 	}
-	if tip >= 0 {
-		m.slab[tip].pins--
-		m.maybeEvictable(tip)
-	}
-	return n * m.blockTokens
+	return tip, len(hashes)
 }
 
 // alloc returns a free slab slot, growing the slab when none is free.

@@ -116,7 +116,7 @@ func TestPinPreventsEviction(t *testing.T) {
 	m := newMgr(t, 4)
 	a := seq(1, 64)
 	m.Insert(a, 64, 0)
-	pinned, release := m.Pin(a, 1)
+	pinned, release := m.PinH(flat(BlockHashes(a, 16)), 1)
 	if pinned != 64 {
 		t.Fatalf("pinned %d, want 64", pinned)
 	}
@@ -214,15 +214,15 @@ func TestPeekDoesNotTouchLRU(t *testing.T) {
 	m.Insert(b, 64, 2)
 	// Peek a many times; it must stay coldest and get evicted first.
 	for i := 0; i < 10; i++ {
-		if got := m.Peek(a); got != 64 {
+		if got := m.PeekH(flat(BlockHashes(a, 16))); got != 64 {
 			t.Fatalf("peek = %d, want 64", got)
 		}
 	}
 	m.Insert(seq(3, 64), 64, 3)
-	if got := m.Peek(a); got != 0 {
+	if got := m.PeekH(flat(BlockHashes(a, 16))); got != 0 {
 		t.Fatalf("a survived eviction after peeks (hit %d); Peek touched LRU", got)
 	}
-	if got := m.Peek(b); got != 64 {
+	if got := m.PeekH(flat(BlockHashes(b, 16))); got != 64 {
 		t.Fatalf("b evicted instead of a (hit %d)", got)
 	}
 }
@@ -290,7 +290,7 @@ func TestRandomOpsInvariants(t *testing.T) {
 			case 1:
 				m.Lookup(toks, now)
 			case 2:
-				_, rel := m.Pin(toks, now)
+				_, rel := m.PinH(flat(BlockHashes(toks, 16)), now)
 				releases = append(releases, rel)
 			case 3:
 				if len(releases) > 0 {
@@ -327,7 +327,7 @@ func TestSubscribeReportsInsertsAndEvictions(t *testing.T) {
 	m.Subscribe(func(ev ChangeEvent) { events = append(events, cloneEvent(ev)) })
 
 	chainA := BlockHashes(seq(1, 4*16), 16)
-	m.InsertH(chainA, 1)
+	m.InsertH(flat(chainA), 1)
 	if len(events) != 1 {
 		t.Fatalf("events after insert = %d, want 1", len(events))
 	}
@@ -337,13 +337,13 @@ func TestSubscribeReportsInsertsAndEvictions(t *testing.T) {
 
 	// Re-inserting the same chain only refreshes LRU: no membership
 	// change, no event.
-	m.InsertH(chainA, 2)
+	m.InsertH(flat(chainA), 2)
 	if len(events) != 1 {
 		t.Fatalf("refresh emitted an event: %+v", events[len(events)-1])
 	}
 
 	// Pins do not change membership either.
-	_, unpin := m.PinH(chainA, 3)
+	_, unpin := m.PinH(flat(chainA), 3)
 	unpin()
 	if len(events) != 1 {
 		t.Fatal("pin/unpin emitted an event")
@@ -352,7 +352,7 @@ func TestSubscribeReportsInsertsAndEvictions(t *testing.T) {
 	// A new chain in a full pool evicts A's blocks: one event carrying
 	// both the insertions and the evictions.
 	chainB := BlockHashes(seq(2, 2*16), 16)
-	m.InsertH(chainB, 4)
+	m.InsertH(flat(chainB), 4)
 	if len(events) != 2 {
 		t.Fatalf("events after displacing insert = %d, want 2", len(events))
 	}
@@ -378,7 +378,7 @@ func TestSubscribeReportsReserveAndEvictAll(t *testing.T) {
 	var events []ChangeEvent
 	m.Subscribe(func(ev ChangeEvent) { events = append(events, cloneEvent(ev)) })
 
-	m.InsertH(BlockHashes(seq(1, 4*16), 16), 1)
+	m.InsertH(flat(BlockHashes(seq(1, 4*16), 16)), 1)
 	events = events[:0]
 
 	// Reserving half the pool must evict two blocks and report them.
@@ -446,19 +446,19 @@ func insertEvictChains(tb testing.TB) (*Manager, [2][]uint64) {
 // as they are.
 func TestFillGrowsOnceToPool(t *testing.T) {
 	m, chains := insertEvictChains(t)
-	m.InsertH(chains[0][:minIndexCells/2], 1)
+	m.InsertH(flat(chains[0][:minIndexCells/2]), 1)
 	if cap(m.slab) > minIndexCells/2 || len(m.index.refs) != minIndexCells {
 		t.Fatalf("%d blocks: slab capacity %d, %d index cells; want at most %d and %d",
 			m.Len(), cap(m.slab), len(m.index.refs), minIndexCells/2, minIndexCells)
 	}
-	m.InsertH(chains[0][:minIndexCells/2+1], 2)
+	m.InsertH(flat(chains[0][:minIndexCells/2+1]), 2)
 	cells := len(m.index.refs)
 	if cap(m.slab) != insertEvictBlocks || cells != 8192 {
 		t.Fatalf("%d blocks: slab capacity %d, %d index cells; want %d and 8192",
 			m.Len(), cap(m.slab), cells, insertEvictBlocks)
 	}
 	for k, chain := range [][]uint64{chains[0], chains[1], chains[0]} {
-		m.InsertH(chain, float64(3+k))
+		m.InsertH(flat(chain), float64(3+k))
 		if cap(m.slab) != insertEvictBlocks || len(m.index.refs) != cells {
 			t.Fatalf("insert %d: slab capacity %d, %d index cells; want %d and %d",
 				k, cap(m.slab), len(m.index.refs), insertEvictBlocks, cells)
@@ -523,7 +523,7 @@ func TestInsertAllocs(t *testing.T) {
 	now := 0.0
 	insert := func() {
 		now++
-		m.InsertH(chains[int(now)%2], now)
+		m.InsertH(flat(chains[int(now)%2]), now)
 	}
 	insert()
 	insert()
@@ -540,17 +540,50 @@ func TestInsertAllocs(t *testing.T) {
 	}
 }
 
+var growSink []uint64
+
+// TestInsertGrowsChangeListsOnce: with a subscriber attached, an insert
+// grows each change list once, up front, by the blocks it may add, which
+// a 3,125-block chain's insert into a 2,800-block pool caps at the pool,
+// instead of doubling it as blocks are appended. So the first insert into
+// a fresh cache leaves the Inserted list at one growth's capacity, and an
+// insert into empty lists allocates what growing each list once does,
+// though it adds and evicts thousands of blocks.
+func TestInsertGrowsChangeListsOnce(t *testing.T) {
+	m, chains := insertEvictChains(t)
+	m.InsertH(flat(chains[0]), 1)
+	if got, want := cap(m.pending.Inserted), cap(slices.Grow([]uint64(nil), insertEvictBlocks)); got != want {
+		t.Fatalf("the first insert of a %d-block chain left the Inserted list at capacity %d, want %d from one growth",
+			len(chains[0]), got, want)
+	}
+	now := 1.0
+	insert := func() {
+		now++
+		m.pending = ChangeEvent{}
+		m.InsertH(flat(chains[int(now)%2]), now)
+	}
+	// One growth is one allocation, or two where the race detector
+	// instruments append.
+	grow := testing.AllocsPerRun(10, func() { growSink = slices.Grow([]uint64(nil), insertEvictBlocks) })
+	if allocs := testing.AllocsPerRun(10, insert); allocs != 2*grow {
+		t.Fatalf("an insert into empty change lists allocated %v times per call, want %v: one growth of each list", allocs, 2*grow)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // BenchmarkCacheInsertEvict inserts a fresh 3,125-block chain per op into
 // a full 2,800-block pool: 2,800 inserts, 2,800 evictions and 325
 // discarded suffix blocks, the per-instance shape of long-unique.
 func BenchmarkCacheInsertEvict(b *testing.B) {
 	m, chains := insertEvictChains(b)
-	m.InsertH(chains[0], 0)
-	m.InsertH(chains[1], 0)
+	m.InsertH(flat(chains[0]), 0)
+	m.InsertH(flat(chains[1]), 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.InsertH(chains[i%2], float64(i+1))
+		m.InsertH(flat(chains[i%2]), float64(i+1))
 	}
 }
 
@@ -565,8 +598,8 @@ func BenchmarkCacheFill(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := insertEvictPool(b)
-		m.InsertH(chains[0], 1)
-		m.InsertH(chains[1], 2)
+		m.InsertH(flat(chains[0]), 1)
+		m.InsertH(flat(chains[1]), 2)
 	}
 }
 
@@ -580,22 +613,25 @@ const (
 )
 
 // hitPathPool returns a warm pool holding an 845-block profile and 64
-// requests' 30-block posts, and 128 request chains that share the
-// profile and each end in their own post. The pool is 2,765 blocks, so
-// by the time a chain comes round again its post has been evicted: each
-// request hits the profile and inserts its post fresh, evicting the
-// oldest post.
-func hitPathPool(tb testing.TB) (*Manager, [][]uint64) {
+// requests' 30-block posts, and 128 request chains that each reference
+// the profile's chain as their Shared part, as requests that declare the
+// profile as a sched.Prefix do, and own their post. The pool is 2,765
+// blocks, so by the time a chain comes round again its post has been
+// evicted: each request hits the profile and inserts its post fresh,
+// evicting the oldest post.
+func hitPathPool(tb testing.TB) (*Manager, []*Chain) {
 	m, err := New(Config{BlockTokens: 16, BytesPerToken: 1, CapacityBytes: (hitPathProfileBlocks + 64*hitPathSuffixBlocks) * 16})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	profile := randTokens(rng, hitPathProfileBlocks*16)
-	chains := make([][]uint64, hitPathChains)
+	shared := BlockHashes(profile, 16)
+	chains := make([]*Chain, hitPathChains)
 	for i := range chains {
 		toks := append(slices.Clone(profile), randTokens(rng, hitPathSuffixBlocks*16)...)
-		chains[i] = BlockHashes(toks, 16)
+		c := ExtendBlockHashes(shared, toks, 16)
+		chains[i] = &c
 	}
 	for i, chain := range chains {
 		m.InsertH(chain, float64(i))
@@ -605,7 +641,7 @@ func hitPathPool(tb testing.TB) (*Manager, [][]uint64) {
 
 // hitPathRequest serves a chain at time now as an engine does: pin the
 // cached prefix at dispatch, release it and insert the chain at finish.
-func hitPathRequest(m *Manager, chain []uint64, now float64) {
+func hitPathRequest(m *Manager, chain *Chain, now float64) {
 	_, release := m.PinH(chain, now)
 	release()
 	m.InsertH(chain, now)
@@ -618,7 +654,7 @@ func TestHitPathAllocs(t *testing.T) {
 	m, chains := hitPathPool(t)
 	now := float64(len(chains))
 	k := 0
-	next := func() []uint64 {
+	next := func() *Chain {
 		k++
 		now++
 		return chains[k%len(chains)]

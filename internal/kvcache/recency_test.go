@@ -183,12 +183,12 @@ func (p *recencyPair) compare(t *testing.T, op int, chains [][]uint64) {
 		t.Fatalf("op %d: reference: %v", op, err)
 	}
 	for c, ch := range chains {
-		g, r := p.got.PeekH(ch), p.ref.PeekH(ch)
+		g, r := p.got.PeekH(flat(ch)), p.ref.PeekH(flat(ch))
 		if g != r {
 			t.Fatalf("op %d: PeekH(chain %d) = %d, reference %d", op, c, g, r)
 		}
 		for _, skip := range []int{0, g / closureBlockTokens} {
-			if gh, rh := p.got.HostHitH(ch, skip), p.ref.HostHitH(ch, skip); gh != rh {
+			if gh, rh := p.got.HostHitH(flat(ch), skip), p.ref.HostHitH(flat(ch), skip); gh != rh {
 				t.Fatalf("op %d: HostHitH(chain %d, %d) = %d, reference %d", op, c, skip, gh, rh)
 			}
 		}
@@ -213,11 +213,11 @@ func runRecencyOps(t *testing.T, ops []byte, host bool) {
 		switch op {
 		case 0, 1, 2: // insert a prefix of a chain; a full pool rejects its suffix
 			h := chain[:arg/len(chains)%(len(chain)+1)]
-			if g, r := p.got.InsertH(h, now), refInsertH(p.ref, h, now); g != r {
+			if g, r := p.got.InsertH(flat(h), now), refInsertH(p.ref, h, now); g != r {
 				t.Fatalf("op %d: InsertH = %d, reference %d", i/2, g, r)
 			}
 		case 3, 4: // pin a chain's cached prefix until released
-			g, gotRel := p.got.PinH(chain, now)
+			g, gotRel := p.got.PinH(flat(chain), now)
 			r, refRel := refPinH(p.ref, chain, now)
 			if g != r {
 				t.Fatalf("op %d: PinH = %d, reference %d", i/2, g, r)
@@ -241,7 +241,7 @@ func runRecencyOps(t *testing.T, ops []byte, host bool) {
 				}
 			}
 		case 8: // refresh a chain's cached prefix in the LRU
-			if g, r := p.got.LookupH(chain, now), refLookupH(p.ref, chain, now); g != r {
+			if g, r := p.got.LookupH(flat(chain), now), refLookupH(p.ref, chain, now); g != r {
 				t.Fatalf("op %d: LookupH = %d, reference %d", i/2, g, r)
 			}
 		case 9:

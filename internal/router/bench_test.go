@@ -67,10 +67,12 @@ func BenchmarkRouterPick(b *testing.B) {
 // oldest request completes and a new one is routed. Prompts are shaped
 // like the paper's WL1 at Table 1 size: 20 users, each request a
 // 14,000-token prompt (an 875-block chain) made of the user's
-// 13,760-token profile and a unique 240-token post. Each instance caches
-// the profiles of the users whose hash home it is, and chains are hashed
-// up front, so a cycle costs the policy's hit probes, admission and the
-// pending-set updates.
+// 13,760-token profile and a unique 240-token post. As the workload does,
+// each request declares its user's profile as a sched.Prefix, so its
+// chain references the profile's. Each instance caches the profiles of
+// the users whose hash home it is, and chains are hashed up front, so a
+// cycle costs the policy's hit probes, admission and the pending-set
+// updates.
 func submitCycle(tb testing.TB) func() {
 	const (
 		instances   = 8
@@ -94,20 +96,25 @@ func submitCycle(tb testing.TB) func() {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	prefixes := make([]*sched.Prefix, users)
+	for user := range prefixes {
+		toks := make([]uint64, profile)
+		for k := range toks {
+			toks[k] = uint64(user)<<32 | uint64(k)
+		}
+		prefixes[user] = &sched.Prefix{Tokens: toks}
+	}
 	reqs := make([]*sched.Request, 2*inFlight)
 	for i := range reqs {
 		user := i % users
-		toks := make([]uint64, profile+post)
-		for k := range toks[:profile] {
-			toks[k] = uint64(user)<<32 | uint64(k)
+		toks := append(make([]uint64, 0, profile+post), prefixes[user].Tokens...)
+		for k := range post {
+			toks = append(toks, 1<<63|uint64(i)<<32|uint64(k))
 		}
-		for k := range toks[profile:] {
-			toks[profile+k] = 1<<63 | uint64(i)<<32 | uint64(k)
-		}
-		reqs[i] = &sched.Request{ID: int64(i), UserID: user, Tokens: toks}
-		chain := engine.HashesOf(reqs[i], blockTokens)
+		reqs[i] = &sched.Request{ID: int64(i), UserID: user, Tokens: toks, Prefix: prefixes[user]}
+		engine.HashesOf(reqs[i], blockTokens)
 		if i < users {
-			caches[homeOf(user, instances)].InsertH(chain[:profile/blockTokens], 0)
+			caches[homeOf(user, instances)].InsertH(&kvcache.Chain{Shared: prefixes[user].BlockHashes}, 0)
 		}
 	}
 	for _, r := range reqs[:inFlight] {

@@ -16,39 +16,48 @@ import (
 // prefix with a query sits next to the query's position, so one binary
 // search and two common-prefix searches answer it without per-block state.
 // The order depends only on hash values, so neither the set nor its
-// answers depend on insertion order.
+// answers depend on insertion order or on how the chains are split.
+//
+// Members are pointers to the requests' memoized chains (engine.HashesOf),
+// so an insert or delete moves one pointer per later member. The set
+// relies on a member's chain not changing while it is a member.
 type chainSet struct {
-	chains [][]uint64
+	chains []*kvcache.Chain
 }
 
 // compareChains orders chains lexicographically by hash value.
-func compareChains(a, b []uint64) int {
-	if n := kvcache.CommonPrefix(a, b); n < len(a) && n < len(b) {
-		return cmp.Compare(a[n], b[n])
+func compareChains(a, b *kvcache.Chain) int {
+	if n := kvcache.CommonPrefix(a, b); n < a.Len() && n < b.Len() {
+		return cmp.Compare(a.At(n), b.At(n))
 	}
-	return cmp.Compare(len(a), len(b))
+	return cmp.Compare(a.Len(), b.Len())
 }
 
 // add inserts a chain. A chain of no blocks shares no prefix with
-// anything and is skipped. The set keeps the slice, which must not be
-// mutated while it is a member.
-func (s *chainSet) add(chain []uint64) {
-	if len(chain) == 0 {
+// anything and is skipped.
+func (s *chainSet) add(chain *kvcache.Chain) {
+	if chain.Len() == 0 {
 		return
 	}
 	i, _ := slices.BinarySearchFunc(s.chains, chain, compareChains)
 	s.chains = slices.Insert(s.chains, i, chain)
 }
 
-// remove deletes one copy of a chain add inserted. A chain the set does
-// not hold means the router's accounting is corrupt, so it panics.
-func (s *chainSet) remove(chain []uint64) {
-	if len(chain) == 0 {
+// remove deletes chain, which add inserted: the member that is this very
+// pointer, among those with its content, so the set keeps no pointer into
+// a completed request. A chain the set does not hold means the router's
+// accounting is corrupt, so it panics.
+func (s *chainSet) remove(chain *kvcache.Chain) {
+	if chain.Len() == 0 {
 		return
 	}
 	i, ok := slices.BinarySearchFunc(s.chains, chain, compareChains)
+	for ok && s.chains[i] != chain {
+		i++
+		ok = i < len(s.chains) && compareChains(s.chains[i], chain) == 0
+	}
 	if !ok {
-		panic(fmt.Sprintf("router: removing a %d-block chain that is not pending", len(chain)))
+		panic(fmt.Sprintf("router: removing a %d-block chain that is not pending", chain.Len()))
 	}
 	s.chains = slices.Delete(s.chains, i, i+1)
 }
@@ -56,7 +65,7 @@ func (s *chainSet) remove(chain []uint64) {
 // longestPrefix returns how many leading hashes of chain some member
 // shares: the longer common prefix with the chain's two neighbours in
 // the sorted order.
-func (s *chainSet) longestPrefix(chain []uint64) int {
+func (s *chainSet) longestPrefix(chain *kvcache.Chain) int {
 	i, _ := slices.BinarySearchFunc(s.chains, chain, compareChains)
 	n := 0
 	if i < len(s.chains) {

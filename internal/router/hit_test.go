@@ -133,15 +133,23 @@ func (p scriptedPolicy) Pick(_ *sched.Request, v View) int { return *p.next % v.
 
 const pendingBlockTokens = 4
 
+// pendingPrompt is one prompt of the pending-prefix driver's pool: its
+// tokens, its user, and the length of the user's profile, which the
+// driver may declare as a sched.Prefix.
+type pendingPrompt struct {
+	toks          []uint64
+	user, profile int
+}
+
 // pendingPrompts is the prompt pool of the pending-prefix driver, in
 // blocks of pendingBlockTokens: four users with 4–5-block profiles, the
 // first two opening with a shared 2-block template; each user sends the bare
 // profile, the profile plus a partial block (the same chain), and the
 // profile plus one of three 1–3-block posts; one prompt is shorter than a
 // block (no chain at all).
-func pendingPrompts() [][]uint64 {
+func pendingPrompts() []pendingPrompt {
 	const bt = pendingBlockTokens
-	var prompts [][]uint64
+	var prompts []pendingPrompt
 	for user := uint64(1); user <= 4; user++ {
 		var profile []uint64
 		if user <= 2 {
@@ -153,28 +161,29 @@ func pendingPrompts() [][]uint64 {
 			profile = append(profile, user<<32|i)
 		}
 		profile = slices.Clip(profile)
-		prompts = append(prompts, profile, append(profile, 7, 7))
+		prompts = append(prompts, pendingPrompt{profile, int(user), len(profile)}, pendingPrompt{append(profile, 7, 7), int(user), len(profile)})
 		for post := uint64(1); post <= 3; post++ {
 			p := profile
 			for i := uint64(0); i < post*bt; i++ {
 				p = append(p, user<<32|post<<16|i)
 			}
-			prompts = append(prompts, p)
+			prompts = append(prompts, pendingPrompt{p, int(user), len(profile)})
 		}
 	}
-	return append(prompts, []uint64{9, 9, 9})
+	return append(prompts, pendingPrompt{toks: []uint64{9, 9, 9}})
 }
 
 // pendingProbes returns the requests whose hit estimates the driver
 // checks: every prompt, every prompt less its last block (a proper prefix
 // of a pending chain), and every prompt plus one block (extending one).
-func pendingProbes(prompts [][]uint64) []*sched.Request {
+func pendingProbes(prompts []pendingPrompt) []*sched.Request {
 	const bt = pendingBlockTokens
 	var probes []*sched.Request
 	add := func(toks []uint64) {
 		probes = append(probes, &sched.Request{ID: int64(-len(probes) - 1), Tokens: toks})
 	}
-	for i, p := range prompts {
+	for i, pp := range prompts {
+		p := pp.toks
 		add(p)
 		if len(p) >= bt {
 			add(p[:len(p)/bt*bt-bt])
@@ -193,14 +202,17 @@ type pendingDriver struct {
 	pick     int                // the scripted policy's next choice
 	ref      map[int]refPending // by instance ID
 	inflight []*sched.Request
-	prompts  [][]uint64
+	prompts  []pendingPrompt
 	probes   []*sched.Request
+	// prefixes holds the declared prefixes, by what they cover (see
+	// prefixOf), so requests share them as a workload's do.
+	prefixes map[[2]int]*sched.Prefix
 	nextID   int64
 	clock    float64
 }
 
 func newPendingDriver(t testing.TB, label string, instances int) *pendingDriver {
-	d := &pendingDriver{t: t, label: label, ref: make(map[int]refPending), prompts: pendingPrompts()}
+	d := &pendingDriver{t: t, label: label, ref: make(map[int]refPending), prompts: pendingPrompts(), prefixes: make(map[[2]int]*sched.Prefix)}
 	d.probes = pendingProbes(d.prompts)
 	rt, err := New(Config{Policy: scriptedPolicy{next: &d.pick}}, d.newEngine())
 	if err != nil {
@@ -239,8 +251,45 @@ func (d *pendingDriver) instance(k int) *instanceState {
 	return d.rt.instances[k%len(d.rt.instances)]
 }
 
+// chain returns the content of r's chain, flat.
 func (d *pendingDriver) chain(r *sched.Request) []uint64 {
-	return engine.HashesOf(r, pendingBlockTokens)
+	return flatChain(engine.HashesOf(r, pendingBlockTokens))
+}
+
+func flatChain(c *kvcache.Chain) []uint64 {
+	return append(slices.Clone(c.Shared), c.Own...)
+}
+
+// prefixOf returns the Prefix, if any, that a request for prompt k
+// declares under variant v: none; the user's profile; a distinct Prefix
+// of the same tokens; the profile less half a block, ending mid-block; or
+// the whole prompt, leaving no block of the request's own. Equal tokens
+// under distinct Prefixes, and the same prompt with and without one, give
+// pending chains of equal content and different layout.
+func (d *pendingDriver) prefixOf(k, v int) *sched.Prefix {
+	pp := d.prompts[k]
+	var n int
+	switch v % 5 {
+	case 0:
+		return nil
+	case 1, 2:
+		n = pp.profile
+	case 3:
+		n = max(pp.profile-pendingBlockTokens/2, 0)
+	case 4:
+		n = len(pp.toks)
+	}
+	// A whole prompt's Prefix is one per prompt; the others, one per user.
+	key := [2]int{-1 - pp.user, v % 5}
+	if v%5 == 4 {
+		key[0] = k
+	}
+	p := d.prefixes[key]
+	if p == nil {
+		p = &sched.Prefix{Tokens: pp.toks[:n]}
+		d.prefixes[key] = p
+	}
+	return p
 }
 
 // submit routes r to the routable instance the choice selects.
@@ -307,7 +356,8 @@ func (d *pendingDriver) apply(op, a, b int) {
 	switch op % 10 {
 	case 0, 1, 2: // route a request: its whole chain becomes pending
 		d.nextID++
-		d.submit(&sched.Request{ID: d.nextID, Tokens: d.prompts[a%len(d.prompts)]}, b)
+		k := a % len(d.prompts)
+		d.submit(&sched.Request{ID: d.nextID, Tokens: d.prompts[k].toks, Prefix: d.prefixOf(k, op/10)}, b)
 	case 3, 4: // complete one: its chain stops being pending
 		d.complete(a)
 	case 5:
@@ -322,8 +372,8 @@ func (d *pendingDriver) apply(op, a, b int) {
 	case 7:
 		d.remove(a)
 	case 8: // an instance caches a prompt, suffix-discarded when full
-		toks := d.prompts[a%len(d.prompts)]
-		d.instance(b).eng.Cache().InsertH(kvcache.BlockHashes(toks, pendingBlockTokens), d.clock)
+		toks := d.prompts[a%len(d.prompts)].toks
+		d.instance(b).eng.Cache().InsertH(&kvcache.Chain{Own: kvcache.BlockHashes(toks, pendingBlockTokens)}, d.clock)
 	case 9: // evictions
 		c := d.instance(a).eng.Cache()
 		if b%4 == 0 {
@@ -335,17 +385,22 @@ func (d *pendingDriver) apply(op, a, b int) {
 	}
 }
 
-// check holds every instance's hit estimate for every probe to the
-// reference.
+// check holds every instance's pending set to sorted order by content,
+// and its hit estimate for every probe to the reference.
 func (d *pendingDriver) check(step int) {
 	for _, st := range d.rt.instances {
+		for k := 1; k < len(st.pending.chains); k++ {
+			if slices.Compare(flatChain(st.pending.chains[k-1]), flatChain(st.pending.chains[k])) > 0 {
+				d.t.Fatalf("%s op %d: instance %d's pending chains %d and %d are out of order", d.label, step, st.id, k-1, k)
+			}
+		}
 		c := st.eng.Cache()
 		for _, r := range d.probes {
 			chain := d.chain(r)
-			want := max(c.PeekH(chain), d.ref[st.id].prefix(chain)*pendingBlockTokens)
+			want := max(c.PeekH(engine.HashesOf(r, pendingBlockTokens)), d.ref[st.id].prefix(chain)*pendingBlockTokens)
 			if got := hitTokens(st, r); got != want {
 				d.t.Fatalf("%s op %d: instance %d hit estimate for a %d-token probe = %d, want %d (cached %d, %d chains pending)",
-					d.label, step, st.id, r.Len(), got, want, c.PeekH(chain), len(st.pending.chains))
+					d.label, step, st.id, r.Len(), got, want, c.PeekH(engine.HashesOf(r, pendingBlockTokens)), len(st.pending.chains))
 			}
 		}
 	}
@@ -386,13 +441,21 @@ func TestHitTokensMatchesLinearWalk(t *testing.T) {
 	}
 }
 
+// TestRemovingAnAbsentChainPanics: the set removes the very chain it was
+// given, so a chain it does not hold panics even while it holds another
+// of equal content.
 func TestRemovingAnAbsentChainPanics(t *testing.T) {
 	var s chainSet
-	chain := kvcache.BlockHashes([]uint64{1, 2, 3, 4, 5, 6, 7, 8}, pendingBlockTokens)
+	hashes := kvcache.BlockHashes([]uint64{1, 2, 3, 4, 5, 6, 7, 8}, pendingBlockTokens)
+	chain, twin := &kvcache.Chain{Own: hashes}, &kvcache.Chain{Shared: hashes[:1], Own: hashes[1:]}
 	s.add(chain)
+	s.add(twin)
 	s.add(chain)
 	s.remove(chain)
 	s.remove(chain)
+	if len(s.chains) != 1 || s.chains[0] != twin {
+		t.Fatalf("after removing both copies of a chain, the set holds %d chains, want only its twin", len(s.chains))
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("removing a chain the set no longer holds did not panic")

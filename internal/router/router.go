@@ -195,7 +195,7 @@ type pending struct {
 	tokens   int64
 	seconds  float64
 	class    sched.Class
-	hashes   []uint64
+	chain    *kvcache.Chain // nil when the instance has no cache
 }
 
 // Router routes requests across a dynamic set of engine instances.
@@ -689,12 +689,12 @@ func (rt *Router) Submit(r *sched.Request) error {
 	}
 	rt.admission.AcceptClass(rt.cfg.Policy.Name(), r.Class.String())
 	rt.cfg.Tracer.Route(r.ArrivalTime, rt.cfg.Policy.Name(), r.ID, r.Class, st.id, hit, est)
-	var hashes []uint64
+	var chain *kvcache.Chain
 	if c := st.eng.Cache(); c != nil {
-		hashes = engine.HashesOf(r, c.BlockTokens())
-		st.pending.add(hashes)
+		chain = engine.HashesOf(r, c.BlockTokens())
+		st.pending.add(chain)
 	}
-	rt.inflight[r.ID] = pending{instance: st.id, tokens: int64(r.Len()), seconds: est, class: r.Class, hashes: hashes}
+	rt.inflight[r.ID] = pending{instance: st.id, tokens: int64(r.Len()), seconds: est, class: r.Class, chain: chain}
 	st.load.QueuedRequests++
 	st.load.QueuedTokens += int64(r.Len())
 	st.load.BacklogSeconds += est
@@ -734,5 +734,7 @@ func (rt *Router) Completed(rec engine.Record) {
 			st.load.ClassBacklogSeconds[p.class] = 0
 		}
 	}
-	st.pending.remove(p.hashes)
+	if p.chain != nil {
+		st.pending.remove(p.chain)
+	}
 }

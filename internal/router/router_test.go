@@ -108,7 +108,7 @@ func TestCheckIdleReportsLeakedAccounting(t *testing.T) {
 		{"backlog", func() { st.load.BacklogSeconds = 2e-9 }},
 		{"negative backlog", func() { st.load.BacklogSeconds = -2e-9 }},
 		{"class backlog", func() { st.load.ClassBacklogSeconds[sched.ClassBatch] = 2e-9 }},
-		{"pending chain", func() { st.pending.add(r.BlockHashes) }},
+		{"pending chain", func() { st.pending.add(&r.Chain) }},
 	} {
 		saved := st.load
 		leak.make()

@@ -20,7 +20,7 @@ import (
 const eqBlockTokens = 16
 
 // chainOf returns the request's memoized block-hash chain.
-func chainOf(r *sched.Request) []uint64 {
+func chainOf(r *sched.Request) *kvcache.Chain {
 	return engine.HashesOf(r, eqBlockTokens)
 }
 
@@ -98,8 +98,8 @@ func inBucket(toks []uint64, from int) {
 	for k := from; k < len(toks)/eqBlockTokens; k++ {
 		end := (k + 1) * eqBlockTokens
 		for ; ; toks[end-1] += 1 << 48 {
-			chain = kvcache.ExtendBlockHashes(chain[:k], toks[:end], eqBlockTokens)
-			if chain[k]%sched.FilterBuckets == 0 {
+			if h := kvcache.ExtendBlockHashes(chain, toks[:end], eqBlockTokens).Own[0]; h%sched.FilterBuckets == 0 {
+				chain = append(chain, h)
 				break
 			}
 		}
@@ -138,8 +138,11 @@ func runIncrementalVsSweep(t *testing.T, tc eqCase, seed int64) {
 		sweep.SetClassWeights(weights)
 	}
 
-	// Each user's requests share a prefix of the user's profile.
+	// Each user's requests share a prefix of the user's profile. Requests
+	// with an even ID declare it as a Prefix, one per user and length, so
+	// their chains are two-part and the watch reads across the parts.
 	profiles := make([][]uint64, tc.users)
+	prefixes := make(map[[2]int]*sched.Prefix)
 	for user := range profiles {
 		for i := 0; i < tc.maxShared*eqBlockTokens; i++ {
 			profiles[user] = append(profiles[user], uint64(user+1)<<40|uint64(i))
@@ -167,6 +170,13 @@ func runIncrementalVsSweep(t *testing.T, tc eqCase, seed int64) {
 			class = sched.ClassBatch
 		}
 		r := &sched.Request{ID: nextID, UserID: user, Tokens: toks, ArrivalTime: now, Class: class}
+		if nextID%2 == 0 && shared > 0 {
+			key := [2]int{user, shared}
+			if prefixes[key] == nil {
+				prefixes[key] = &sched.Prefix{Tokens: profiles[user][:shared]}
+			}
+			r.Prefix = prefixes[key]
+		}
 		nextID++
 		return r
 	}
@@ -302,7 +312,7 @@ func TestOnCacheChangeZeroAlloc(t *testing.T) {
 		r := &sched.Request{ID: int64(i), Tokens: toks}
 		c.Enqueue(r)
 		if i < 4 {
-			changed = append(changed, chainOf(r)...) // every shared block, and 4 tails
+			changed = append(changed, kvcache.BlockHashes(r.Tokens, eqBlockTokens)...) // every shared block, and 4 tails
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {

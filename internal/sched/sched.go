@@ -8,6 +8,7 @@ package sched
 import (
 	"fmt"
 
+	"repro/internal/kvcache"
 	"repro/internal/ringbuf"
 )
 
@@ -89,15 +90,16 @@ type Request struct {
 	// others (e.g. one user's template and profile). When set, Tokens
 	// starts with Prefix.Tokens, and Tokens is still the whole prompt.
 	// It changes no outcome: it lets engine.HashesOf hash the shared
-	// tokens once rather than once per request.
+	// tokens once rather than once per request, and share their chain.
 	Prefix *Prefix
 
-	// BlockHashes caches the content-addressed prefix-cache hash chain
-	// of Tokens for HashBlockTokens-sized blocks. engine.HashesOf
-	// populates it lazily, extending the Prefix's chain when there is
-	// one, so repeated cache operations on large prompts do not re-hash
-	// them.
-	BlockHashes     []uint64
+	// Chain memoizes the content-addressed prefix-cache hash chain of
+	// Tokens for HashBlockTokens-sized blocks; it is valid only when
+	// HashBlockTokens is that size, and 0 marks no memo. engine.HashesOf
+	// computes it lazily, so repeated cache operations on large prompts
+	// do not re-hash them. With a Prefix, the chain's Shared part is the
+	// Prefix's own memo and its Own part the blocks after it.
+	Chain           kvcache.Chain
 	HashBlockTokens int
 
 	// Retries counts how many times the request has been orphaned by an
@@ -112,15 +114,15 @@ func (r *Request) Len() int { return len(r.Tokens) }
 // Prefix is a prompt prefix shared by several requests, declared by the
 // workload that builds them (a prompt module in the sense of Prompt
 // Cache, Gim et al., MLSys 2024). Its block-hash chain is computed once
-// per block size and extended by each sharing request, so the shared
-// tokens are hashed once rather than once per request.
+// per block size and referenced by each sharing request's chain, so the
+// shared tokens are hashed once and their chain is held once.
 type Prefix struct {
 	// Tokens is the shared prefix; immutable once generated.
 	Tokens []uint64
 
 	// BlockHashes memoizes the hash chain of Tokens for
-	// HashBlockTokens-sized blocks, like Request.BlockHashes. Only
-	// engine.HashesOf writes it.
+	// HashBlockTokens-sized blocks, valid like Request.Chain when
+	// HashBlockTokens is that size. Only engine.HashesOf writes it.
 	BlockHashes     []uint64
 	HashBlockTokens int
 }

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/kvcache"
 	"repro/internal/sched"
 )
 
@@ -56,7 +57,7 @@ func (d *Dataset) Clone() *Dataset {
 	prefixes := make(map[*sched.Prefix]*sched.Prefix)
 	for i, r := range d.Requests {
 		rc := *r
-		rc.BlockHashes, rc.HashBlockTokens = nil, 0
+		rc.Chain, rc.HashBlockTokens = kvcache.Chain{}, 0
 		if r.Prefix != nil {
 			p, ok := prefixes[r.Prefix]
 			if !ok {

@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"repro/internal/kvcache"
 	"repro/internal/sched"
 )
 
@@ -260,19 +261,18 @@ func TestCloneIsolatesRequestMutation(t *testing.T) {
 	// Mutating a clone (what a run does) must not leak into base or
 	// sibling clones.
 	c1.Requests[0].ArrivalTime = 42
-	c1.Requests[0].BlockHashes = []uint64{1, 2, 3}
+	c1.Requests[0].Chain = kvcache.Chain{Shared: []uint64{1, 2}, Own: []uint64{3}}
 	c1.Requests[0].HashBlockTokens = 16
 	c1.Requests[0].Prefix.BlockHashes = []uint64{1, 2}
 	c1.Requests[0].Prefix.HashBlockTokens = 16
-	if base.Requests[0].ArrivalTime == 42 || base.Requests[0].BlockHashes != nil || base.Requests[0].Prefix.BlockHashes != nil {
-		t.Fatal("clone mutation leaked into base")
-	}
-	if c2.Requests[0].ArrivalTime == 42 || c2.Requests[0].BlockHashes != nil || c2.Requests[0].Prefix.BlockHashes != nil {
-		t.Fatal("clone mutation leaked into sibling clone")
+	for _, d := range []*Dataset{base, c2} {
+		if r := d.Requests[0]; r.ArrivalTime == 42 || r.Chain.Len() != 0 || r.HashBlockTokens != 0 || r.Prefix.BlockHashes != nil || r.Prefix.HashBlockTokens != 0 {
+			t.Fatal("clone mutation leaked into base or a sibling clone")
+		}
 	}
 	// A clone of a hashed dataset starts unhashed.
 	for _, r := range c1.Clone().Requests {
-		if r.BlockHashes != nil || r.HashBlockTokens != 0 || r.Prefix.BlockHashes != nil || r.Prefix.HashBlockTokens != 0 {
+		if r.Chain.Len() != 0 || r.HashBlockTokens != 0 || r.Prefix.BlockHashes != nil || r.Prefix.HashBlockTokens != 0 {
 			t.Fatalf("clone of request %d copied a memoized chain", r.ID)
 		}
 	}
