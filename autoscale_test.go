@@ -1,6 +1,11 @@
 package prefillonly
 
-import "testing"
+import (
+	"testing"
+	"time"
+
+	"repro/internal/autoscale"
+)
 
 // TestSimulationAutoscale drives the elastic pool end to end through the
 // public facade: a square-wave burst grows the pool from its floor, the
@@ -75,5 +80,72 @@ func TestColdStartCatalogPricing(t *testing.T) {
 	want := float64(m.WeightBytes()) / float64(g.HostBWBytes)
 	if got != want {
 		t.Fatalf("cold start %g, want weights/hostBW = %g", got, want)
+	}
+}
+
+// TestObserversDrainWithoutPerturbing runs the 32-request routing
+// workload under the trace sampler and the time-series collector: each
+// alone on an autoscaled pool, and both on a fixed fleet. The autoscaler
+// and the observers re-arm only while other events are pending, and
+// observer ticks do not count as pending, so each run drains. Its records,
+// and its autoscaler's Stats when it autoscales, equal those of the same
+// run without observers.
+func TestObserversDrainWithoutPerturbing(t *testing.T) {
+	type outcome struct {
+		recs  []recordKey
+		scale autoscale.Stats
+	}
+	run := func(t *testing.T, autoscaled bool, spans int, window float64) outcome {
+		cfg := SimulationConfig{
+			GPUs: 4, MaxInputLen: 18000, RoutingPolicy: "affinity",
+			TraceSpans: spans, TimeseriesSeconds: window,
+		}
+		if autoscaled {
+			cfg.Autoscale = &AutoscaleConfig{MinInstances: 1, MaxInstances: 4}
+		}
+		s, err := NewSimulation(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := NewPostRecommendation(PostRecommendationConfig{Users: 4, PostsPerUser: 8, Seed: 21})
+		if err := s.SubmitDataset(ds, 8, 5); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan []Record, 1)
+		go func() { done <- s.Run() }()
+		select {
+		case recs := <-done:
+			var out outcome
+			out.recs = recordKeys(t, recs)
+			if ctl := s.Autoscaler(); ctl != nil {
+				out.scale = ctl.Stats()
+			}
+			return out
+		case <-time.After(time.Minute):
+			t.Fatalf("autoscaled %v, %d trace spans, %gs windows: Run did not return", autoscaled, spans, window)
+		}
+		return outcome{}
+	}
+	for _, tc := range []struct {
+		name       string
+		autoscaled bool
+		spans      int
+		window     float64
+	}{
+		{"autoscaled-traced", true, 1000, 0},
+		{"autoscaled-timeseries", true, 0, 1},
+		{"fixed-traced-timeseries", false, 1000, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plain := run(t, tc.autoscaled, 0, 0)
+			if tc.autoscaled && plain.scale.ScaleUps == 0 {
+				t.Fatalf("the pool never scaled: %+v", plain.scale)
+			}
+			observed := run(t, tc.autoscaled, tc.spans, tc.window)
+			requireSameRecords(t, tc.name, plain.recs, observed.recs)
+			if observed.scale != plain.scale {
+				t.Fatalf("autoscaler stats %+v, without observers %+v", observed.scale, plain.scale)
+			}
+		})
 	}
 }

@@ -108,8 +108,8 @@ type Config struct {
 	// drains and the run terminates.
 	KeepAlive bool
 	// Tracer, when non-nil, receives cold-start window spans (scale-up
-	// decision → routable), revive instants, and a pool-size gauge each
-	// control tick.
+	// decision → routable) and revive instants. The pool-size gauge is
+	// the fleet sampler's.
 	Tracer *trace.Recorder
 }
 
@@ -295,15 +295,10 @@ func (c *Controller) accrue(now float64) {
 // amplify the shed rate.
 func (c *Controller) windowRejects() (upRejects, allRejects int64) {
 	var rej, rejAll int64
-	batchLabel := sched.ClassBatch.String()
-	//prefill:allow(simdeterminism): commutative sum over per-instance tallies; order cannot change the totals
-	for _, byClass := range c.rt.Admission().ClassSnapshot() {
-		//prefill:allow(simdeterminism): commutative sum over per-class tallies; order cannot change the totals
-		for class, tally := range byClass {
-			rejAll += tally.Rejected
-			if class != batchLabel {
-				rej += tally.Rejected
-			}
+	for class, d := range c.rt.Admission().Snapshot() {
+		rejAll += d.Rejected
+		if sched.Class(class) != sched.ClassBatch {
+			rej += d.Rejected
 		}
 	}
 	c.window.PushBack(windowSample{rejected: rej - c.lastRejected, rejectedAll: rejAll - c.lastRejectedAll})
@@ -429,7 +424,6 @@ func (c *Controller) tick() {
 	} else if size < c.stats.MinInstances {
 		c.stats.MinInstances = size
 	}
-	c.cfg.Tracer.PoolGauge(now, c.rt.Routable(), c.pendingAdds)
 
 	// Keep ticking while there is anything left to react to: queued
 	// events (arrivals, executions, cold starts) or in-flight work. A

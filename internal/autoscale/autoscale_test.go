@@ -30,9 +30,15 @@ func TestColdStartSeconds(t *testing.T) {
 	}
 }
 
-// harness builds one sim + router(+records sink) over PrefillOnly L4
-// instances and returns a factory wired the same way.
+// harness builds one sim + least-loaded router(+records sink) over
+// PrefillOnly L4 instances and returns a factory wired the same way.
 func harness(t *testing.T, s *sim.Sim, initial int) (*router.Router, func() (engine.Engine, error), *[]engine.Record) {
+	t.Helper()
+	return harnessWith(t, s, initial, router.Config{Policy: router.LeastLoaded{}})
+}
+
+// harnessWith is harness with the given router config.
+func harnessWith(t *testing.T, s *sim.Sim, initial int, rcfg router.Config) (*router.Router, func() (engine.Engine, error), *[]engine.Record) {
 	t.Helper()
 	var rt *router.Router
 	recs := &[]engine.Record{}
@@ -57,7 +63,7 @@ func harness(t *testing.T, s *sim.Sim, initial int) (*router.Router, func() (eng
 		engines[i] = e
 	}
 	var err error
-	rt, err = router.New(router.Config{Policy: router.LeastLoaded{}}, engines...)
+	rt, err = router.New(rcfg, engines...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +189,28 @@ func TestBatchBacklogNeverScalesUp(t *testing.T) {
 	}
 }
 
+// shedsBatch is a least-loaded router config whose batch budget nothing
+// fits: every batch request is shed for its class budget.
+var shedsBatch = router.Config{
+	Policy:              router.LeastLoaded{},
+	ClassBacklogSeconds: map[sched.Class]float64{sched.ClassBatch: 1e-9},
+}
+
+// submitShed submits a batch request that the shedsBatch router must shed.
+func submitShed(t *testing.T, rt *router.Router, id int64) {
+	r := mkReq(id, int(id), 2000)
+	r.Class = sched.ClassBatch
+	if err := rt.Submit(r); err == nil {
+		t.Errorf("batch request %d admitted over its budget", id)
+	}
+}
+
 // TestBatchShedsDoNotEscalate: batch rejects under a tight batch budget
 // must not trip the shed-escalation path that jumps the pool to its
 // ceiling.
 func TestBatchShedsDoNotEscalate(t *testing.T) {
 	var s sim.Sim
-	rt, factory, _ := harness(t, &s, 1)
+	rt, factory, _ := harnessWith(t, &s, 1, shedsBatch)
 	ctl, err := New(Config{
 		MinInstances: 1, MaxInstances: 3,
 		TickSeconds: 0.5, UpBacklogSeconds: 1000, // backlog can never trigger
@@ -199,18 +221,15 @@ func TestBatchShedsDoNotEscalate(t *testing.T) {
 	}
 	ctl.Start()
 	s.At(0, func() {
-		// A little live work keeps ticks running while the window fills.
+		// A little live interactive work keeps ticks running while the
+		// window fills.
 		for i := int64(1); i <= 4; i++ {
-			r := mkReq(i, int(i), 2000)
-			r.Class = sched.ClassBatch
-			if err := rt.Submit(r); err != nil {
+			if err := rt.Submit(mkReq(i, int(i), 2000)); err != nil {
 				t.Errorf("submit: %v", err)
 			}
 		}
-		// Batch sheds land on the tally exactly as a tight batch budget
-		// records them.
-		for i := 0; i < 50; i++ {
-			rt.Admission().RejectClass("leastloaded", sched.ClassBatch.String())
+		for i := int64(5); i < 55; i++ {
+			submitShed(t, rt, i)
 		}
 	})
 	s.Run()
@@ -227,7 +246,7 @@ func TestBatchShedsDoNotEscalate(t *testing.T) {
 // shed would only amplify the shed rate.
 func TestBatchShedsVetoScaleDown(t *testing.T) {
 	var s sim.Sim
-	rt, factory, _ := harness(t, &s, 2)
+	rt, factory, _ := harnessWith(t, &s, 2, shedsBatch)
 	ctl, err := New(Config{
 		MinInstances: 1, MaxInstances: 2,
 		TickSeconds: 0.5, UpBacklogSeconds: 1000, DownBacklogSeconds: 0.5,
@@ -240,10 +259,8 @@ func TestBatchShedsVetoScaleDown(t *testing.T) {
 	// Quiet backlog + a continuous stream of batch sheds: without the
 	// veto, the idle pool drains to the floor tick after tick.
 	for ti := 0; ti < 20; ti++ {
-		at := 0.1 + 0.5*float64(ti)
-		s.At(at, func() {
-			rt.Admission().RejectClass("leastloaded", sched.ClassBatch.String())
-		})
+		shedID := int64(1000 + ti)
+		s.At(0.1+0.5*float64(ti), func() { submitShed(t, rt, shedID) })
 	}
 	id := int64(0)
 	for ti := 0; ti < 20; ti++ {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/ringbuf"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // linkCrossings returns how many times each communicated byte traverses
@@ -71,7 +70,6 @@ func NewTensorParallel(cfg Config) (*TensorParallel, error) {
 		return nil, err
 	}
 	ti := cfg.Tracer.NewInstance("tensor-parallel")
-	trace.WatchCache(ti, cache)
 	return &TensorParallel{
 		sim:       cfg.Sim,
 		scheduler: sched.NewFIFO(),
@@ -191,7 +189,6 @@ func NewPipelineParallel(cfg Config) (*PipelineParallel, error) {
 		return nil, err
 	}
 	ti := cfg.Tracer.NewInstance("pipeline-parallel")
-	trace.WatchCache(ti, cache)
 	return &PipelineParallel{
 		sim:       cfg.Sim,
 		scheduler: sched.NewFIFO(),

@@ -7,7 +7,6 @@ import (
 	"repro/internal/kvcache"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Serial is a single-device engine that executes one request at a time —
@@ -73,7 +72,6 @@ func NewSerial(cfg Config, spec SerialSpec) (*Serial, error) {
 		return nil, err
 	}
 	ti := cfg.Tracer.NewInstance(spec.Name)
-	trace.WatchCache(ti, cache)
 	s := &Serial{
 		sim:       cfg.Sim,
 		scheduler: spec.Scheduler,
@@ -170,9 +168,6 @@ func (s *Serial) SetSpeedFactor(factor float64) {
 	}
 	s.slow = factor
 }
-
-// SpeedFactor returns the active straggler factor (0 when nominal).
-func (s *Serial) SpeedFactor() float64 { return s.slow }
 
 // Kill crashes the engine: the request in service is aborted (its pin and
 // reservation released, no Record emitted), the waiting queue is drained,

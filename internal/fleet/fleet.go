@@ -409,16 +409,22 @@ func (f *Fleet) Gauges(now float64) timeseries.Gauges {
 	return g
 }
 
-// SampleTrace emits the fleet gauges into the flight recorder:
-// per-instance load, pool size with pending cold starts, and cache
-// residency.
+// SampleTrace emits the fleet gauges into the flight recorder: each live
+// instance's load, the pool size with pending cold starts, and the blocks
+// resident in each live instance's cache, instances keyed by router ID.
+// It is the trace's only source of pool and cache gauges.
 func (f *Fleet) SampleTrace(now float64) {
 	rec := f.spec.Tracer
-	for _, info := range f.rt.InstanceInfos() {
+	infos := f.rt.InstanceInfos()
+	for _, info := range infos {
 		rec.LoadGauge(now, info.ID, info.Load.QueuedRequests, info.Load.BacklogSeconds)
 	}
 	rec.PoolGauge(now, f.rt.Routable(), f.pendingInstances())
-	rec.SampleCaches(now)
+	for i, e := range f.rt.Instances() {
+		if c := e.Cache(); c != nil {
+			rec.CacheGauge(now, infos[i].ID, c.Len())
+		}
+	}
 }
 
 // CacheHitRate is hit tokens over looked-up tokens across every instance

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -13,6 +14,9 @@ import (
 	"repro/internal/model"
 	"repro/internal/router"
 	"repro/internal/sched"
+	"repro/internal/sim"
+	"repro/internal/timeseries"
+	"repro/internal/trace"
 )
 
 // TestReplaceCyclesStayBounded takes an autoscaled fleet through several
@@ -336,5 +340,182 @@ func TestNewRejectsChaosOnParallelEngines(t *testing.T) {
 		case !parallel && err != nil:
 			t.Errorf("%s: %v", eng, err)
 		}
+	}
+}
+
+// offerProfiles schedules n requests at qps, users round-robin over eight
+// shared 600–1,000-token profiles with a distinct last token; every third
+// request is batch-class.
+func offerProfiles(f *Fleet, n int, qps float64) {
+	for i := 0; i < n; i++ {
+		user := i % 8
+		toks := make([]uint64, 600+100*(i%5))
+		for j := range toks {
+			toks[j] = uint64(user)<<32 | uint64(j)
+		}
+		toks[len(toks)-1] = uint64(i)
+		at := float64(i) / qps
+		r := &sched.Request{ID: int64(i + 1), UserID: user, Tokens: toks, ArrivalTime: at}
+		if i%3 == 2 {
+			r.Class = sched.ClassBatch
+		}
+		f.SubmitAt(at, r)
+	}
+}
+
+// TestSurfacesReconcile runs a routed, autoscaled, fault-injected batch
+// fleet with the tracer, its gauge sampler and the time-series collector
+// on, under each fault kind and all three, over several seeds. Each fact
+// that more than one surface counts must read the same on all of them.
+func TestSurfacesReconcile(t *testing.T) {
+	const (
+		requests = 200
+		qps      = 10.0
+		horizon  = requests / qps
+		rate     = 6 / horizon
+	)
+	var rerouted, orphansShed uint64
+	var routerShed int64
+	for _, mode := range []struct {
+		name  string
+		chaos chaos.Config
+	}{
+		{"crash", chaos.Config{CrashRate: rate}},
+		{"preempt", chaos.Config{PreemptRate: rate, NoticeSeconds: 4}},
+		{"straggler", chaos.Config{StragglerRate: rate, StragglerSeconds: 4}},
+		{"all", chaos.Config{CrashRate: rate, PreemptRate: rate, NoticeSeconds: 4,
+			StragglerRate: rate, StragglerSeconds: 4}},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", mode.name, seed), func(t *testing.T) {
+				rec := trace.New(64)
+				ts := timeseries.New(timeseries.Config{IntervalSeconds: 1})
+				cc := mode.chaos
+				cc.Seed, cc.HorizonSeconds = seed, horizon
+				f, err := New(Spec{
+					Model: model.Llama31_8B(), GPU: hw.L4(), ProfileMaxLen: 2000,
+					Router:    &router.Config{Policy: router.AffinityLoad{}, MaxBacklogSeconds: 1},
+					Autoscale: &autoscale.Config{MinInstances: 2, MaxInstances: 3},
+					Chaos:     cc,
+					Tracer:    rec, SampleSeconds: 0.5,
+					Timeseries: ts,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				offerProfiles(f, requests, qps)
+				f.Run()
+				if err := f.Check(requests); err != nil {
+					t.Fatal(err)
+				}
+				var win timeseries.Window
+				for _, w := range ts.Snapshot(f.Clock().Now()).Windows {
+					win.Arrivals += w.Arrivals
+					win.Completions += w.Completions
+					win.Rejects += w.Rejects
+					win.Faults += w.Faults
+					win.OrphansRerouted += w.OrphansRerouted
+					win.OrphansShed += w.OrphansShed
+				}
+				var admitted, shed int64
+				for _, d := range f.Router().Admission().Snapshot() {
+					admitted += d.Accepted
+					shed += d.Rejected
+				}
+				st := f.Chaos().Stats()
+				completed, rejected, orphanShed := uint64(f.Completed()), uint64(f.Rejected()), uint64(f.OrphanShed())
+				for _, c := range []struct {
+					name      string
+					got, want uint64
+				}{
+					{"window arrivals vs offered", win.Arrivals, requests},
+					{"window completions vs Completed", win.Completions, completed},
+					{"exec spans vs Completed", rec.Emitted(trace.KindExec), completed},
+					{"window rejects vs Rejected + OrphanShed", win.Rejects, rejected + orphanShed},
+					{"window faults vs Faults", win.Faults, st.Faults()},
+					{"fault spans vs Faults + straggler ends", rec.Emitted(trace.KindFault), st.Faults() + st.Stragglers},
+					{"window orphans rerouted vs Rerouted", win.OrphansRerouted, st.Rerouted},
+					{"window orphans shed vs Shed", win.OrphansShed, st.Shed},
+					{"chaos Shed vs OrphanShed", st.Shed, orphanShed},
+					{"router admitted vs offered - Rejected + Rerouted", uint64(admitted), requests - rejected + st.Rerouted},
+					{"route spans vs router admitted", rec.Emitted(trace.KindRoute), uint64(admitted)},
+					{"router shed vs Rejected + ShedRejected", uint64(shed), rejected + st.ShedRejected},
+					{"reject spans vs router shed", rec.Emitted(trace.KindReject), uint64(shed)},
+				} {
+					if c.got != c.want {
+						t.Errorf("%s: %d != %d", c.name, c.got, c.want)
+					}
+				}
+				if st.Faults() == 0 {
+					t.Error("no fault fired")
+				}
+				rerouted, orphansShed, routerShed = rerouted+st.Rerouted, orphansShed+st.Shed, routerShed+shed
+			})
+		}
+	}
+	if rerouted == 0 || orphansShed == 0 || routerShed == 0 {
+		t.Fatalf("%d orphans rerouted, %d shed, %d router sheds: every identity needs counts to compare",
+			rerouted, orphansShed, routerShed)
+	}
+}
+
+// TestCacheGaugesReadLiveCaches scales a crash-injected pool up and down
+// under the tracer and samples its gauges every quarter second. Each
+// sample holds one cache gauge per live instance, keyed by router ID and
+// equal to that cache's Len(), and none for a released instance.
+func TestCacheGaugesReadLiveCaches(t *testing.T) {
+	const requests, qps = 160, 8.0
+	rec := trace.New(64)
+	f, err := New(Spec{
+		Model: model.Llama31_8B(), GPU: hw.L4(), ProfileMaxLen: 2000,
+		Router:    &router.Config{Policy: router.AffinityLoad{}},
+		Autoscale: &autoscale.Config{MinInstances: 1, MaxInstances: 3, UpBacklogSeconds: 1},
+		Chaos:     chaos.Config{Seed: 2, CrashRate: 0.1, HorizonSeconds: requests / qps},
+		Tracer:    rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	offerProfiles(f, requests, qps)
+	seen := map[int32]bool{}
+	// The check ticks as an observer, like the fleet's own sampler: a
+	// plain event would keep the autoscaler's tick alive, and it this.
+	var obs *sim.Observer
+	check := func(any) {
+		now := f.Clock().Now()
+		before := rec.Emitted(trace.KindCacheGauge)
+		f.SampleTrace(now)
+		live := f.Router().InstanceInfos()
+		if n := rec.Emitted(trace.KindCacheGauge) - before; n != uint64(len(live)) {
+			t.Errorf("t=%g: %d cache gauges for %d live instances", now, n, len(live))
+			return
+		}
+		spans := rec.Spans()
+		for _, s := range spans[len(spans)-len(live):] {
+			eng, err := f.Router().EngineOf(int(s.Inst))
+			if err != nil {
+				t.Errorf("t=%g: cache gauge for released instance %d", now, s.Inst)
+				continue
+			}
+			if n := eng.Cache().Len(); s.Kind != trace.KindCacheGauge || s.A != float64(n) {
+				t.Errorf("t=%g: instance %d gauge %+v, its cache holds %d blocks", now, s.Inst, s, n)
+			}
+			seen[s.Inst] = true
+		}
+		if f.Clock().Pending() > 0 {
+			obs.At(now + 0.25)
+		}
+	}
+	obs = f.Clock().NewObserver(check, nil)
+	obs.At(0.25)
+	f.Run()
+	if err := f.Check(requests); err != nil {
+		t.Fatal(err)
+	}
+	crashes, downs := f.Chaos().Stats().Crashes, f.Autoscaler().Stats().ScaleDowns
+	released := len(seen) - f.Router().Size()
+	if crashes == 0 || downs == 0 || released <= int(crashes) {
+		t.Fatalf("%d crashes, %d scale-downs, %d of %d sampled instances released: the scenario must release instances both ways",
+			crashes, downs, released, len(seen))
 	}
 }

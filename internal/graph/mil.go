@@ -6,16 +6,6 @@ import (
 	"repro/internal/memory"
 )
 
-// PeakWorkingBytes replays a pass against an unlimited allocator and
-// returns the peak working footprint (temporaries plus retained fresh KV).
-func (e *Executor) PeakWorkingBytes(spec PassSpec, opts Options) (int64, error) {
-	res, err := e.Run(spec, opts, memory.New(0), false)
-	if err != nil {
-		return 0, err
-	}
-	return res.PeakBytes, nil
-}
-
 // Fits reports whether a request of n tokens (no prefix hit) can be
 // prefetched within the given working-memory budget (device memory minus
 // weights minus any reserved prefix-cache space). It enforces the budget

@@ -88,9 +88,6 @@ func (m *Allocator) StopTrace() []TracePoint {
 	return m.trace
 }
 
-// Capacity returns the configured capacity (0 = unlimited).
-func (m *Allocator) Capacity() int64 { return m.capacity }
-
 // Live returns the currently allocated bytes.
 func (m *Allocator) Live() int64 { return m.live }
 

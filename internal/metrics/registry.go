@@ -13,12 +13,12 @@ import (
 // This file is the Prometheus-text exposition layer: a Registry of metric
 // families rendered in the text format (version 0.0.4) that Prometheus
 // and its ecosystem scrape. The repository's live state lives in domain
-// types (Admission, router loads, cache stats, the autoscale controller),
-// so the Registry is deliberately a per-scrape rendering buffer — the
-// server builds one under its lock from fresh snapshots on every
-// /v1/metrics request — plus Histogram, the one persistent accumulator
-// (request latencies must be observed as they complete, not derived at
-// scrape time).
+// types (the router's admission tally and loads, cache stats, the
+// autoscale controller), so the Registry is deliberately a per-scrape
+// rendering buffer — the server builds one under its lock from fresh
+// snapshots on every /v1/metrics request — plus Histogram, the one
+// persistent accumulator (request latencies must be observed as they
+// complete, not derived at scrape time).
 
 // Metric family types in the exposition format.
 const (

@@ -34,7 +34,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/jct"
 	"repro/internal/kvcache"
-	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -58,6 +57,52 @@ const (
 	// (internal/chaos).
 	ReasonOrphanRetries = "orphan-retries"
 )
+
+// Indexes of the reasons Submit sheds for in ShedReasons.
+const (
+	shedBacklog = iota
+	shedClassBudget
+	shedNoCapacity
+)
+
+// ShedReasons names the reasons Submit sheds for, in label order; a
+// reason's position indexes Admission.Shed. ReasonOrphanRetries is not
+// among them: the fault injector sheds those orphans without routing
+// them.
+var ShedReasons = [...]string{
+	shedBacklog:     ReasonBacklog,
+	shedClassBudget: ReasonClassBudget,
+	shedNoCapacity:  ReasonNoCapacity,
+}
+
+// Admission is the router's tally of its admission decisions: each
+// request Submit admits or sheds adds one to exactly one cell of its
+// class. Every surface that reports admissions reads this one tally.
+type Admission struct {
+	// Admitted counts the requests routed to an instance.
+	Admitted [sched.NumClasses]int64
+	// Shed counts the requests shed, by ShedReasons index.
+	Shed [sched.NumClasses][len(ShedReasons)]int64
+}
+
+// Decisions is one class's admitted and shed counts.
+type Decisions struct {
+	Accepted int64
+	Rejected int64
+}
+
+// Snapshot returns each class's decisions, indexed by class: its sheds
+// are summed over the reasons.
+func (a Admission) Snapshot() [sched.NumClasses]Decisions {
+	var out [sched.NumClasses]Decisions
+	for c := range out {
+		out[c].Accepted = a.Admitted[c]
+		for _, n := range a.Shed[c] {
+			out[c].Rejected += n
+		}
+	}
+	return out
+}
 
 // Load is a snapshot of one instance's work as seen by the router.
 type Load struct {
@@ -209,7 +254,7 @@ type Router struct {
 	routableCache []*instanceState
 	routableDirty bool
 	inflight      map[int64]pending
-	admission     *metrics.Admission
+	admission     Admission
 	// view is the policy view Submit reuses for every request.
 	view view
 	// released sums the prefix-cache statistics of removed and failed
@@ -260,7 +305,6 @@ func New(cfg Config, instances ...engine.Engine) (*Router, error) {
 		byID:          make(map[int]*instanceState),
 		routableDirty: true,
 		inflight:      make(map[int64]pending),
-		admission:     &metrics.Admission{},
 	}
 	for _, e := range instances {
 		if _, err := rt.AddInstance(e); err != nil {
@@ -506,8 +550,8 @@ func (rt *Router) CacheStats() kvcache.Stats {
 // Policy returns the active routing policy.
 func (rt *Router) Policy() Policy { return rt.cfg.Policy }
 
-// Admission returns the router's accept/reject tally.
-func (rt *Router) Admission() *metrics.Admission { return rt.admission }
+// Admission returns a copy of the router's admission tally.
+func (rt *Router) Admission() Admission { return rt.admission }
 
 // Loads returns a snapshot of every instance's load (draining included) in
 // slot order.
@@ -650,7 +694,7 @@ func (rt *Router) Submit(r *sched.Request) error {
 		// No routable capacity (every instance draining, crashed or
 		// preempted): a typed shed, so fault-injected runs degrade to
 		// rejection instead of erroring out.
-		rt.admission.RejectClassReason(rt.cfg.Policy.Name(), r.Class.String(), ReasonNoCapacity)
+		rt.admission.Shed[r.Class][shedNoCapacity]++
 		rt.cfg.Tracer.Reject(r.ArrivalTime, ReasonNoCapacity, r.ID, r.Class, -1, 0, 0)
 		return &RejectError{
 			Policy:   rt.cfg.Policy.Name(),
@@ -668,14 +712,13 @@ func (rt *Router) Submit(r *sched.Request) error {
 	rt.cfg.Tracer.Submit(r.ArrivalTime, rt.cfg.Policy.Name(), r.ID, r.Class)
 	hit := v.HitTokens(idx, r)
 	est := estSeconds(st, r, hit)
-	bound := rt.cfg.MaxBacklogSeconds
-	reason := ReasonBacklog
+	bound, shed := rt.cfg.MaxBacklogSeconds, shedBacklog
 	if classBound, ok := rt.cfg.ClassBacklogSeconds[r.Class]; ok {
-		bound = classBound
-		reason = ReasonClassBudget
+		bound, shed = classBound, shedClassBudget
 	}
 	if bound > 0 && st.load.BacklogSeconds+est > bound {
-		rt.admission.RejectClassReason(rt.cfg.Policy.Name(), r.Class.String(), reason)
+		rt.admission.Shed[r.Class][shed]++
+		reason := ShedReasons[shed]
 		rt.cfg.Tracer.Reject(r.ArrivalTime, reason, r.ID, r.Class, st.id, st.load.BacklogSeconds, bound)
 		return &RejectError{
 			Policy:          rt.cfg.Policy.Name(),
@@ -687,7 +730,7 @@ func (rt *Router) Submit(r *sched.Request) error {
 			Reason:          reason,
 		}
 	}
-	rt.admission.AcceptClass(rt.cfg.Policy.Name(), r.Class.String())
+	rt.admission.Admitted[r.Class]++
 	rt.cfg.Tracer.Route(r.ArrivalTime, rt.cfg.Policy.Name(), r.ID, r.Class, st.id, hit, est)
 	var chain *kvcache.Chain
 	if c := st.eng.Cache(); c != nil {

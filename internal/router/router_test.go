@@ -394,7 +394,7 @@ func TestAdmissionControlRejects(t *testing.T) {
 	if rejected == 0 {
 		t.Fatal("no request was rejected under a 1s backlog bound")
 	}
-	c := rt.Admission().Policy("leastloaded")
+	c := rt.Admission().Snapshot()[sched.ClassInteractive]
 	if c.Rejected != int64(rejected) || c.Accepted != int64(200-rejected) {
 		t.Fatalf("admission counters %+v, want accepted=%d rejected=%d", c, 200-rejected, rejected)
 	}
@@ -452,11 +452,11 @@ func TestClassBudgetsShedBatchFirst(t *testing.T) {
 		t.Fatalf("interactive rejected while under its own bound: %v", err)
 	}
 	// Per-class tallies: all rejects are batch, no interactive shed.
-	adm := rt.Admission()
-	if c := adm.Class("leastloaded", "batch"); c.Rejected != 1 || c.Accepted != 0 {
+	adm := rt.Admission().Snapshot()
+	if c := adm[sched.ClassBatch]; c.Rejected != 1 || c.Accepted != 0 {
 		t.Fatalf("batch tally %+v", c)
 	}
-	if c := adm.Class("leastloaded", "interactive"); c.Rejected != 0 || c.Accepted != id-1 {
+	if c := adm[sched.ClassInteractive]; c.Rejected != 0 || c.Accepted != id-1 {
 		t.Fatalf("interactive tally %+v (id %d)", c, id)
 	}
 	// Per-class backlog split sums to the aggregate and is all interactive.
@@ -474,6 +474,72 @@ func TestClassBudgetsShedBatchFirst(t *testing.T) {
 				t.Fatalf("class %d backlog %g after drain", c, b)
 			}
 		}
+	}
+}
+
+// TestAdmissionTallyCells submits one request per case to a fresh
+// one-instance router. The decision lands in exactly one cell of the
+// request's class: admitted, or shed for backlog, class budget or no
+// capacity, as the RejectError says. Snapshot sums the class's sheds
+// over the reasons, and Admission returns a copy.
+func TestAdmissionTallyCells(t *testing.T) {
+	batchBudget := Config{MaxBacklogSeconds: 100, ClassBacklogSeconds: map[sched.Class]float64{sched.ClassBatch: 1e-9}}
+	const admitted = -1
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		class sched.Class
+		drain bool // drain the instance first, leaving nothing routable
+		cell  int  // ShedReasons index, or admitted
+	}{
+		{"admitted", Config{}, sched.ClassInteractive, false, admitted},
+		{"admitted-batch", Config{}, sched.ClassBatch, false, admitted},
+		{"backlog", Config{MaxBacklogSeconds: 1e-9}, sched.ClassInteractive, false, shedBacklog},
+		{"class-budget", batchBudget, sched.ClassBatch, false, shedClassBudget},
+		{"class-budget-spares-interactive", batchBudget, sched.ClassInteractive, false, admitted},
+		{"no-capacity", Config{}, sched.ClassBatch, true, shedNoCapacity},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var s sim.Sim
+			_, engines, _ := testCluster(t, &s, 1)
+			rt, err := New(tc.cfg, engines...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.drain {
+				if err := rt.Drain(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r := mkReq(1, 1, 2000)
+			r.Class = tc.class
+			err = rt.Submit(r)
+			var rej *RejectError
+			if errors.As(err, &rej) != (tc.cell != admitted) {
+				t.Fatalf("Submit = %v", err)
+			}
+			var want Admission
+			var wantSnap [sched.NumClasses]Decisions
+			if tc.cell == admitted {
+				want.Admitted[tc.class], wantSnap[tc.class].Accepted = 1, 1
+			} else {
+				if rej.Reason != ShedReasons[tc.cell] {
+					t.Fatalf("shed for %q, want %q", rej.Reason, ShedReasons[tc.cell])
+				}
+				want.Shed[tc.class][tc.cell], wantSnap[tc.class].Rejected = 1, 1
+			}
+			got := rt.Admission()
+			if got != want {
+				t.Fatalf("tally %+v, want %+v", got, want)
+			}
+			if snap := got.Snapshot(); snap != wantSnap {
+				t.Fatalf("snapshot %+v, want %+v", snap, wantSnap)
+			}
+			got.Admitted[tc.class] += 5
+			if rt.Admission() != want {
+				t.Fatal("the returned tally aliases the router's")
+			}
+		})
 	}
 }
 

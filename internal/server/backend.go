@@ -189,7 +189,7 @@ type StatsSnapshot struct {
 	// policy → class → counts.
 	AdmissionByClass map[string]map[string]AdmissionStats `json:"admission_by_class,omitempty"`
 	// RejectReasons stratifies rejects by which budget they tripped:
-	// policy → class → reason ("backlog" | "class-budget") → count.
+	// policy → class → reason (router.ShedReasons) → count.
 	RejectReasons map[string]map[string]map[string]int64 `json:"admission_reject_reasons,omitempty"`
 	Autoscale     *AutoscaleStats                        `json:"autoscale,omitempty"`
 	// Faults reports the chaos injector's activity (omitted unless the
@@ -252,25 +252,37 @@ func (b *Backend) Stats() StatsSnapshot {
 			RoutedTokens:        info.Load.RoutedTokens,
 		})
 	}
-	// One ClassSnapshot serves both views: summing it here keeps the
-	// aggregate consistent with the per-class breakdown (two separate
-	// snapshot calls could interleave with a concurrent submit).
-	for pol, byClass := range rt.Admission().ClassSnapshot() {
-		m := make(map[string]AdmissionStats, len(byClass))
-		var agg AdmissionStats
-		for class, c := range byClass {
-			m[class] = AdmissionStats{Accepted: c.Accepted, Rejected: c.Rejected}
-			agg.Accepted += c.Accepted
-			agg.Rejected += c.Rejected
+	// Classes and reasons without a count are left out; a router that has
+	// decided nothing reports no policy.
+	adm := rt.Admission()
+	byClass := map[string]AdmissionStats{}
+	reasons := map[string]map[string]int64{}
+	var agg AdmissionStats
+	for c, d := range adm.Snapshot() {
+		if d.Accepted+d.Rejected == 0 {
+			continue
 		}
-		snap.Admission[pol] = agg
-		if snap.AdmissionByClass == nil {
-			snap.AdmissionByClass = make(map[string]map[string]AdmissionStats)
+		class := sched.Class(c).String()
+		byClass[class] = AdmissionStats(d)
+		agg.Accepted += d.Accepted
+		agg.Rejected += d.Rejected
+		for i, n := range adm.Shed[c] {
+			if n == 0 {
+				continue
+			}
+			if reasons[class] == nil {
+				reasons[class] = map[string]int64{}
+			}
+			reasons[class][router.ShedReasons[i]] = n
 		}
-		snap.AdmissionByClass[pol] = m
 	}
-	if reasons := rt.Admission().ReasonSnapshot(); len(reasons) > 0 {
-		snap.RejectReasons = reasons
+	if len(byClass) > 0 {
+		pol := rt.Policy().Name()
+		snap.Admission[pol] = agg
+		snap.AdmissionByClass = map[string]map[string]AdmissionStats{pol: byClass}
+		if len(reasons) > 0 {
+			snap.RejectReasons = map[string]map[string]map[string]int64{pol: reasons}
+		}
 	}
 	if ctl := b.fleet.Autoscaler(); ctl != nil {
 		st := ctl.Stats()

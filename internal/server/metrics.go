@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/metrics"
+	"repro/internal/router"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -75,31 +76,21 @@ func (b *Backend) Metrics() *metrics.Registry {
 	routed := reg.Family(famRouted,
 		"Requests ever routed to the instance.", metrics.TypeCounter)
 
-	byClass := rt.Admission().ClassSnapshot()
-	for _, pol := range metrics.SortedKeys(byClass) {
-		classes := byClass[pol]
-		for _, class := range metrics.SortedKeys(classes) {
-			c := classes[class]
-			labels := func(decision string) []metrics.Label {
-				return []metrics.Label{
-					{Name: "policy", Value: pol},
-					{Name: "class", Value: class},
-					{Name: "decision", Value: decision},
-				}
-			}
-			admission.Add(float64(c.Accepted), labels("accepted")...)
-			admission.Add(float64(c.Rejected), labels("rejected")...)
+	adm := rt.Admission()
+	decisions := adm.Snapshot()
+	pol := metrics.Label{Name: "policy", Value: rt.Policy().Name()}
+	// Classes in label order: the registry renders samples as added.
+	for _, c := range [...]sched.Class{sched.ClassBatch, sched.ClassInteractive} {
+		d := decisions[c]
+		if d.Accepted+d.Rejected == 0 {
+			continue
 		}
-	}
-	reasons := rt.Admission().ReasonSnapshot()
-	for _, pol := range metrics.SortedKeys(reasons) {
-		for _, class := range metrics.SortedKeys(reasons[pol]) {
-			byReason := reasons[pol][class]
-			for _, reason := range metrics.SortedKeys(byReason) {
-				rejects.Add(float64(byReason[reason]),
-					metrics.Label{Name: "policy", Value: pol},
-					metrics.Label{Name: "class", Value: class},
-					metrics.Label{Name: "reason", Value: reason})
+		class := metrics.Label{Name: "class", Value: c.String()}
+		admission.Add(float64(d.Accepted), pol, class, metrics.Label{Name: "decision", Value: "accepted"})
+		admission.Add(float64(d.Rejected), pol, class, metrics.Label{Name: "decision", Value: "rejected"})
+		for i, n := range adm.Shed[c] {
+			if n > 0 {
+				rejects.Add(float64(n), pol, class, metrics.Label{Name: "reason", Value: router.ShedReasons[i]})
 			}
 		}
 	}

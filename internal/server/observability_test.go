@@ -8,7 +8,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/autoscale"
 	"repro/internal/router"
 	"repro/internal/trace"
 )
@@ -220,5 +222,36 @@ func TestShedResponseCarriesReason(t *testing.T) {
 	stats := b.Stats()
 	if n := stats.RejectReasons["leastloaded"]["interactive"][router.ReasonBacklog]; n != 1 {
 		t.Fatalf("stats reject reasons = %+v", stats.RejectReasons)
+	}
+}
+
+// TestPoolGaugeHasOneSource idles a traced, autoscaled backend over a few
+// gauge samples. A sample emits one pool gauge and one load gauge per live
+// instance, and the autoscaler's control ticks, one per wall millisecond
+// here, emit none: pool gauges never outnumber load gauges.
+func TestPoolGaugeHasOneSource(t *testing.T) {
+	spec := testSpec(2)
+	spec.Router = &router.Config{Policy: router.AffinityLoad{}}
+	spec.Autoscale = &autoscale.Config{MinInstances: 1}
+	rec := trace.New(0)
+	spec.Tracer = rec
+	b := newTestBackend(t, spec)
+	for deadline := time.Now().Add(time.Minute); rec.Emitted(trace.KindLoadGauge) < 3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d load gauges after a minute", rec.Emitted(trace.KindLoadGauge))
+		}
+		time.Sleep(gaugeSampleInterval / 10)
+	}
+	// A sample emits its load gauges before its pool gauge, so reading
+	// the pool count first bounds it by the load count even mid-sample.
+	pool := rec.Emitted(trace.KindPoolGauge)
+	if load := rec.Emitted(trace.KindLoadGauge); pool > load {
+		t.Fatalf("%d pool gauges against %d load gauges", pool, load)
+	}
+	b.mu.Lock()
+	ticks := b.fleet.Autoscaler().Stats().Ticks
+	b.mu.Unlock()
+	if ticks <= 3 {
+		t.Fatalf("%d autoscaler ticks: the check needs more ticks than samples", ticks)
 	}
 }

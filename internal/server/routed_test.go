@@ -44,7 +44,7 @@ func TestRoutedBackendSubmit(t *testing.T) {
 	if b.Router().InFlight() != 0 {
 		t.Fatalf("in-flight after completion: %d", b.Router().InFlight())
 	}
-	c := b.Router().Admission().Policy("affinity")
+	c := b.Stats().Admission["affinity"]
 	if c.Accepted != 2 || c.Rejected != 0 {
 		t.Fatalf("admission tally %+v", c)
 	}
@@ -84,7 +84,7 @@ func TestRoutedBackendValidation(t *testing.T) {
 	if n := b.Router().InFlight(); n != 0 {
 		t.Fatalf("in-flight after completion: %d", n)
 	}
-	if c := b.Router().Admission().Policy("affinity"); c.Accepted != clients {
+	if c := b.Stats().Admission["affinity"]; c.Accepted != clients {
 		t.Fatalf("admission tally %+v, want %d accepted", c, clients)
 	}
 }

@@ -291,8 +291,8 @@ func (sh *Shard) At(t float64, fn func()) { sh.AtFunc(t, runClosure, fn) }
 func (sh *Shard) After(d float64, fn func()) { sh.AtFunc(sh.Now()+d, runClosure, fn) }
 
 // Pending returns the whole run's pending event count (see Sim.Pending);
-// a shard-local count would break the drain discipline of samplers
-// running against shard clocks.
+// a shard-local count would break the drain discipline of loops running
+// against shard clocks.
 func (sh *Shard) Pending() int { return sh.parent.Pending() }
 
 // Post schedules a coordinator event from shard context — the only legal

@@ -36,11 +36,11 @@ type Func func(arg any)
 
 // Clock is the scheduling surface shared by the kernel (*Sim, whose own
 // clock is the coordinator's) and its per-instance shards (*Shard).
-// Engines, samplers and controllers program against Clock so the same
+// Engines, controllers and fault streams program against Clock so the same
 // code runs serially or sharded; only run construction picks the shard
 // count. Pending is part of the surface because the autoscaler's and
-// sampler's termination discipline ("reschedule only while other events
-// remain") is clock behaviour, not kernel behaviour.
+// fault streams' termination discipline ("reschedule only while other
+// events remain") is clock behaviour, not kernel behaviour.
 type Clock interface {
 	// Now returns the current simulated time in seconds.
 	Now() float64
@@ -52,9 +52,9 @@ type Clock interface {
 	At(t float64, fn func())
 	// After schedules a closure d seconds from now.
 	After(d float64, fn func())
-	// Pending returns the whole run's queued event count: on a sharded
-	// kernel every clock reports it, matching what the serial kernel
-	// would say.
+	// Pending returns the whole run's queued event count, observer ticks
+	// left out (see Observer): on a sharded kernel every clock reports
+	// it, matching what the serial kernel would say.
 	Pending() int
 }
 
@@ -162,6 +162,8 @@ type Sim struct {
 	seq      uint64
 	executed uint64
 	heap     eventHeap // the coordinator's events, ordered by (time, seq)
+	// observing counts the queued observer ticks, which Pending leaves out.
+	observing int
 
 	// The sharded kernel's state (see shard.go); empty on a serial kernel.
 	lookahead float64
@@ -241,15 +243,50 @@ func (s *Sim) After(d float64, fn func()) {
 
 // Pending returns the whole run's queued event count: the coordinator
 // heap, every shard heap, and any unmerged outbox entries — what a serial
-// kernel running the same events would report, so the autoscaler's and
-// sampler's drain discipline ("reschedule only while other events
-// remain") is the same at any shard count.
+// kernel running the same events would report, so the drain discipline
+// of periodic loops ("reschedule only while other events remain") is the
+// same at any shard count. Observer ticks are left out: a loop that parks
+// when nothing else is pending must not see them, or two such loops keep
+// each other alive and a batch run never drains.
 func (s *Sim) Pending() int {
-	n := s.heap.len()
+	n := s.heap.len() - s.observing
 	for _, sh := range s.shards {
 		n += sh.heap.len() + len(sh.outbox)
 	}
 	return n
+}
+
+// Observer is the tick of a periodic loop that only watches the run, such
+// as a trace gauge sampler or a time-series boundary ticker. Its ticks are
+// coordinator events that Pending leaves out, so the loops that park when
+// no other event is pending (the autoscaler, fault streams without a
+// horizon, and observers themselves) neither see it nor are kept alive by
+// it: a run drains, and schedules every other event alike, with observers
+// on or off. Only coordinator context may schedule an observer tick.
+type Observer struct {
+	s   *Sim
+	fn  Func
+	arg any
+}
+
+// NewObserver returns an observer whose ticks run fn(arg). Scheduling a
+// tick allocates nothing: fn should be a package-level function and arg a
+// long-lived pointer, as for AtFunc.
+func (s *Sim) NewObserver(fn Func, arg any) *Observer {
+	return &Observer{s: s, fn: fn, arg: arg}
+}
+
+// At schedules the observer's next tick at absolute time t.
+func (o *Observer) At(t float64) {
+	o.s.AtFunc(t, observerTick, o)
+	o.s.observing++
+}
+
+// observerTick runs an observer's tick once its event leaves the queue.
+func observerTick(arg any) {
+	o := arg.(*Observer)
+	o.s.observing--
+	o.fn(o.arg)
 }
 
 // NextTime returns the time of the earliest pending event on any clock,

@@ -323,3 +323,37 @@ func BenchmarkSimKernel(b *testing.B) {
 		}
 	})
 }
+
+// TestObserverTicksAreNotPending: an observer's tick runs in (time, seq)
+// order like any event, but Pending leaves it out. Two observers that
+// re-arm only while other events are pending therefore stop one tick
+// after the last other event instead of keeping each other alive, and
+// re-arming allocates nothing.
+func TestObserverTicksAreNotPending(t *testing.T) {
+	var s Sim
+	var ticks [2]int
+	var obs [2]*Observer
+	for i := range obs {
+		obs[i] = s.NewObserver(func(any) {
+			ticks[i]++
+			if s.Pending() > 0 {
+				obs[i].At(s.Now() + 1)
+			}
+		}, nil)
+		obs[i].At(1)
+	}
+	s.At(2.5, func() {})
+	if n := s.Pending(); n != 1 {
+		t.Fatalf("Pending() = %d with two observer ticks and one event queued, want 1", n)
+	}
+	s.Run()
+	if ticks != [2]int{3, 3} || s.NextTime() != math.Inf(1) {
+		t.Fatalf("observers ticked %v times, next event at %g; want 3 each (t = 1, 2, 3), then none", ticks, s.NextTime())
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		obs[0].At(s.Now() + 1)
+		s.Run()
+	}); allocs != 0 {
+		t.Fatalf("an observer tick allocates %g times, want 0", allocs)
+	}
+}

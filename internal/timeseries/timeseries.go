@@ -157,7 +157,8 @@ type Collector struct {
 	maxRows   int
 	sample    func(now float64) Gauges
 
-	clock   sim.Clock
+	clock   *sim.Sim
+	ticker  *sim.Observer // the boundary ticker, on clock
 	running bool
 
 	idx     int64   // current (open) window index
@@ -481,22 +482,23 @@ func (c *Collector) buildRow(end float64, g Gauges, partial bool) Window {
 
 // --- ticker ---
 
-// Attach binds the collector to a batch kernel clock. The boundary
-// ticker parks itself whenever it is the only pending event, so runs
-// terminate (the ticker re-arms on the next Start). Wall-clock servers,
-// whose kernels free-run at the speedup rate even when idle, must NOT
-// attach a ticker — they close windows lazily via Advance instead.
-func (c *Collector) Attach(clock sim.Clock) {
+// Attach binds the collector to a batch kernel. The boundary ticker is a
+// sim.Observer, so no other loop sees its pending tick, and it parks
+// whenever no other event is pending, so runs terminate (the ticker
+// re-arms on the next Start). Wall-clock servers, whose kernels free-run
+// at the speedup rate even when idle, must NOT attach a ticker — they
+// close windows lazily via Advance instead.
+func (c *Collector) Attach(clock *sim.Sim) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	c.clock = clock
+	c.ticker = clock.NewObserver(collectorTick, c)
 	c.mu.Unlock()
 }
 
-// collectorTick is the package-level tick callback (zero-alloc AtFunc
-// path).
+// collectorTick is the package-level observer callback (zero-alloc).
 func collectorTick(arg any) { arg.(*Collector).tick() }
 
 // Start arms the boundary ticker if a clock is attached and it is not
@@ -521,7 +523,7 @@ func (c *Collector) scheduleLocked(now float64) {
 	for c.windowEnd(idx) <= now {
 		idx++
 	}
-	c.clock.AtFunc(c.windowEnd(idx), collectorTick, c)
+	c.ticker.At(c.windowEnd(idx))
 }
 
 func (c *Collector) tick() {

@@ -15,8 +15,8 @@
 // tracing-disabled hot path keeps the sim kernel's zero-alloc discipline
 // (pinned by TestDisabledTracingZeroAlloc). The enabled path emits
 // value-typed spans into the preallocated ring — no per-span allocation
-// once the recorder is warm — and the gauge sampler schedules itself
-// through the kernel's AtFunc fast path.
+// once the recorder is warm — and the gauge sampler ticks as a kernel
+// observer (sim.Observer), which schedules without allocating.
 //
 // Export is Chrome trace-event JSON (see export.go): engine instances
 // render as threads and lifecycle spans as complete ("X") events, loadable
@@ -26,7 +26,6 @@ package trace
 import (
 	"sync"
 
-	"repro/internal/kvcache"
 	"repro/internal/ringbuf"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -70,7 +69,7 @@ const (
 	// KindLoadGauge is a sampled gauge: Inst=router instance id,
 	// A=queued requests, B=backlog seconds.
 	KindLoadGauge
-	// KindCacheGauge is a sampled gauge: Inst=trace instance id,
+	// KindCacheGauge is a sampled gauge: Inst=router instance id,
 	// A=resident KV blocks.
 	KindCacheGauge
 	// KindPoolGauge is a sampled gauge: A=routable pool size,
@@ -301,22 +300,23 @@ func (r *Recorder) LoadGauge(now float64, instance int, queued int, backlogSecon
 		A: float64(queued), B: backlogSeconds})
 }
 
+// CacheGauge records the KV blocks resident in one instance's prefix
+// cache.
+func (r *Recorder) CacheGauge(now float64, instance int, blocks int) {
+	r.Emit(Span{Kind: KindCacheGauge, Inst: int32(instance), Start: now, A: float64(blocks)})
+}
+
 // --- engine instances ---
 
 // Instance is an engine's handle into the recorder: a stable trace
-// "thread" id plus the cache-residency tally fed by WatchCache. All
-// methods are nil-safe so disabled tracing costs one branch (enforced by
-// nilguard).
+// "thread" id. All methods are nil-safe so disabled tracing costs one
+// branch (enforced by nilguard).
 //
 //prefill:niltolerant
 type Instance struct {
 	rec  *Recorder
 	id   int32
 	name string
-	// cache residency, guarded by rec.mu
-	resident int64
-	inserted uint64
-	evicted  uint64
 }
 
 // NewInstance registers an engine under the recorder and returns its
@@ -370,34 +370,10 @@ func (i *Instance) Stage(name string, reqID int64, class sched.Class, start, end
 		Start: start, Dur: end - start, Name: name})
 }
 
-// cacheDelta folds a kvcache change event into the instance's residency.
-func (i *Instance) cacheDelta(inserted, evicted int) {
-	i.rec.mu.Lock()
-	i.resident += int64(inserted) - int64(evicted)
-	i.inserted += uint64(inserted)
-	i.evicted += uint64(evicted)
-	i.rec.mu.Unlock()
-}
-
-// WatchCache subscribes the instance to a cache's membership change feed
-// so residency gauges and inserted/evicted counters track the cache
-// without polling. No-op on a nil handle or cache.
-func WatchCache(i *Instance, m *kvcache.Manager) {
-	if i == nil || m == nil {
-		return
-	}
-	m.Subscribe(func(ev kvcache.ChangeEvent) {
-		i.cacheDelta(len(ev.Inserted), len(ev.Evicted))
-	})
-}
-
-// InstanceMeta is one registered instance's identity and cache tallies.
+// InstanceMeta is one registered instance's identity.
 type InstanceMeta struct {
-	ID             int32
-	Name           string
-	ResidentBlocks int64
-	InsertedBlocks uint64
-	EvictedBlocks  uint64
+	ID   int32
+	Name string
 }
 
 // Instances returns a snapshot of every registered instance.
@@ -409,45 +385,24 @@ func (r *Recorder) Instances() []InstanceMeta {
 	defer r.mu.Unlock()
 	out := make([]InstanceMeta, len(r.insts))
 	for i, inst := range r.insts {
-		out[i] = InstanceMeta{
-			ID: inst.id, Name: inst.name,
-			ResidentBlocks: inst.resident,
-			InsertedBlocks: inst.inserted,
-			EvictedBlocks:  inst.evicted,
-		}
+		out[i] = InstanceMeta{ID: inst.id, Name: inst.name}
 	}
 	return out
 }
 
-// SampleCaches emits one KindCacheGauge span per registered instance from
-// the residency tallies WatchCache maintains.
-func (r *Recorder) SampleCaches(now float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	counts := make([]int64, len(r.insts))
-	for i, inst := range r.insts {
-		counts[i] = inst.resident
-	}
-	r.mu.Unlock()
-	for i, c := range counts {
-		r.Emit(Span{Kind: KindCacheGauge, Inst: int32(i), Start: now, A: float64(c)})
-	}
-}
-
 // --- gauge sampler ---
 
-// Sampler drives periodic gauge emission on the sim clock. Its tick is a
-// package-level callback scheduled through the kernel's AtFunc fast path,
-// and it follows the autoscale controller's termination discipline: it
-// reschedules only while other events are pending, so a batch run drains
-// instead of ticking forever. Start re-arms it (idempotently) when new
-// work is submitted. A nil Sampler no-ops (enforced by nilguard).
+// Sampler drives periodic gauge emission on the kernel's coordinator
+// clock. It ticks as a sim.Observer, so no other loop sees its pending
+// tick, and it reschedules only while other events are pending, so a
+// batch run drains instead of ticking forever. Start re-arms it
+// (idempotently) when new work is submitted. A nil Sampler no-ops
+// (enforced by nilguard).
 //
 //prefill:niltolerant
 type Sampler struct {
-	s        sim.Clock
+	s        *sim.Sim
+	tick     *sim.Observer
 	interval float64
 	sample   func(now float64)
 	running  bool
@@ -456,11 +411,13 @@ type Sampler struct {
 // NewSampler builds a sampler calling sample(now) every interval sim
 // seconds. The callback reads fleet state (router loads, caches, pool)
 // and emits gauges on a Recorder.
-func NewSampler(s sim.Clock, interval float64, sample func(now float64)) *Sampler {
+func NewSampler(s *sim.Sim, interval float64, sample func(now float64)) *Sampler {
 	if interval <= 0 {
 		panic("trace: sampler interval must be positive")
 	}
-	return &Sampler{s: s, interval: interval, sample: sample}
+	sp := &Sampler{s: s, interval: interval, sample: sample}
+	sp.tick = s.NewObserver(samplerTick, sp)
+	return sp
 }
 
 // Start arms the sampler if it is not already ticking.
@@ -469,16 +426,16 @@ func (sp *Sampler) Start() {
 		return
 	}
 	sp.running = true
-	sp.s.AfterFunc(sp.interval, samplerTick, sp)
+	sp.tick.At(sp.s.Now() + sp.interval)
 }
 
-// samplerTick is the fast-path callback: sample, then reschedule only
+// samplerTick is the observer callback: sample, then reschedule only
 // while the sim still has other pending events.
 func samplerTick(arg any) {
 	sp := arg.(*Sampler)
 	sp.sample(sp.s.Now())
 	if sp.s.Pending() > 0 {
-		sp.s.AfterFunc(sp.interval, samplerTick, sp)
+		sp.tick.At(sp.s.Now() + sp.interval)
 		return
 	}
 	sp.running = false

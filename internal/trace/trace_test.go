@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/kvcache"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -124,7 +123,7 @@ func TestDisabledTracingZeroAlloc(t *testing.T) {
 		r.LoadGauge(1, 0, 0, 0)
 		r.PoolGauge(1, 1, 0)
 		r.ColdStart(1, 0, "revive", 1)
-		r.SampleCaches(1)
+		r.CacheGauge(1, 0, 0)
 		inst.Queue(1, sched.ClassInteractive, 0, 1)
 		inst.Exec(1, sched.ClassInteractive, 1, 2, 0, 0)
 		inst.Stage("s", 1, sched.ClassInteractive, 1, 2)
@@ -150,32 +149,6 @@ func TestEnabledEmitZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state emission allocates %.1f per event, want 0", allocs)
-	}
-}
-
-func TestWatchCacheTracksResidency(t *testing.T) {
-	r := New(0)
-	inst := r.NewInstance("e")
-	m, err := kvcache.New(kvcache.Config{BlockTokens: 4, BytesPerToken: 1, CapacityBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	WatchCache(inst, m)
-	tokens := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	m.Insert(tokens, len(tokens), 1.0)
-	m.Lookup(tokens, 2.0) // Lookup flushes the pending change feed
-	metas := r.Instances()
-	if len(metas) != 1 {
-		t.Fatalf("instances = %d, want 1", len(metas))
-	}
-	if metas[0].ResidentBlocks != 2 || metas[0].InsertedBlocks != 2 {
-		t.Fatalf("residency = %+v, want 2 resident / 2 inserted", metas[0])
-	}
-	r.SampleCaches(3.0)
-	spans := r.Spans()
-	last := spans[len(spans)-1]
-	if last.Kind != KindCacheGauge || last.A != 2 {
-		t.Fatalf("cache gauge = %+v, want A=2", last)
 	}
 }
 
