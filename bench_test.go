@@ -1,10 +1,10 @@
 package prefillonly
 
 // One benchmark per table and figure of the paper's evaluation, plus
-// ablation benches for the design choices DESIGN.md calls out. Each bench
-// regenerates its artifact through internal/experiments and prints the
-// rows once, so `go test -bench=. -benchmem` reproduces the entire
-// evaluation and EXPERIMENTS.md can be checked against the output.
+// ablation benches for the scheduler, suffix discarding, chunk size, λ and
+// host offload. Each bench regenerates its artifact through
+// internal/experiments and prints the rows once, so
+// `go test -bench=. -benchmem` reproduces the entire evaluation.
 
 import (
 	"fmt"
@@ -281,7 +281,7 @@ func BenchmarkSection63JCTProxyCorrelation(b *testing.B) {
 	}
 }
 
-// --- Ablations beyond the paper's figures (design choices from DESIGN.md) ---
+// --- Ablations beyond the paper's figures ---
 
 // BenchmarkAblationCalibrationOnOff isolates the scheduler: PrefillOnly
 // with continuous calibration vs frozen-at-arrival SRJF vs FCFS, same

@@ -131,6 +131,3 @@ func New(cfg engine.Config, opts Options) (*Engine, error) {
 
 // Estimator returns the engine's calibrated JCT proxy.
 func (e *Engine) Estimator() *jct.Proxy { return e.estimator }
-
-// Lambda returns the active fairness parameter.
-func (e *Engine) Lambda() float64 { return e.lambda }

@@ -44,8 +44,8 @@ func TestPrefillOnlyBasics(t *testing.T) {
 	if eng.Name() != "prefillonly" || eng.GPUs() != 1 {
 		t.Fatalf("name=%q gpus=%d", eng.Name(), eng.GPUs())
 	}
-	if eng.Lambda() != DefaultLambda {
-		t.Fatalf("lambda = %v, want default %v", eng.Lambda(), DefaultLambda)
+	if eng.lambda != DefaultLambda {
+		t.Fatalf("lambda = %v, want default %v", eng.lambda, DefaultLambda)
 	}
 	r := mkReq(1, 1, 10000, 100, 0)
 	s.At(0, func() { eng.Submit(r) })
@@ -115,7 +115,8 @@ func TestSuffixDiscardingOnInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	poolTokens := eng.Cache().CapacityTokens()
+	c := eng.Cache()
+	poolTokens := int(c.CapacityBytes()/(cfg.Model.KVBytesPerToken()*int64(c.BlockTokens()))) * c.BlockTokens()
 	n := 100000
 	if poolTokens >= n {
 		t.Skipf("pool holds %d tokens; test needs < %d", poolTokens, n)
@@ -123,7 +124,6 @@ func TestSuffixDiscardingOnInsert(t *testing.T) {
 	r := mkReq(1, 1, n, 0, 0)
 	s.At(0, func() { eng.Submit(r) })
 	s.Run()
-	c := eng.Cache()
 	got := c.PeekH(&kvcache.Chain{Own: kvcache.BlockHashes(r.Tokens, c.BlockTokens())})
 	if got == 0 {
 		t.Fatal("nothing cached after long request")

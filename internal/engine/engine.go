@@ -31,7 +31,7 @@ type Record struct {
 	CachedTokens int
 	// SpilledBytes is KV cache the engine had to stream over the host
 	// link because the request did not fit in device memory (the
-	// beyond-MIL fallback; see DESIGN.md §5).
+	// beyond-MIL fallback).
 	SpilledBytes int64
 	// RestoredTokens is the prefix length loaded back from the host
 	// offload tier (§9 extension) instead of recomputed.
@@ -89,11 +89,12 @@ type Config struct {
 	// OnComplete receives the Record of every finished request.
 	OnComplete func(Record)
 	// Tracer, when non-nil, receives the request lifecycle spans (queue
-	// wait, execution, pipeline stages) and cache-residency gauges of
-	// every engine built from this Config. Each constructor registers its
-	// own trace.Instance, so a routed fleet sharing one Config gets one
-	// timeline per engine. A nil Tracer disables tracing at zero cost
-	// (nil-handle branch per event; no allocation).
+	// wait, execution, pipeline stages) of every engine built from this
+	// Config; Fleet.SampleTrace emits the cache-residency gauges. Each
+	// constructor registers its own trace.Instance, so a routed fleet
+	// sharing one Config gets one timeline per engine. A nil Tracer
+	// disables tracing at zero cost (nil-handle branch per event; no
+	// allocation).
 	Tracer *trace.Recorder
 }
 

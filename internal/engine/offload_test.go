@@ -24,7 +24,7 @@ func TestHostOffloadRestoresEvictedPrefix(t *testing.T) {
 		}
 		// Shrink the effective pool by filling it with user 2's large
 		// prefix between user 1's two requests.
-		poolTokens := eng.Cache().CapacityTokens()
+		poolTokens := poolTokens(eng.Cache(), cfg.Model)
 		u1 := sharedPrefixRequest(1, 1, poolTokens-poolTokens/4, 64, 0)
 		u2 := sharedPrefixRequest(2, 2, poolTokens-poolTokens/4, 64, 1000)
 		u1again := sharedPrefixRequest(3, 1, poolTokens-poolTokens/4, 96, 2000)
@@ -71,7 +71,7 @@ func TestOffloadRestoreSkippedWhenRecomputeWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	poolTokens := eng.Cache().CapacityTokens()
+	poolTokens := poolTokens(eng.Cache(), cfg.Model)
 	u1 := sharedPrefixRequest(1, 1, poolTokens-poolTokens/4, 64, 0)
 	u2 := sharedPrefixRequest(2, 2, poolTokens-poolTokens/4, 64, 1000)
 	u1again := sharedPrefixRequest(3, 1, poolTokens-poolTokens/4, 96, 2000)

@@ -103,10 +103,6 @@ func (s *Serial) GPUs() int { return 1 }
 // Cache implements Engine.
 func (s *Serial) Cache() *kvcache.Manager { return s.lc.cache }
 
-// Scheduler exposes the queue policy (used by internal/core to wire JCT
-// calibration).
-func (s *Serial) Scheduler() sched.Scheduler { return s.scheduler }
-
 // Executor exposes the cost model (used for JCT profiling).
 func (s *Serial) Executor() *graph.Executor { return s.lc.exec }
 

@@ -120,10 +120,13 @@ type Fleet struct {
 	inj     *chaos.Injector
 	sampler *trace.Sampler
 
-	completed, rejected, orphanShed int
-	rejectedByClass                 [sched.NumClasses]int
-	err                             error         // first routing failure that was not a shed
-	bad                             engine.Record // first malformed completion record (nil Req: none)
+	completed int
+	// rejectedByClass counts first-time admission sheds per class: the
+	// router's tally also counts orphan re-admission sheds, and chaos
+	// does not split those by class.
+	rejectedByClass [sched.NumClasses]int
+	err             error         // first routing failure that was not a shed
+	bad             engine.Record // first malformed completion record (nil Req: none)
 }
 
 // New validates the spec, builds the initial instances (each runs its
@@ -291,10 +294,7 @@ func (f *Fleet) Submit(r *sched.Request) error {
 		}
 		return err
 	}
-	f.rejected++
-	if int(rej.Class) < len(f.rejectedByClass) {
-		f.rejectedByClass[rej.Class]++
-	}
+	f.rejectedByClass[rej.Class]++ // in range: the router indexed its own tally by it
 	ts.Reject(now, rej.Class, rej.Reason)
 	return err
 }
@@ -329,7 +329,6 @@ func (f *Fleet) complete(r engine.Record) {
 
 // shed is the fault injector's hook for orphans that recovery drops.
 func (f *Fleet) shed(r *sched.Request, rej *router.RejectError) {
-	f.orphanShed++
 	f.spec.Timeseries.Reject(f.kern.Now(), rej.Class, rej.Reason)
 	if f.spec.OnShed != nil {
 		f.spec.OnShed(r, rej)
@@ -368,9 +367,9 @@ func (f *Fleet) Check(offered int) error {
 			return err
 		}
 	}
-	if f.completed+f.rejected+f.orphanShed != offered {
+	if rejected, orphanShed := f.Rejected(), f.OrphanShed(); f.completed+rejected+orphanShed != offered {
 		return fmt.Errorf("fleet: %d completed + %d rejected + %d orphan-shed of %d requests",
-			f.completed, f.rejected, f.orphanShed, offered)
+			f.completed, rejected, orphanShed, offered)
 	}
 	if err := f.rt.CheckIdle(); err != nil {
 		return err
@@ -468,7 +467,13 @@ func (f *Fleet) Timeseries() *timeseries.Collector { return f.spec.Timeseries }
 func (f *Fleet) Completed() int { return f.completed }
 
 // Rejected returns the requests shed at admission so far.
-func (f *Fleet) Rejected() int { return f.rejected }
+func (f *Fleet) Rejected() int {
+	n := 0
+	for _, c := range f.rejectedByClass {
+		n += c
+	}
+	return n
+}
 
 // RejectedClass returns the admission sheds of one SLO class so far.
 func (f *Fleet) RejectedClass(c sched.Class) int {
@@ -478,5 +483,6 @@ func (f *Fleet) RejectedClass(c sched.Class) int {
 	return f.rejectedByClass[c]
 }
 
-// OrphanShed returns the fault-orphaned requests dropped so far.
-func (f *Fleet) OrphanShed() int { return f.orphanShed }
+// OrphanShed returns the fault-orphaned requests dropped so far: the
+// fault injector's count, since it sheds them.
+func (f *Fleet) OrphanShed() int { return int(f.inj.Stats().Shed) }

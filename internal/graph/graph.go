@@ -16,10 +16,10 @@
 //     only at chunk granularity. KV cache is kept for a single layer at a
 //     time, enabling suffix discarding.
 //
-// The executor both estimates wall-clock time (a FLOPs/bandwidth model, see
-// DESIGN.md §3) and replays the pass against a memory.Allocator so that peak
-// footprint and Figure-3 style traces are produced by the same allocation
-// sequence a real engine would perform.
+// The executor both estimates wall-clock time (EstimateSeconds, a
+// FLOPs/bandwidth model) and replays the pass against a memory.Allocator
+// so that peak footprint and Figure-3 style traces are produced by the
+// same allocation sequence a real engine would perform.
 package graph
 
 import (
@@ -184,9 +184,3 @@ type Executor struct {
 func New(m *model.Config, g *hw.GPU) *Executor {
 	return &Executor{model: m, gpu: g}
 }
-
-// Model returns the executor's model configuration.
-func (e *Executor) Model() *model.Config { return e.model }
-
-// GPU returns the executor's device.
-func (e *Executor) GPU() *hw.GPU { return e.gpu }

@@ -56,9 +56,9 @@ func TestHybridDiscardPeakFarBelowStandard(t *testing.T) {
 	if po.KVRetainedBytes != 0 {
 		t.Fatalf("suffix discarding retained %d KV bytes, want 0", po.KVRetainedBytes)
 	}
-	if std.KVRetainedBytes != e.Model().KVBytes(32768) {
+	if std.KVRetainedBytes != e.model.KVBytes(32768) {
 		t.Fatalf("standard retained %d KV bytes, want full %d",
-			std.KVRetainedBytes, e.Model().KVBytes(32768))
+			std.KVRetainedBytes, e.model.KVBytes(32768))
 	}
 }
 
@@ -134,9 +134,9 @@ func TestEstimateMatchesReplay(t *testing.T) {
 // beats chunked, which beats standard (Table 2 / Figure 10 shape).
 func TestMILOrdering(t *testing.T) {
 	for _, e := range []*Executor{l4_8b(), a100_32b(), h100()} {
-		budget := e.GPU().UsableBytes() - e.Model().WeightBytes()
+		budget := e.gpu.UsableBytes() - e.model.WeightBytes()
 		if budget <= 0 {
-			t.Fatalf("%s: weights do not fit", e.Model().Name)
+			t.Fatalf("%s: weights do not fit", e.model.Name)
 		}
 		std, err := e.MaxInputLength(StandardOptions(), budget)
 		if err != nil {
@@ -152,10 +152,10 @@ func TestMILOrdering(t *testing.T) {
 		}
 		if !(std < chk && chk < po) {
 			t.Errorf("%s on %s: MIL ordering std=%d chunked=%d prefillonly=%d, want std<chunked<prefillonly",
-				e.Model().Name, e.GPU().Name, std, chk, po)
+				e.model.Name, e.gpu.Name, std, chk, po)
 		}
 		if po < 3*std {
-			t.Errorf("%s: PrefillOnly MIL %d should be >=3x standard %d", e.Model().Name, po, std)
+			t.Errorf("%s: PrefillOnly MIL %d should be >=3x standard %d", e.model.Name, po, std)
 		}
 	}
 }
@@ -163,7 +163,7 @@ func TestMILOrdering(t *testing.T) {
 // Figure 10 ablation: each hybrid optimization strictly increases MIL.
 func TestFigure10AblationMonotone(t *testing.T) {
 	e := a100_32b()
-	budget := e.GPU().UsableBytes() - e.Model().WeightBytes()
+	budget := e.gpu.UsableBytes() - e.model.WeightBytes()
 	chunkOnly := Options{Mode: Hybrid, ChunkSize: 512, KV: RetainOneLayer}
 	prealloc := chunkOnly
 	prealloc.OutputPrealloc = true
@@ -187,15 +187,31 @@ func TestFigure10AblationMonotone(t *testing.T) {
 	}
 }
 
+// tagPeaks returns each tag's peak live bytes over an allocator trace.
+func tagPeaks(trace []memory.TracePoint) map[string]int64 {
+	peaks := make(map[string]int64)
+	live := make(map[string]int64)
+	for _, p := range trace {
+		switch p.Event {
+		case "alloc":
+			live[p.Tag] += p.Bytes
+		case "free":
+			live[p.Tag] -= p.Bytes
+		}
+		peaks[p.Tag] = max(peaks[p.Tag], live[p.Tag])
+	}
+	return peaks
+}
+
 func TestTraceShowsMLPSpikes(t *testing.T) {
 	e := l4_8b()
 	res := mustRun(t, e, PassSpec{Total: 8192}, StandardOptions(), true)
-	peaks := memory.TraceSummary(res.Trace)
+	peaks := tagPeaks(res.Trace)
 	if peaks["mlp.intermediate1"] == 0 {
 		t.Fatal("trace has no mlp.intermediate1 allocations")
 	}
 	// The intermediate-1 spike is 14x the one-layer KV (Figure 4).
-	kv := e.Model().KVBytesPerTokenLayer() * 8192
+	kv := e.model.KVBytesPerTokenLayer() * 8192
 	if peaks["mlp.intermediate1"] != 14*kv {
 		t.Fatalf("intermediate1 peak = %d, want %d", peaks["mlp.intermediate1"], 14*kv)
 	}
@@ -312,7 +328,7 @@ func TestDecodeStepMemoryBound(t *testing.T) {
 	if t64 >= t1 {
 		t.Fatal("batched decode should amortize weight reads")
 	}
-	if t1 < float64(e.Model().WeightBytes())/e.GPU().MemBWBytes {
+	if t1 < float64(e.model.WeightBytes())/e.gpu.MemBWBytes {
 		t.Fatal("unbatched decode cannot beat the weight-streaming bound")
 	}
 }

@@ -94,7 +94,7 @@ func runClosureOps(t *testing.T, ops []byte) {
 				releases = slices.Delete(releases, k, k+1)
 			}
 		case 5:
-			m.EvictAll()
+			m.evictAll()
 		case 6:
 			m.LoseAll()
 		case 7: // refresh a chain's cached prefix in the LRU

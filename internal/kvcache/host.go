@@ -152,11 +152,3 @@ func (h *hostTier) run(hashes []uint64) int {
 	}
 	return len(hashes)
 }
-
-// HostUsedBytes returns the bytes held by the host tier (0 when disabled).
-func (m *Manager) HostUsedBytes() int64 {
-	if m.host == nil {
-		return 0
-	}
-	return m.host.used
-}

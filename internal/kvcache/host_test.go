@@ -32,8 +32,8 @@ func TestEvictionOffloadsToHost(t *testing.T) {
 	if m.Stats().OffloadedBlocks != 4 {
 		t.Fatalf("offloaded = %d, want 4", m.Stats().OffloadedBlocks)
 	}
-	if m.HostUsedBytes() != 4*16*1024 {
-		t.Fatalf("host used = %d", m.HostUsedBytes())
+	if m.hostUsedBytes() != 4*16*1024 {
+		t.Fatalf("host used = %d", m.hostUsedBytes())
 	}
 }
 
@@ -150,7 +150,7 @@ func TestHostDisabledByDefault(t *testing.T) {
 	if got := m.HostHitH(flat(BlockHashes(seq(1, 32), 16)), 0); got != 0 {
 		t.Fatalf("host tier active without configuration (%d)", got)
 	}
-	if m.HostUsedBytes() != 0 || m.Stats().OffloadedBlocks != 0 {
+	if m.hostUsedBytes() != 0 || m.Stats().OffloadedBlocks != 0 {
 		t.Fatal("host accounting nonzero when disabled")
 	}
 }
@@ -164,8 +164,8 @@ func TestLoseAllDropsBothTiers(t *testing.T) {
 	before := m.Stats()
 	m.LoseAll()
 	after := m.Stats()
-	if m.Len() != 0 || m.UsedBytes() != 0 || m.HostUsedBytes() != 0 {
-		t.Fatalf("LoseAll left %d blocks, %d bytes, %d host bytes", m.Len(), m.UsedBytes(), m.HostUsedBytes())
+	if m.Len() != 0 || m.UsedBytes() != 0 || m.hostUsedBytes() != 0 {
+		t.Fatalf("LoseAll left %d blocks, %d bytes, %d host bytes", m.Len(), m.UsedBytes(), m.hostUsedBytes())
 	}
 	if after.EvictedBlocks-before.EvictedBlocks != 4 || after.OffloadedBlocks != before.OffloadedBlocks {
 		t.Fatalf("LoseAll counted %d evicted and %d offloaded blocks, want 4 and 0",

@@ -172,7 +172,7 @@ func runTwinOps(t *testing.T, host bool, chains [2][]*Chain, ops []byte) {
 					releases[k] = slices.Delete(releases[k], j, j+1)
 				}
 			case 5:
-				m.EvictAll()
+				m.evictAll()
 			case 6:
 				m.LoseAll()
 			case 7:
@@ -184,7 +184,7 @@ func runTwinOps(t *testing.T, host bool, chains [2][]*Chain, ops []byte) {
 		if got[0] != got[1] {
 			t.Fatalf("op %d (%d, %d): results %v and %v differ", i/2, op, arg, got[0], got[1])
 		}
-		if a.Stats() != b.Stats() || a.Len() != b.Len() || a.UsedBytes() != b.UsedBytes() || a.HostUsedBytes() != b.HostUsedBytes() {
+		if a.Stats() != b.Stats() || a.Len() != b.Len() || a.UsedBytes() != b.UsedBytes() || a.hostUsedBytes() != b.hostUsedBytes() {
 			t.Fatalf("op %d (%d, %d): state differs: %+v, %d blocks vs %+v, %d blocks", i/2, op, arg, a.Stats(), a.Len(), b.Stats(), b.Len())
 		}
 		for k, m := range twins {

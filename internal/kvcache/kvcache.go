@@ -127,9 +127,9 @@ type ChangeEvent struct {
 }
 
 // Subscribe registers fn to run after every operation that changes cache
-// membership (Insert/InsertH, Reserve, EvictAll, LoseAll), with the block
-// hashes that changed. Schedulers use the feed to rekey only the waiting
-// requests whose cached-prefix frontier holds a changed block instead of
+// membership (Insert/InsertH, Reserve, LoseAll), with the block hashes
+// that changed. Schedulers use the feed to rekey only the waiting requests
+// whose cached-prefix frontier holds a changed block instead of
 // rescanning the queue. fn runs synchronously on the engine's event
 // thread; it may read the Manager but must not mutate it. The event's
 // slices are reused once fn returns: fn must copy what it keeps.
@@ -198,14 +198,6 @@ func (m *Manager) CapacityBytes() int64 { return m.capacity }
 
 // UsedBytes returns the bytes currently held by cached blocks.
 func (m *Manager) UsedBytes() int64 { return m.used }
-
-// CapacityTokens returns the whole blocks the pool can hold, in tokens.
-func (m *Manager) CapacityTokens() int {
-	if m.bytesPerBlock == 0 {
-		return 0
-	}
-	return int(m.capacity/m.bytesPerBlock) * m.blockTokens
-}
 
 // BlockHashes maps a token sequence to its chain of content-addressed
 // block hashes: hash(block i) covers block i's tokens chained with block
@@ -354,10 +346,6 @@ func (m *Manager) Reserve(bytes int64) (shortfall int64, release func()) {
 		m.reserved -= granted
 	}
 }
-
-// ReservedBytes returns the pool bytes currently claimed by running
-// requests.
-func (m *Manager) ReservedBytes() int64 { return m.reserved }
 
 // CheckIdle reports what a drained engine must not hold: a pin that was
 // never released, or reserved bytes.
@@ -573,34 +561,21 @@ func (m *Manager) remove(i int32, demote bool) {
 	m.free = append(m.free, i)
 }
 
-// EvictAll drops every block that no pin holds: all but the pinned
-// blocks and the blocks above them (used by tests and by engines on
-// reconfiguration).
-func (m *Manager) EvictAll() {
-	defer m.flushChanges()
-	m.removeAll(true)
-}
-
-// removeAll removes evictable blocks, oldest first, until none is left.
-func (m *Manager) removeAll(demote bool) {
-	for {
-		i, ok := m.lru.popOldest(m.slab)
-		if !ok {
-			return
-		}
-		m.remove(i, demote)
-	}
-}
-
 // LoseAll models an instance crash: every unpinned GPU-tier block is
 // destroyed (not demoted to the host tier, unlike eviction) and the host
 // tier itself is wiped — the machine is gone, both memories with it.
 // Callers must release all pins first (the engine's kill path aborts
 // in-flight work before losing the cache); any still-pinned chain
-// survives, exactly as EvictAll would leave it.
+// survives, with the blocks above it.
 func (m *Manager) LoseAll() {
 	defer m.flushChanges()
-	m.removeAll(false)
+	for {
+		i, ok := m.lru.popOldest(m.slab)
+		if !ok {
+			break
+		}
+		m.remove(i, false)
+	}
 	if m.host != nil {
 		m.host.clear()
 	}

@@ -165,13 +165,6 @@ func TestStatsHitRate(t *testing.T) {
 	}
 }
 
-func TestCapacityTokens(t *testing.T) {
-	m := newMgr(t, 10)
-	if got := m.CapacityTokens(); got != 160 {
-		t.Fatalf("capacity tokens = %d, want 160", got)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{BlockTokens: 0, BytesPerToken: 1, CapacityBytes: 1}); err == nil {
 		t.Error("accepted zero block tokens")
@@ -197,9 +190,9 @@ func TestZeroCapacityCachesNothing(t *testing.T) {
 func TestEvictAll(t *testing.T) {
 	m := newMgr(t, 100)
 	m.Insert(seq(1, 160), 160, 0)
-	m.EvictAll()
+	m.evictAll()
 	if m.Len() != 0 || m.UsedBytes() != 0 {
-		t.Fatalf("EvictAll left %d blocks, %d bytes", m.Len(), m.UsedBytes())
+		t.Fatalf("evictAll left %d blocks, %d bytes", m.Len(), m.UsedBytes())
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -246,8 +239,8 @@ func TestReserveEvictsAndReportsShortfall(t *testing.T) {
 	if short2 != 6*16*1024 {
 		t.Fatalf("shortfall = %d, want %d", short2, 6*16*1024)
 	}
-	if m.ReservedBytes() != m.CapacityBytes() {
-		t.Fatalf("reserved %d, want full capacity", m.ReservedBytes())
+	if m.reserved != m.CapacityBytes() {
+		t.Fatalf("reserved %d, want full capacity", m.reserved)
 	}
 	// While reserved, inserts are rejected.
 	if ins := m.Insert(seq(9, 64), 64, 5); ins != 0 {
@@ -256,8 +249,8 @@ func TestReserveEvictsAndReportsShortfall(t *testing.T) {
 	rel()
 	rel()
 	rel2()
-	if m.ReservedBytes() != 0 {
-		t.Fatalf("reserved %d after releases", m.ReservedBytes())
+	if m.reserved != 0 {
+		t.Fatalf("reserved %d after releases", m.reserved)
 	}
 	if ins := m.Insert(seq(9, 64), 64, 6); ins != 64 {
 		t.Fatalf("insert after release cached %d tokens, want 64", ins)
@@ -392,17 +385,17 @@ func TestSubscribeReportsReserveAndEvictAll(t *testing.T) {
 	}
 
 	events = events[:0]
-	m.EvictAll()
+	m.evictAll()
 	if len(events) != 1 || len(events[0].Evicted) != 2 {
-		t.Fatalf("EvictAll events = %+v, want one with the 2 remaining blocks", events)
+		t.Fatalf("evictAll events = %+v, want one with the 2 remaining blocks", events)
 	}
 	if m.Len() != 0 {
-		t.Fatalf("%d blocks remain after EvictAll", m.Len())
+		t.Fatalf("%d blocks remain after evictAll", m.Len())
 	}
 
 	// An empty operation emits nothing.
 	events = events[:0]
-	m.EvictAll()
+	m.evictAll()
 	if _, release := m.Reserve(1024); true {
 		release()
 	}
@@ -484,7 +477,7 @@ func TestSmallCacheAllocatesNoPool(t *testing.T) {
 		m.Insert(seq(user, 4*16), 4*16, float64(user))
 		m.Insert(seq(user, 8*16), 8*16, float64(user))
 		if user%2 == 0 {
-			m.EvictAll()
+			m.evictAll()
 		} else {
 			m.LoseAll()
 		}

@@ -168,10 +168,10 @@ func (p *recencyPair) compare(t *testing.T, op int, chains [][]uint64) {
 		t.Fatalf("op %d: stats %+v, reference %+v", op, g, r)
 	}
 	if p.got.Len() != p.ref.Len() || p.got.UsedBytes() != p.ref.UsedBytes() ||
-		p.got.ReservedBytes() != p.ref.ReservedBytes() || p.got.HostUsedBytes() != p.ref.HostUsedBytes() {
+		p.got.reserved != p.ref.reserved || p.got.hostUsedBytes() != p.ref.hostUsedBytes() {
 		t.Fatalf("op %d: %d blocks, %d used, %d reserved, %d on host; reference %d, %d, %d, %d", op,
-			p.got.Len(), p.got.UsedBytes(), p.got.ReservedBytes(), p.got.HostUsedBytes(),
-			p.ref.Len(), p.ref.UsedBytes(), p.ref.ReservedBytes(), p.ref.HostUsedBytes())
+			p.got.Len(), p.got.UsedBytes(), p.got.reserved, p.got.hostUsedBytes(),
+			p.ref.Len(), p.ref.UsedBytes(), p.ref.reserved, p.ref.hostUsedBytes())
 	}
 	if p.got.pinned != p.ref.pinned {
 		t.Fatalf("op %d: %d pins held, reference %d", op, p.got.pinned, p.ref.pinned)
@@ -249,8 +249,8 @@ func runRecencyOps(t *testing.T, ops []byte, host bool) {
 				p.got.LoseAll()
 				p.ref.LoseAll()
 			} else {
-				p.got.EvictAll()
-				p.ref.EvictAll()
+				p.got.evictAll()
+				p.ref.evictAll()
 			}
 		case 10, 11: // move the clock forward by 0, 1 or 2
 			now += float64(arg % 3)

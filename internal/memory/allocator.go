@@ -12,7 +12,6 @@ package memory
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // ErrOutOfMemory is returned by Alloc when the requested bytes do not fit
@@ -22,7 +21,6 @@ var ErrOutOfMemory = errors.New("memory: out of device memory")
 // Allocation is a live block of simulated device memory. It is returned by
 // Alloc and must be released with Free exactly once.
 type Allocation struct {
-	id    int64
 	bytes int64
 	tag   string
 	freed bool
@@ -30,9 +28,6 @@ type Allocation struct {
 
 // Bytes returns the size of the allocation.
 func (a *Allocation) Bytes() int64 { return a.bytes }
-
-// Tag returns the label given at allocation time (e.g. "mlp.intermediate1").
-func (a *Allocation) Tag() string { return a.tag }
 
 // TracePoint is one sample of allocator state, recorded at every allocation
 // and free when tracing is enabled.
@@ -52,14 +47,12 @@ type TracePoint struct {
 
 // Allocator tracks live simulated device memory.
 //
-// The zero value is not usable; construct with New. Allocator is not
-// goroutine-safe: each simulated device is driven by one goroutine.
+// Allocator is not goroutine-safe: each simulated device is driven by
+// one goroutine.
 type Allocator struct {
 	capacity int64 // 0 = unlimited (peak-measurement mode)
 	live     int64
 	peak     int64
-	nextID   int64
-	liveSet  map[int64]*Allocation
 
 	tracing bool
 	clock   func() float64
@@ -70,7 +63,7 @@ type Allocator struct {
 // zero disables OOM enforcement, which is how profile runs measure the peak
 // footprint of a hypothetical request.
 func New(capacity int64) *Allocator {
-	return &Allocator{capacity: capacity, liveSet: make(map[int64]*Allocation)}
+	return &Allocator{capacity: capacity}
 }
 
 // SetClock installs a simulated-time source used to timestamp trace points.
@@ -107,7 +100,6 @@ func (m *Allocator) Free(a *Allocation) {
 		panic(fmt.Sprintf("memory: double free of %q (%d bytes)", a.tag, a.bytes))
 	}
 	a.freed = true
-	delete(m.liveSet, a.id)
 	m.live -= a.bytes
 	m.record("free", a.tag, a.bytes)
 }
@@ -123,9 +115,7 @@ func (m *Allocator) Alloc(bytes int64, tag string) (*Allocation, error) {
 		return nil, fmt.Errorf("memory: alloc %q (%d bytes) over capacity (live %d / cap %d): %w",
 			tag, bytes, m.live, m.capacity, ErrOutOfMemory)
 	}
-	m.nextID++
-	a := &Allocation{id: m.nextID, bytes: bytes, tag: tag}
-	m.liveSet[a.id] = a
+	a := &Allocation{bytes: bytes, tag: tag}
 	m.live += bytes
 	if m.live > m.peak {
 		m.peak = m.live
@@ -133,28 +123,6 @@ func (m *Allocator) Alloc(bytes int64, tag string) (*Allocation, error) {
 	m.record("alloc", tag, bytes)
 	return a, nil
 }
-
-// MustAlloc is Alloc for callers that run in unlimited-capacity mode and
-// treat failure as a programming error.
-func (m *Allocator) MustAlloc(bytes int64, tag string) *Allocation {
-	a, err := m.Alloc(bytes, tag)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
-// LiveByTag returns the live bytes aggregated per tag, for diagnostics.
-func (m *Allocator) LiveByTag() map[string]int64 {
-	out := make(map[string]int64)
-	for _, a := range m.liveSet {
-		out[a.tag] += a.bytes
-	}
-	return out
-}
-
-// LiveAllocations returns the number of outstanding allocations.
-func (m *Allocator) LiveAllocations() int { return len(m.liveSet) }
 
 func (m *Allocator) record(event, tag string, bytes int64) {
 	if !m.tracing {
@@ -165,52 +133,4 @@ func (m *Allocator) record(event, tag string, bytes int64) {
 		t = m.clock()
 	}
 	m.trace = append(m.trace, TracePoint{Time: t, Live: m.live, Event: event, Tag: tag, Bytes: bytes})
-}
-
-// PeakOf replays fn against a fresh unlimited allocator and returns the peak
-// footprint it produced. fn receives the allocator and must free what it
-// allocates (leaks are reported as an error to catch executor bugs).
-func PeakOf(fn func(*Allocator) error) (int64, error) {
-	m := New(0)
-	if err := fn(m); err != nil {
-		return 0, err
-	}
-	if m.live != 0 {
-		return 0, fmt.Errorf("memory: %d bytes leaked across %d allocations (by tag: %v)",
-			m.live, len(m.liveSet), m.LiveByTag())
-	}
-	return m.peak, nil
-}
-
-// TraceSummary aggregates a trace into per-tag peak contributions, useful
-// for attributing Figure-3 spikes to specific tensors.
-func TraceSummary(trace []TracePoint) map[string]int64 {
-	peaks := make(map[string]int64)
-	live := make(map[string]int64)
-	for _, p := range trace {
-		switch p.Event {
-		case "alloc":
-			live[p.Tag] += p.Bytes
-		case "free":
-			live[p.Tag] -= p.Bytes
-		}
-		if live[p.Tag] > peaks[p.Tag] {
-			peaks[p.Tag] = live[p.Tag]
-		}
-	}
-	return peaks
-}
-
-// TraceTags returns the distinct tags of a trace in sorted order.
-func TraceTags(trace []TracePoint) []string {
-	set := make(map[string]struct{})
-	for _, p := range trace {
-		set[p.Tag] = struct{}{}
-	}
-	tags := make([]string, 0, len(set))
-	for t := range set {
-		tags = append(tags, t)
-	}
-	sort.Strings(tags)
-	return tags
 }

@@ -6,6 +6,16 @@ import (
 	"testing/quick"
 )
 
+// mustAlloc is Alloc on an allocator the allocation must fit.
+func mustAlloc(t *testing.T, m *Allocator, bytes int64, tag string) *Allocation {
+	t.Helper()
+	a, err := m.Alloc(bytes, tag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func TestAllocFreeAccounting(t *testing.T) {
 	m := New(0)
 	a, err := m.Alloc(100, "a")
@@ -27,8 +37,8 @@ func TestAllocFreeAccounting(t *testing.T) {
 		t.Fatalf("peak = %d, want 150", m.Peak())
 	}
 	m.Free(b)
-	if m.Live() != 0 || m.LiveAllocations() != 0 {
-		t.Fatalf("live = %d, allocations = %d; want 0, 0", m.Live(), m.LiveAllocations())
+	if m.Live() != 0 {
+		t.Fatalf("live = %d, want 0", m.Live())
 	}
 }
 
@@ -49,7 +59,7 @@ func TestOOMEnforcement(t *testing.T) {
 
 func TestDoubleFreePanics(t *testing.T) {
 	m := New(0)
-	a := m.MustAlloc(10, "x")
+	a := mustAlloc(t, m, 10, "x")
 	m.Free(a)
 	defer func() {
 		if recover() == nil {
@@ -77,8 +87,8 @@ func TestNegativeAllocRejected(t *testing.T) {
 func TestTraceRecordsEvents(t *testing.T) {
 	m := New(0)
 	m.StartTrace()
-	a := m.MustAlloc(10, "t1")
-	b := m.MustAlloc(20, "t2")
+	a := mustAlloc(t, m, 10, "t1")
+	b := mustAlloc(t, m, 20, "t2")
 	m.Free(a)
 	m.Free(b)
 	tr := m.StopTrace()
@@ -88,13 +98,15 @@ func TestTraceRecordsEvents(t *testing.T) {
 	if tr[1].Live != 30 || tr[3].Live != 0 {
 		t.Fatalf("trace live values wrong: %+v", tr)
 	}
-	tags := TraceTags(tr)
-	if len(tags) != 2 || tags[0] != "t1" || tags[1] != "t2" {
-		t.Fatalf("trace tags = %v", tags)
-	}
-	peaks := TraceSummary(tr)
-	if peaks["t1"] != 10 || peaks["t2"] != 20 {
-		t.Fatalf("trace summary = %v", peaks)
+	for i, want := range []TracePoint{
+		{Event: "alloc", Tag: "t1", Bytes: 10},
+		{Event: "alloc", Tag: "t2", Bytes: 20},
+		{Event: "free", Tag: "t1", Bytes: 10},
+		{Event: "free", Tag: "t2", Bytes: 20},
+	} {
+		if p := tr[i]; p.Event != want.Event || p.Tag != want.Tag || p.Bytes != want.Bytes {
+			t.Fatalf("trace point %d = %+v, want %s %s %d", i, p, want.Event, want.Tag, want.Bytes)
+		}
 	}
 }
 
@@ -103,7 +115,7 @@ func TestTraceUsesClock(t *testing.T) {
 	now := 1.5
 	m.SetClock(func() float64 { return now })
 	m.StartTrace()
-	a := m.MustAlloc(1, "x")
+	a := mustAlloc(t, m, 1, "x")
 	now = 2.5
 	m.Free(a)
 	tr := m.StopTrace()
@@ -112,37 +124,9 @@ func TestTraceUsesClock(t *testing.T) {
 	}
 }
 
-func TestPeakOfDetectsLeak(t *testing.T) {
-	_, err := PeakOf(func(m *Allocator) error {
-		m.MustAlloc(10, "leak")
-		return nil
-	})
-	if err == nil {
-		t.Fatal("PeakOf did not report leak")
-	}
-}
-
-func TestPeakOfMeasuresPeak(t *testing.T) {
-	peak, err := PeakOf(func(m *Allocator) error {
-		a := m.MustAlloc(100, "a")
-		b := m.MustAlloc(200, "b")
-		m.Free(a)
-		c := m.MustAlloc(50, "c")
-		m.Free(b)
-		m.Free(c)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if peak != 300 {
-		t.Fatalf("peak = %d, want 300", peak)
-	}
-}
-
 func TestResetPeak(t *testing.T) {
 	m := New(0)
-	a := m.MustAlloc(100, "a")
+	a := mustAlloc(t, m, 100, "a")
 	m.Free(a)
 	m.ResetPeak()
 	if m.Peak() != 0 {
@@ -165,7 +149,7 @@ func TestAllocatorInvariants(t *testing.T) {
 				live -= a.Bytes()
 				m.Free(a)
 			} else {
-				a := m.MustAlloc(int64(s), "p")
+				a := mustAlloc(t, m, int64(s), "p")
 				allocs = append(allocs, a)
 				live += int64(s)
 			}

@@ -377,7 +377,7 @@ func (d *pendingDriver) apply(op, a, b int) {
 	case 9: // evictions
 		c := d.instance(a).eng.Cache()
 		if b%4 == 0 {
-			c.EvictAll()
+			c.LoseAll() // without a host tier, this evicts every unpinned block
 		} else {
 			_, release := c.Reserve(int64(b%12) * pendingBlockTokens)
 			release()

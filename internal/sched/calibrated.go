@@ -69,23 +69,23 @@ func (s *SRJF) Next(now float64) *Request {
 // interactive work whenever their weighted costs cross. The weight scales
 // only the jct term — it is fixed per class at SetClassWeights time, so
 // the key stays time-invariant and the incremental-rekey invariant below
-// is unchanged. jct depends on the prefix cache, so keys change only when cache
-// contents change: wire SetWatch and feed the cache's membership changes
-// to OnCacheChange (kvcache.Manager.Subscribe), and only requests watching
-// a changed block are rekeyed — O(log n) per dispatch plus O(affected)
-// rekeys, instead of O(queue × blocks). Without that wiring, Calibrated
-// remains correct by recomputing every key before each decision (the
-// reference sweep's cost).
+// is unchanged. jct depends on the prefix cache, so keys change only when
+// cache contents change: wire SetWatch and feed the cache's membership
+// changes to OnCacheChange (kvcache.Manager.Subscribe), and only requests
+// watching a changed block are rekeyed — O(log n) per dispatch plus
+// O(affected) rekeys, instead of a sweep over the queue. Without a watch,
+// keys are fixed at enqueue, which is right only for a jct that reads no
+// cache; engine.AttachIncremental wires the watch for a cache-reading one.
 //
 // Requests whose ArrivalTime lies in the future are ordered with their
-// λ·arrival credit already applied (the score formula clamps T_queue at
-// zero instead); engines never enqueue future arrivals.
+// λ·arrival credit already applied, as if T_queue were negative; engines
+// never enqueue future arrivals.
 type Calibrated struct {
 	jct JCTFunc
 	// lambda is the fairness parameter, in milliseconds of JCT credit
-	// per second of queueing (see DESIGN.md §5 for the unit convention;
-	// the paper's default is 500). It is fixed at construction because it
-	// is baked into each waiting request's key.
+	// per second of queueing (the score divides it by 1000; the paper's
+	// default is 500). It is fixed at construction because it is baked
+	// into each waiting request's key.
 	lambda float64
 
 	// weights holds the per-class JCT multipliers; all 1 (class-blind)
@@ -168,11 +168,12 @@ func (c *Calibrated) Name() string {
 	return fmt.Sprintf("srjf-calibrated(λ=%g)", c.lambda)
 }
 
-// SetWatch enables incremental rekeying. watch(r) must return, for the
-// cache as it is when called, the block hashes whose insertion or eviction
-// can change jct(r); Calibrated indexes each waiting request under them
-// and calls watch again whenever a change to one of them rekeys the
-// request, so the set may move as the cache does.
+// SetWatch enables rekeying on cache changes; without it, each key is
+// fixed at enqueue. watch(r) must return, for the cache as it is when
+// called, the block hashes whose insertion or eviction can change jct(r);
+// Calibrated indexes each waiting request under them, OnCacheChange
+// rekeys the requests watching a changed block, and watch runs again for
+// each one, so the set may move as the cache does.
 //
 // A JCT function that depends only on the request's cached prefix — a
 // blocks of its hash chain, at the block size of the cache it consults —
@@ -207,29 +208,8 @@ func (c *Calibrated) key(r *Request) float64 {
 	return classWeight(c.weights, r.Class)*c.jct(r) + c.lambda/1000*r.ArrivalTime
 }
 
-// Score returns the Algorithm-1 score of a request at time now:
-// w(class)·jct(n_input, n_cached) − λ·T_queue. Exported for tests and
-// diagnostics. Note Score clamps T_queue at zero while the dispatch order
-// uses the unclamped key, so for a request whose ArrivalTime lies in the
-// future (never produced by engines) Score does not predict dispatch
-// order.
-func (c *Calibrated) Score(r *Request, now float64) float64 {
-	queue := now - r.ArrivalTime
-	if queue < 0 {
-		queue = 0
-	}
-	return classWeight(c.weights, r.Class)*c.jct(r) - c.lambda/1000*queue
-}
-
 // Next implements Scheduler: the minimum-key request wins.
 func (c *Calibrated) Next(now float64) *Request {
-	if c.watch == nil {
-		// No cache-event feed: every key may be stale, recalibrate all.
-		for _, e := range c.h.items {
-			e.key = c.key(e.r)
-		}
-		c.h.reinit()
-	}
 	e := c.h.popMin()
 	if e == nil {
 		return nil
@@ -282,71 +262,4 @@ func (c *Calibrated) OnCacheChange(inserted, evicted []uint64) {
 	}
 	clear(affected)
 	c.affected = affected[:0]
-}
-
-// --- reference sweep (equivalence oracle) ---
-
-// CalibratedSweep is the original O(queue × blocks) implementation of
-// Algorithm 1, kept as the reference oracle for Calibrated's equivalence
-// tests: every decision recomputes key(r) = w(class)·jct(r) +
-// λ/1000·ArrivalTime for every waiting request and pops the minimum,
-// breaking ties by enqueue order exactly as Calibrated does.
-type CalibratedSweep struct {
-	jct     JCTFunc
-	lambda  float64
-	weights [NumClasses]float64
-	q       []*entry
-	seq     uint64
-}
-
-// NewCalibratedSweep returns the reference sweep scheduler.
-func NewCalibratedSweep(jct JCTFunc, lambda float64) *CalibratedSweep {
-	if jct == nil {
-		panic("sched: CalibratedSweep requires a JCT function")
-	}
-	return &CalibratedSweep{jct: jct, lambda: lambda, weights: uniformWeights()}
-}
-
-// SetClassWeights mirrors Calibrated.SetClassWeights on the reference
-// sweep (shared implementation, so oracle and production semantics
-// cannot drift).
-func (c *CalibratedSweep) SetClassWeights(w map[Class]float64) {
-	setClassWeights(&c.weights, w, len(c.q))
-}
-
-// Name implements Scheduler.
-func (c *CalibratedSweep) Name() string {
-	return fmt.Sprintf("srjf-calibrated-sweep(λ=%g)", c.lambda)
-}
-
-// Enqueue implements Scheduler.
-func (c *CalibratedSweep) Enqueue(r *Request) {
-	c.q = append(c.q, &entry{r: r, seq: c.seq})
-	c.seq++
-}
-
-// Len implements Scheduler.
-func (c *CalibratedSweep) Len() int { return len(c.q) }
-
-// Next implements Scheduler: one full calibration sweep, then the minimum
-// entry (key, then longer request, then enqueue order) wins.
-func (c *CalibratedSweep) Next(now float64) *Request {
-	best := -1
-	for i, e := range c.q {
-		e.key = classWeight(c.weights, e.r.Class)*c.jct(e.r) + c.lambda/1000*e.r.ArrivalTime
-		if best < 0 || entryLess(e, c.q[best]) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	e := c.q[best]
-	c.q[best] = c.q[len(c.q)-1]
-	c.q[len(c.q)-1] = nil
-	c.q = c.q[:len(c.q)-1]
-	// Mirror Calibrated's estimate stamping so the oracle stays
-	// behaviorally identical.
-	e.r.EstimatedSeconds = (e.key - c.lambda/1000*e.r.ArrivalTime) / classWeight(c.weights, e.r.Class)
-	return e.r
 }

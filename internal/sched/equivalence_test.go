@@ -239,8 +239,8 @@ func runIncrementalVsSweep(t *testing.T, tc eqCase, seed int64) {
 				releases[i][1]()
 				releases = append(releases[:i], releases[i+1:]...)
 			} else {
-				mInc.EvictAll()
-				mSweep.EvictAll()
+				mInc.LoseAll()
+				mSweep.LoseAll()
 			}
 		}
 		if inc.Len() != sweep.Len() {

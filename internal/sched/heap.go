@@ -81,14 +81,6 @@ func (h *entryHeap) fix(e *entry) {
 	h.up(e.idx)
 }
 
-// reinit rebuilds the heap order from scratch after every key may have
-// changed (the unindexed fallback path).
-func (h *entryHeap) reinit() {
-	for i := len(h.items)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
 func (h *entryHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2

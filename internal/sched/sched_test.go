@@ -106,7 +106,9 @@ func TestSRJFFreezesJCTAtEnqueue(t *testing.T) {
 }
 
 func TestCalibratedReevaluatesEveryDecision(t *testing.T) {
-	// The cache-aware JCT changes between decisions; Calibrated must see it.
+	// The cache-aware JCT changes between decisions; a cache change fed
+	// through OnCacheChange must re-rank the queue. Request i watches
+	// block hash i.
 	cached := map[int64]bool{}
 	jct := func(r *Request) float64 {
 		if cached[r.ID] {
@@ -115,6 +117,7 @@ func TestCalibratedReevaluatesEveryDecision(t *testing.T) {
 		return float64(r.Len())
 	}
 	c := NewCalibrated(jct, 0)
+	c.SetWatch(func(r *Request) Watch { return Watch{uint64(r.ID)} })
 	c.Enqueue(req(1, 100, 0))
 	c.Enqueue(req(2, 50, 0))
 	c.Enqueue(req(3, 70, 0))
@@ -123,6 +126,7 @@ func TestCalibratedReevaluatesEveryDecision(t *testing.T) {
 	}
 	// Request 1 suddenly hits cache (e.g. shares prefix with 2's insert).
 	cached[1] = true
+	c.OnCacheChange([]uint64{1}, nil)
 	if r := c.Next(0); r.ID != 1 {
 		t.Fatalf("after calibration pick %d, want 1", r.ID)
 	}
@@ -148,18 +152,6 @@ func TestCalibratedLambdaZeroIsPureSRJF(t *testing.T) {
 	c.Enqueue(req(2, 10, 999))
 	if r := c.Next(1000); r.ID != 2 {
 		t.Fatalf("λ=0 pick %d, want 2 (pure SRJF)", r.ID)
-	}
-}
-
-func TestCalibratedScore(t *testing.T) {
-	c := NewCalibrated(lenJCT, 1000) // 1s credit per second waited
-	r := req(1, 100, 5)
-	if got := c.Score(r, 15); got != 100-10 {
-		t.Fatalf("score = %v, want 90", got)
-	}
-	// Arrival in the future clamps queue time at 0.
-	if got := c.Score(r, 0); got != 100 {
-		t.Fatalf("score = %v, want 100", got)
 	}
 }
 

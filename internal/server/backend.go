@@ -38,6 +38,9 @@ type Result struct {
 	CachedTokens int
 	// PromptTokens is the prompt's encoded length, BOS included.
 	PromptTokens int
+	// RequestID is the ID the backend gave the request, unique per
+	// backend; the request's trace spans carry it.
+	RequestID int64
 	// Err is set when the request died after admission: its instance was
 	// killed by a fault and re-admission shed it (a *router.RejectError
 	// with reason "orphan-retries" or an admission reason). Submit
@@ -364,6 +367,7 @@ func (b *Backend) onComplete(rec engine.Record) {
 		SimLatency:   rec.Latency(),
 		CachedTokens: rec.CachedTokens,
 		PromptTokens: len(rec.Req.Tokens),
+		RequestID:    rec.Req.ID,
 	}
 }
 

@@ -247,20 +247,12 @@ func (h *Handler) completions(w http.ResponseWriter, r *http.Request) {
 		// now — with a Retry-After hinting at the recovery cadence.
 		var rej *router.RejectError
 		if errors.As(err, &rej) {
+			status := http.StatusTooManyRequests
 			if rej.Reason == router.ReasonOrphanRetries || rej.Reason == router.ReasonNoCapacity {
+				status = http.StatusServiceUnavailable
 				w.Header().Set("Retry-After", "1")
-				writeJSON(w, http.StatusServiceUnavailable, rejectBody{
-					Error:          err.Error(),
-					Reason:         rej.Reason,
-					Class:          rej.Class.String(),
-					Policy:         rej.Policy,
-					Instance:       rej.Instance,
-					BacklogSeconds: rej.BacklogSeconds,
-					BoundSeconds:   rej.BoundSeconds,
-				})
-				return
 			}
-			writeJSON(w, http.StatusTooManyRequests, rejectBody{
+			writeJSON(w, status, rejectBody{
 				Error:          err.Error(),
 				Reason:         rej.Reason,
 				Class:          rej.Class.String(),
@@ -275,7 +267,7 @@ func (h *Handler) completions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, CompletionResponse{
-		ID:     "cmpl-" + strconv.FormatInt(int64(res.PromptTokens), 36) + strconv.FormatInt(int64(res.CachedTokens), 36),
+		ID:     "cmpl-" + strconv.FormatInt(res.RequestID, 36),
 		Object: "text_completion",
 		Model:  h.ModelName,
 		Choices: []CompletionChoice{{

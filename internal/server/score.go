@@ -10,9 +10,9 @@ import (
 // Score produces the constrained output distribution for a prompt: a
 // softmax over pseudo-logits derived deterministically from the prompt
 // tokens and each allowed token. The engine's performance never depends on
-// logit values (see DESIGN.md §1), but applications need stable,
-// prompt-sensitive scores — the same prompt always yields the same
-// P(Yes)/P(No), and the probabilities sum to 1 (§2.3).
+// logit values, but applications need stable, prompt-sensitive scores —
+// the same prompt always yields the same P(Yes)/P(No), and the
+// probabilities sum to 1 (§2.3).
 func Score(prompt []uint64, allowed []string) map[string]float64 {
 	if len(allowed) == 0 {
 		return nil

@@ -255,6 +255,32 @@ func TestHTTPCompletions(t *testing.T) {
 	}
 }
 
+// Identical completions get distinct IDs: "cmpl-" and the base-36 form
+// of the request's ID, which its trace spans carry too.
+func TestHTTPCompletionIDsUnique(t *testing.T) {
+	b := testBackend(t)
+	h := NewHandler(b, "prefillonly-test")
+	b.mu.Lock()
+	b.nextID = 34 // the next requests are 35 and 36: "z" and "10" in base 36
+	b.mu.Unlock()
+	for _, want := range []string{"cmpl-z", "cmpl-10"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/completions",
+			strings.NewReader(`{"prompt":"Approve this application? Answer:","max_tokens":1}`)))
+		var out CompletionResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("status %d, body %s (%v)", rec.Code, rec.Body, err)
+		}
+		if out.ID != want {
+			t.Fatalf("completion id %q, want %q", out.ID, want)
+		}
+	}
+	res, err := b.Submit("Approve this application? Answer:", nil, 0)
+	if err != nil || res.RequestID != 37 {
+		t.Fatalf("RequestID %d (%v), want 37", res.RequestID, err)
+	}
+}
+
 func TestHTTPValidation(t *testing.T) {
 	b := testBackend(t)
 	srv := httptest.NewServer(NewHandler(b, "m"))

@@ -392,15 +392,3 @@ func (p *Poisson) Next() float64 {
 	}
 	return -math.Log(1-u) / p.rate
 }
-
-// ArrivalTimes returns the first n absolute arrival times starting at
-// start.
-func (p *Poisson) ArrivalTimes(start float64, n int) []float64 {
-	out := make([]float64, n)
-	t := start
-	for i := range out {
-		t += p.Next()
-		out[i] = t
-	}
-	return out
-}

@@ -12,10 +12,10 @@
 // and the scorer folds them into every response's token scores, so
 // changing how text splits would change both.
 //
-// Encode, Count and Pieces share one walk over the text's bytes. Pieces
-// are byte ranges of the text and are hashed where they lie, with one
-// exception: an invalid UTF-8 byte reads as U+FFFD, a symbol, so it
-// becomes the piece "�" — three bytes that are not in the text.
+// Encode and Count share one walk over the text's bytes. Pieces are byte
+// ranges of the text and are hashed where they lie, with one exception:
+// an invalid UTF-8 byte reads as U+FFFD, a symbol, so it becomes the
+// piece "�" — three bytes that are not in the text.
 package tokenizer
 
 import (
@@ -163,17 +163,6 @@ func (t *Tokenizer) Count(text string) int {
 		n++
 	}
 	return n
-}
-
-// Pieces splits text into subword pieces: substrings of text, except that
-// each invalid UTF-8 byte is the piece "�".
-func Pieces(text string) []string {
-	var pieces []string
-	w := walker{text: text}
-	for p, ok := w.next(); ok; p, ok = w.next() {
-		pieces = append(pieces, p)
-	}
-	return pieces
 }
 
 // pieceID hashes a piece into a stable token ID (FNV-1a, offset away from

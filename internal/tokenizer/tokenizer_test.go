@@ -142,6 +142,18 @@ func FuzzTokenizer(f *testing.F) {
 	})
 }
 
+// Pieces splits text into subword pieces with the encoder's walk:
+// substrings of text, except that each invalid UTF-8 byte is the piece
+// "�".
+func Pieces(text string) []string {
+	var pieces []string
+	w := walker{text: text}
+	for p, ok := w.next(); ok; p, ok = w.next() {
+		pieces = append(pieces, p)
+	}
+	return pieces
+}
+
 // refEncode, refPieces and refPieceID are the encoder as it stood before
 // Encode, Count and Pieces shared one walk over the text's bytes, kept
 // verbatim as the reference the walk must match byte for byte: token IDs

@@ -101,8 +101,8 @@ func TestWriteTracePerfettoShape(t *testing.T) {
 	if sawExec.TS != 1.25e6 || *sawExec.Dur != 0.75e6 {
 		t.Fatalf("exec ts/dur = %v/%v, want 1.25e6/0.75e6", sawExec.TS, *sawExec.Dur)
 	}
-	if sawExec.TID != int(i1.ID())+1 {
-		t.Fatalf("exec tid = %d, want %d", sawExec.TID, i1.ID()+1)
+	if sawExec.TID != int(i1.id)+1 {
+		t.Fatalf("exec tid = %d, want %d", sawExec.TID, i1.id+1)
 	}
 	// Queue end must meet exec start: full attribution with no gap.
 	if got := sawQueue.TS + *sawQueue.Dur; got != sawExec.TS {

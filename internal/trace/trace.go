@@ -333,14 +333,6 @@ func (r *Recorder) NewInstance(name string) *Instance {
 	return inst
 }
 
-// ID returns the instance's trace id (-1 on a nil handle).
-func (i *Instance) ID() int32 {
-	if i == nil {
-		return -1
-	}
-	return i.id
-}
-
 // Queue records the request's wait span: arrival → engine dispatch.
 func (i *Instance) Queue(reqID int64, class sched.Class, arrival, start float64) {
 	if i == nil {

@@ -114,12 +114,3 @@ func ClassMix(cfg ClassMixConfig) *Dataset {
 	}
 	return d
 }
-
-// ClassCounts tallies a dataset's requests per SLO class.
-func ClassCounts(d *Dataset) map[sched.Class]int {
-	out := make(map[sched.Class]int)
-	for _, r := range d.Requests {
-		out[r.Class]++
-	}
-	return out
-}

@@ -6,9 +6,18 @@ import (
 	"repro/internal/sched"
 )
 
+// classCounts tallies requests per SLO class.
+func classCounts(reqs []*sched.Request) map[sched.Class]int {
+	out := make(map[sched.Class]int)
+	for _, r := range reqs {
+		out[r.Class]++
+	}
+	return out
+}
+
 func TestClassMixComposition(t *testing.T) {
 	d := ClassMix(ClassMixConfig{Seed: 7})
-	counts := ClassCounts(d)
+	counts := classCounts(d.Requests)
 	nb, ni := counts[sched.ClassBatch], counts[sched.ClassInteractive]
 	if ni == 0 || nb == 0 {
 		t.Fatalf("degenerate mix: interactive=%d batch=%d", ni, nb)
@@ -43,7 +52,7 @@ func TestClassMixComposition(t *testing.T) {
 	}
 	// The two tenants must interleave, not concatenate: the first quarter
 	// of the (shuffled) dataset should already contain both classes.
-	head := ClassCounts(&Dataset{Requests: d.Requests[:len(d.Requests)/4]})
+	head := classCounts(d.Requests[:len(d.Requests)/4])
 	if head[sched.ClassBatch] == 0 || head[sched.ClassInteractive] == 0 {
 		t.Fatalf("classes not interleaved in dataset head: %v", head)
 	}
