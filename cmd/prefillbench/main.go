@@ -816,6 +816,14 @@ func kernel(o options) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
+	w = header(fmt.Sprintf("Kernel: pre-scheduled arrivals, %d per run, each with one follow-up", res.Prescheduled[0].Arrivals))
+	fmt.Fprintln(w, "arrivals via\tevents/sec\tallocs/event\theap peak")
+	for _, r := range res.Prescheduled {
+		fmt.Fprintf(w, "%s\t%.0f\t%.4f\t%d\n", r.Path, r.EventsPerSec, r.AllocsPerEvent, r.HeapPeak)
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
 	w = header(fmt.Sprintf("Kernel: shard scaling, %d chains x %d events", res.ShardChains, res.ShardEvents))
 	fmt.Fprintln(w, "shards\tevents/sec\tspeedup vs serial\tallocs/event\twindows\tbound coord/lookahead\tmean stall")
 	for _, r := range res.ShardScaling {

@@ -96,6 +96,9 @@ type Config struct {
 	// disables tracing at zero cost (nil-handle branch per event; no
 	// allocation).
 	Tracer *trace.Recorder
+	// Profiles, when non-nil, memoizes the profile run across the engines
+	// built with it (see Profiles); nil runs it for every engine.
+	Profiles Profiles
 }
 
 func (c *Config) validate() error {
@@ -206,6 +209,38 @@ func profileRun(exec *graph.Executor, opts graph.Options, n int) (actReserve int
 		return 0, fmt.Errorf("engine: profile run at %d tokens: %w", n, err)
 	}
 	return res.PeakBytes - res.KVRetainedBytes, nil
+}
+
+// Profiles memoizes profile runs by everything one reads: the model or
+// model share, the GPU, the graph options and the profiled length. The
+// run is a pure function of them, so a memoized profile equals a fresh
+// one. A fleet makes one and hands it to every engine it builds, so its
+// instances, scale-ups and replacements profile once per key; a memo that
+// outlived its fleet would let a later fleet skip a cost it owes. It is
+// not safe for concurrent use.
+type Profiles map[profileKey]profile
+
+// profileKey is a Profiles key: the values a profile run reads.
+type profileKey struct {
+	model  model.Config
+	gpu    hw.GPU
+	opts   graph.Options
+	maxLen int
+}
+
+// profileOf returns the profile of one device's model share (exec's
+// model) on cfg.GPU under opts at cfg.ProfileMaxLen: from cfg.Profiles
+// when it holds it, else from a run it then memoizes there.
+func profileOf(cfg *Config, exec *graph.Executor, share *model.Config, opts graph.Options) (profile, error) {
+	key := profileKey{*share, *cfg.GPU, opts, cfg.ProfileMaxLen}
+	if p, ok := cfg.Profiles[key]; ok {
+		return p, nil
+	}
+	p, err := buildProfile(exec, opts, cfg.GPU, share.WeightBytes(), cfg.ProfileMaxLen)
+	if err == nil && cfg.Profiles != nil {
+		cfg.Profiles[key] = p
+	}
+	return p, err
 }
 
 // buildProfile runs the profile pass at maxLen, clamping to a shorter

@@ -309,3 +309,56 @@ func TestReplaceSchedulerGuards(t *testing.T) {
 	})
 	s.Run()
 }
+
+// TestProfilesMemoizeTheRun: engines built with one Profiles memo run the
+// profile once per key (model share, GPU, options, length) and read the
+// memo afterwards, while a nil memo profiles every engine afresh.
+func TestProfilesMemoizeTheRun(t *testing.T) {
+	memo := Profiles{}
+	cfg := Config{Model: model.Llama31_8B(), GPU: hw.L4(), Sim: &sim.Sim{}, ProfileMaxLen: 4000, Profiles: memo}
+	first, err := NewPagedAttention(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(memo) != 1 {
+		t.Fatalf("memo holds %d profiles after one build, want 1", len(memo))
+	}
+	// A memoized profile is what later builds read: halve its pool, and
+	// the next engine's cache is half as large without a new run.
+	for k, p := range memo {
+		p.pool /= 2
+		memo[k] = p
+	}
+	second, err := NewPagedAttention(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := second.Cache().CapacityBytes(), first.Cache().CapacityBytes()/2; got != want || len(memo) != 1 {
+		t.Fatalf("second build's pool %d B with %d memo entries, want %d B from the one memoized profile", got, len(memo), want)
+	}
+	// Each part of the key is a separate profile: another length, another
+	// strategy, another model share.
+	cfg.ProfileMaxLen = 3000
+	if _, err := NewPagedAttention(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewChunkedPrefill(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewTensorParallel(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(memo) != 4 {
+		t.Fatalf("memo holds %d profiles after four distinct keys, want 4", len(memo))
+	}
+	// Without a memo every build profiles afresh.
+	cfg.ProfileMaxLen, cfg.Profiles = 4000, nil
+	fresh, err := NewPagedAttention(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Cache().CapacityBytes() != first.Cache().CapacityBytes() {
+		t.Fatalf("a fresh build's pool %d B differs from the first memoized build's %d B",
+			fresh.Cache().CapacityBytes(), first.Cache().CapacityBytes())
+	}
+}

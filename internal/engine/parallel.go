@@ -57,7 +57,7 @@ func NewTensorParallel(cfg Config) (*TensorParallel, error) {
 	}
 	exec := graph.New(shard, cfg.GPU)
 	opts := graph.StandardOptions()
-	prof, err := buildProfile(exec, opts, cfg.GPU, shard.WeightBytes(), cfg.ProfileMaxLen)
+	prof, err := profileOf(&cfg, exec, shard, opts)
 	if err != nil {
 		return nil, fmt.Errorf("tensor-parallel: %w", err)
 	}
@@ -176,7 +176,7 @@ func NewPipelineParallel(cfg Config) (*PipelineParallel, error) {
 	}
 	exec := graph.New(stage, cfg.GPU)
 	opts := graph.StandardOptions()
-	prof, err := buildProfile(exec, opts, cfg.GPU, stage.WeightBytes(), cfg.ProfileMaxLen)
+	prof, err := profileOf(&cfg, exec, stage, opts)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline-parallel: %w", err)
 	}

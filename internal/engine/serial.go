@@ -58,7 +58,7 @@ func NewSerial(cfg Config, spec SerialSpec) (*Serial, error) {
 		return nil, err
 	}
 	exec := graph.New(cfg.Model, cfg.GPU)
-	prof, err := buildProfile(exec, spec.Opts, cfg.GPU, cfg.Model.WeightBytes(), cfg.ProfileMaxLen)
+	prof, err := profileOf(&cfg, exec, cfg.Model, spec.Opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}

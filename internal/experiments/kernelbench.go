@@ -48,6 +48,29 @@ type KernelBenchResult struct {
 	// the shards=1 row is the serial kernel (the baseline every speedup
 	// is against).
 	ShardScaling []KernelShardRow `json:"shard_scaling"`
+	// Prescheduled measures a fleet run's shape on the serial kernel:
+	// every arrival scheduled up front in time order, each scheduling one
+	// AfterFunc follow-up when it runs, then a drain. One row schedules
+	// the arrivals with AtFunc, into the heap; the other with
+	// AtFuncInOrder, into the coordinator's ring.
+	Prescheduled []KernelPrescheduledRow `json:"prescheduled"`
+}
+
+// KernelPrescheduledRow is one scheduling path's throughput on the
+// pre-scheduled workload.
+type KernelPrescheduledRow struct {
+	// Path is the arrivals' scheduling call: "AtFunc" or "AtFuncInOrder".
+	Path string `json:"path"`
+	// Arrivals is how many arrivals each run pre-schedules, and Events
+	// how many events the row executed in all, arrivals and follow-ups,
+	// over its runs.
+	Arrivals int `json:"arrivals_per_run"`
+	Events   int `json:"events"`
+	// EventsPerSec counts scheduling the arrivals and draining the run.
+	EventsPerSec   float64 `json:"events_per_sec"`
+	AllocsPerEvent float64 `json:"allocs_per_event"`
+	// HeapPeak is the most events the event heap held at once.
+	HeapPeak int `json:"heap_peak"`
 }
 
 // KernelShardRow is one shard count's throughput on the scaling workload.
@@ -245,6 +268,47 @@ func shardWorkload(steps int, k *sim.Sim) {
 // mod1 returns the fractional part of x.
 func mod1(x float64) float64 { return x - float64(int(x)) }
 
+// Pre-scheduled workload constants: one short-churn input set's arrivals
+// per run, one time unit apart, each of whose follow-ups comes due 8.5
+// units later, so about eight are in flight at once.
+const (
+	preschedArrivals = 50_000
+	preschedFollowUp = 8.5
+)
+
+// preschedArrive is a pre-scheduled arrival: it schedules its follow-up.
+func preschedArrive(arg any) {
+	s := arg.(*sim.Sim)
+	s.AfterFunc(preschedFollowUp, preschedDone, nil)
+}
+
+func preschedDone(any) {}
+
+// preschedMeasure runs the pre-scheduled workload over about the given
+// number of events, scheduling the arrivals with AtFuncInOrder or AtFunc.
+func preschedMeasure(inOrder bool, events int) KernelPrescheduledRow {
+	runs := max(events/(2*preschedArrivals), 1)
+	row := KernelPrescheduledRow{Path: "AtFunc", Arrivals: preschedArrivals, Events: 2 * preschedArrivals * runs}
+	if inOrder {
+		row.Path = "AtFuncInOrder"
+	}
+	row.EventsPerSec, row.AllocsPerEvent = kernelMeasure(row.Events, func() {
+		for r := 0; r < runs; r++ {
+			s := &sim.Sim{}
+			for i := 0; i < preschedArrivals; i++ {
+				if inOrder {
+					s.AtFuncInOrder(float64(i), preschedArrive, s)
+				} else {
+					s.AtFunc(float64(i), preschedArrive, s)
+				}
+			}
+			s.Run()
+			row.HeapPeak = max(row.HeapPeak, s.Stats().HeapPeak)
+		}
+	})
+	return row
+}
+
 // KernelBench measures the sim kernel's event throughput over roughly the
 // given number of events (split across a depth-64 self-rescheduling
 // population) on both scheduling paths, then the sharded kernel's scaling
@@ -289,6 +353,8 @@ func KernelBench(events int, shardCounts []int) (*KernelBenchResult, error) {
 	if res.ClosureEventsPerSec > 0 {
 		res.FastPathSpeedup = res.FastPathEventsPerSec / res.ClosureEventsPerSec
 	}
+
+	res.Prescheduled = []KernelPrescheduledRow{preschedMeasure(false, events), preschedMeasure(true, events)}
 
 	// Shard scaling: the same fleet-shaped chain population per shard
 	// count. Chains round-robin onto shards exactly as engine instances do.

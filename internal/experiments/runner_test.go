@@ -167,6 +167,13 @@ func TestKernelBench(t *testing.T) {
 	if res.ShardScaling[0].Shards != 1 || res.ShardScaling[0].Speedup != 1 {
 		t.Fatalf("serial baseline row: %+v", res.ShardScaling[0])
 	}
+	// Pre-scheduled arrivals deepen the heap to the arrival count through
+	// AtFunc; through AtFuncInOrder they wait in the ring, and the heap
+	// holds only the ~8 follow-ups in flight.
+	if pre := res.Prescheduled; len(pre) != 2 || pre[0].EventsPerSec <= 0 || pre[1].EventsPerSec <= 0 ||
+		pre[0].HeapPeak != preschedArrivals || pre[1].HeapPeak > 16 {
+		t.Fatalf("pre-scheduled rows: %+v", pre)
+	}
 	if _, err := KernelBench(3, nil); err == nil {
 		t.Fatal("tiny event count accepted")
 	}

@@ -114,6 +114,10 @@ type Fleet struct {
 	arrive  sim.Func // SubmitAt's event callback, bound once
 	built   int      // instances ever built: the next shard-rotation index
 	gpus    int      // GPUs provisioned at construction
+	// profiles memoizes the instances' profile runs: every instance of a
+	// fleet profiles the same model on the same GPU, so the pass runs
+	// once per fleet, not once per instance, scale-up or replacement.
+	profiles engine.Profiles
 
 	rt      *router.Router
 	ctl     *autoscale.Controller
@@ -129,9 +133,9 @@ type Fleet struct {
 	bad             engine.Record // first malformed completion record (nil Req: none)
 }
 
-// New validates the spec, builds the initial instances (each runs its
-// profile and sizes its prefix-cache pool) and the router, and arms the
-// fleet's tick loops.
+// New validates the spec, builds the initial instances (the first runs
+// the profile they share, and each sizes its prefix-cache pool from it)
+// and the router, and arms the fleet's tick loops.
 func New(spec Spec) (*Fleet, error) {
 	switch spec.Engine {
 	case "":
@@ -175,7 +179,7 @@ func New(spec Spec) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: need at least one instance, got %d", initial)
 	}
 
-	f := &Fleet{spec: spec, kern: &sim.Sim{}}
+	f := &Fleet{spec: spec, kern: &sim.Sim{}, profiles: engine.Profiles{}}
 	if spec.Shards > 1 {
 		f.kern = sim.NewSharded(spec.Shards, engine.MinEventSeconds(spec.Model, spec.GPU))
 	}
@@ -244,6 +248,7 @@ func (f *Fleet) build() (engine.Engine, error) {
 		HostCacheBytes: f.spec.HostCacheBytes,
 		Tracer:         f.spec.Tracer,
 		OnComplete:     f.sinkFor(i),
+		Profiles:       f.profiles,
 	}
 	switch f.spec.Engine {
 	case PagedAttention:
@@ -301,9 +306,11 @@ func (f *Fleet) Submit(r *sched.Request) error {
 
 // SubmitAt schedules a request's arrival at absolute simulated time t.
 // Arrivals land on the coordinator clock, because routing is cross-shard
-// work. Sheds are counted; Check reports routing bugs.
+// work. Arrivals submitted in time order cost O(1) each: they queue in the
+// kernel's time-ordered ring (sim.Sim.AtFuncInOrder), not in its event
+// heap. Sheds are counted; Check reports routing bugs.
 func (f *Fleet) SubmitAt(t float64, r *sched.Request) {
-	f.kern.AtFunc(t, f.arrive, r)
+	f.kern.AtFuncInOrder(t, f.arrive, r)
 }
 
 // arriveEvent submits a scheduled arrival. Its error needs no handling

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/hw"
 	"repro/internal/kvcache"
@@ -517,5 +518,51 @@ func TestCacheGaugesReadLiveCaches(t *testing.T) {
 	if crashes == 0 || downs == 0 || released <= int(crashes) {
 		t.Fatalf("%d crashes, %d scale-downs, %d of %d sampled instances released: the scenario must release instances both ways",
 			crashes, downs, released, len(seen))
+	}
+}
+
+// TestProfileRunsOncePerFleet: an autoscaled fleet that scales up and
+// replaces crashed instances profiles once, and every instance it built
+// sizes its cache pool exactly as a fresh per-instance build does.
+func TestProfileRunsOncePerFleet(t *testing.T) {
+	const requests, qps = 240, 4.0
+	const horizon = requests / qps
+	spec := Spec{
+		Model: model.Llama31_8B(), GPU: hw.L4(), ProfileMaxLen: 2000,
+		Router:    &router.Config{Policy: router.AffinityLoad{}},
+		Autoscale: &autoscale.Config{MinInstances: 2, MaxInstances: 3},
+		Chaos:     chaos.Config{Seed: 5, CrashRate: 8 / horizon, HorizonSeconds: horizon},
+	}
+	f, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < requests; i++ {
+		toks := make([]uint64, 1000)
+		for j := range toks {
+			toks[j] = uint64(i%8)<<32 | uint64(j)
+		}
+		at := float64(i) / qps
+		f.SubmitAt(at, &sched.Request{ID: int64(i + 1), UserID: i % 8, Tokens: toks, ArrivalTime: at})
+	}
+	f.Run()
+	if err := f.Check(requests); err != nil {
+		t.Fatal(err)
+	}
+	if crashes, scaleUps := f.Chaos().Stats().Crashes, f.Autoscaler().Stats().ScaleUps; crashes == 0 || scaleUps == 0 {
+		t.Fatalf("%d crashes and %d scale-ups: the scenario needs both", crashes, scaleUps)
+	}
+	if len(f.profiles) != 1 || f.built <= spec.Autoscale.MinInstances {
+		t.Fatalf("%d instances built from %d profiles, want more than %d from 1",
+			f.built, len(f.profiles), spec.Autoscale.MinInstances)
+	}
+	fresh, err := core.New(engine.Config{Model: spec.Model, GPU: spec.GPU, Sim: &sim.Sim{}, ProfileMaxLen: spec.ProfileMaxLen}, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range f.Engines() {
+		if got, want := e.Cache().CapacityBytes(), fresh.Cache().CapacityBytes(); got != want {
+			t.Errorf("instance %d: pool %d B, a fresh build's %d B", i, got, want)
+		}
 	}
 }

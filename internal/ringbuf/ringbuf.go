@@ -8,9 +8,9 @@
 // queue under churn pins memory proportional to everything ever enqueued,
 // not to what is waiting. PR 2 fixed that pattern in the scheduler's FIFO;
 // this package extracts the fix so the §7.1 routing policy's user table
-// (router.FirstSeen), the pipeline-parallel stage handoff and the
-// host-tier eviction queue reuse it instead of hand-copying a fourth
-// variant.
+// (router.FirstSeen), the pipeline-parallel stage handoff, the host-tier
+// eviction queue and the sim kernel's time-ordered arrivals reuse it
+// instead of hand-copying another variant.
 package ringbuf
 
 // minCap is the smallest backing array kept once the ring has allocated.

@@ -108,7 +108,7 @@ func (s *Sim) nextTimes() (cmin, smin float64) {
 			smin = t
 		}
 	}
-	return s.heap.minTime(), smin
+	return s.coordMinTime(), smin
 }
 
 // window runs every shard's events in [smin, bound), bound = min(stop,
@@ -267,14 +267,9 @@ func (sh *Shard) Now() float64 {
 func (sh *Shard) Executed() uint64 { return sh.executed }
 
 // AtFunc schedules a shard-local event at absolute time t (zero-alloc
-// fast path). Scheduling in the past panics.
+// fast path). Scheduling in the past or at a non-finite time panics.
 func (sh *Shard) AtFunc(t float64, fn Func, arg any) {
-	if t < sh.Now() {
-		panic("sim: event scheduled in the past")
-	}
-	if fn == nil {
-		panic("sim: nil event callback")
-	}
+	checkEvent(sh.Now(), t, fn)
 	sh.seq++
 	sh.heap.push(event{time: t, seq: sh.seq, fn: fn, arg: arg})
 }
@@ -303,12 +298,10 @@ func (sh *Shard) Pending() int { return sh.parent.Pending() }
 // is buffered in the shard's outbox and merged at the window barrier in
 // deterministic (time, shard, emission) order.
 func (sh *Shard) Post(t float64, fn Func, arg any) {
-	if fn == nil {
-		panic("sim: nil event callback")
-	}
 	if t < sh.Now()+sh.parent.lookahead {
 		panic("sim: cross-shard event posted inside the lookahead window")
 	}
+	checkEvent(sh.Now(), t, fn)
 	sh.outbox = append(sh.outbox, outboxEntry{time: t, fn: fn, arg: arg})
 }
 

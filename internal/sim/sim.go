@@ -1,5 +1,5 @@
 // Package sim is a minimal discrete-event simulation kernel: a virtual
-// clock, an event heap, and deterministic random processes (Poisson
+// clock, an event queue, and deterministic random processes (Poisson
 // arrivals) built on math/rand with explicit seeds.
 //
 // All engine and workload behaviour in this repository executes against
@@ -13,6 +13,18 @@
 // The backing array is bounded by the peak pending depth and shrinks when
 // the queue drains, following the internal/ringbuf discipline.
 //
+// The coordinator queues its events in two places. The heap takes what
+// runs schedule as they go: completions, ticks, faults. Beside it, an
+// internal/ringbuf.Ring holds the events a caller schedules in time order
+// through AtFuncInOrder, such as a run's pre-scheduled arrivals: an event
+// no earlier than the ring's tail is appended in O(1), and any other goes
+// to the heap. Both hold their events in (time, seq) order, and every
+// event takes the next seq whichever queue holds it, so taking the earlier
+// of the heap's top and the ring's head by (time, seq) executes exactly
+// the order one heap would. A fleet run's tens of thousands of arrivals
+// then wait in the ring, and each completion sifts through a heap of the
+// few events in flight instead of one as deep as the arrival list.
+//
 // The package has one kernel type, Sim. Its zero value is the serial
 // kernel; NewSharded (see shard.go) adds shard clocks that partition
 // instance-local events across per-shard workers under conservative time
@@ -25,6 +37,8 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+
+	"repro/internal/ringbuf"
 )
 
 // Func is the fast-path event callback: a plain function pointer plus an
@@ -75,6 +89,7 @@ const minEventCap = 8
 // allocate beyond the backing array's amortized growth.
 type eventHeap struct {
 	events []event
+	peak   int // the most events held at once
 }
 
 // less orders the heap by (time, seq): earliest first, FIFO on ties.
@@ -91,6 +106,9 @@ func (h *eventHeap) less(i, j int) bool {
 func (h *eventHeap) push(e event) {
 	h.events = append(h.events, e)
 	i := len(h.events) - 1
+	if i >= h.peak {
+		h.peak = i + 1
+	}
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !h.less(i, parent) {
@@ -162,6 +180,9 @@ type Sim struct {
 	seq      uint64
 	executed uint64
 	heap     eventHeap // the coordinator's events, ordered by (time, seq)
+	// ring holds the coordinator's events that AtFuncInOrder appended, in
+	// (time, seq) order.
+	ring ringbuf.Ring[event]
 	// observing counts the queued observer ticks, which Pending leaves out.
 	observing int
 
@@ -204,20 +225,51 @@ func (s *Sim) Executed() uint64 {
 	return total
 }
 
-// AtFunc schedules fn(arg) on the coordinator at absolute time t — the
-// zero-alloc fast path: fn should be a package-level function (not a
-// per-call closure) and arg a reusable pointer, so steady-state scheduling
-// costs no heap allocations. Scheduling in the past (t < now) panics: it
-// indicates a causality bug in the caller.
-func (s *Sim) AtFunc(t float64, fn Func, arg any) {
-	if t < s.now {
+// checkEvent panics on an event no run can execute in order: one in the
+// past (t < now, a causality bug in the caller), one at NaN (which
+// compares false with every time, so it would scramble the queue's order)
+// or +Inf (which never comes due, yet counts as pending forever), or one
+// without a callback.
+func checkEvent(now, t float64, fn Func) {
+	if t < now {
 		panic("sim: event scheduled in the past")
+	}
+	if !(t <= math.MaxFloat64) {
+		panic("sim: event scheduled at a non-finite time")
 	}
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
+}
+
+// AtFunc schedules fn(arg) on the coordinator at absolute time t — the
+// zero-alloc fast path: fn should be a package-level function (not a
+// per-call closure) and arg a reusable pointer, so steady-state scheduling
+// costs no heap allocations. Scheduling in the past (t < now) or at a
+// non-finite time panics: either indicates a bug in the caller.
+func (s *Sim) AtFunc(t float64, fn Func, arg any) {
+	checkEvent(s.now, t, fn)
 	s.seq++
 	s.heap.push(event{time: t, seq: s.seq, fn: fn, arg: arg})
+}
+
+// AtFuncInOrder schedules fn(arg) on the coordinator at absolute time t,
+// exactly as AtFunc does, for a caller that schedules its events in time
+// order, such as a run's pre-scheduled arrivals. An event no earlier than
+// the last one this path still holds is appended to the coordinator's
+// ring in O(1), without deepening the heap; any other goes to the heap.
+// It takes the same seq AtFunc would, so execution order does not depend
+// on the path. Only coordinator context may call it, and it panics as
+// AtFunc does.
+func (s *Sim) AtFuncInOrder(t float64, fn Func, arg any) {
+	checkEvent(s.now, t, fn)
+	s.seq++
+	e := event{time: t, seq: s.seq, fn: fn, arg: arg}
+	if n := s.ring.Len(); n > 0 && t < s.ring.At(n-1).time {
+		s.heap.push(e)
+		return
+	}
+	s.ring.PushBack(e)
 }
 
 // AfterFunc schedules fn(arg) d seconds from now (fast path).
@@ -241,15 +293,15 @@ func (s *Sim) After(d float64, fn func()) {
 	s.AtFunc(s.now+d, runClosure, fn)
 }
 
-// Pending returns the whole run's queued event count: the coordinator
-// heap, every shard heap, and any unmerged outbox entries — what a serial
-// kernel running the same events would report, so the drain discipline
-// of periodic loops ("reschedule only while other events remain") is the
-// same at any shard count. Observer ticks are left out: a loop that parks
-// when nothing else is pending must not see them, or two such loops keep
-// each other alive and a batch run never drains.
+// Pending returns the whole run's queued event count: the coordinator's
+// heap and ring, every shard heap, and any unmerged outbox entries — what
+// a serial kernel running the same events would report, so the drain
+// discipline of periodic loops ("reschedule only while other events
+// remain") is the same at any shard count. Observer ticks are left out: a
+// loop that parks when nothing else is pending must not see them, or two
+// such loops keep each other alive and a batch run never drains.
 func (s *Sim) Pending() int {
-	n := s.heap.len() - s.observing
+	n := s.heap.len() + s.ring.Len() - s.observing
 	for _, sh := range s.shards {
 		n += sh.heap.len() + len(sh.outbox)
 	}
@@ -300,8 +352,9 @@ func (s *Sim) NextTime() float64 {
 
 // Run executes events until none remain and returns the final simulated
 // time, the time of the last event on any clock. Draining shrinks the
-// heaps' backing arrays back toward minEventCap, so a kernel that served a
-// deep burst does not pin its peak-depth arrays afterwards.
+// heaps' and the ring's backing arrays back toward minEventCap, so a
+// kernel that served a deep burst does not pin its peak-depth arrays
+// afterwards.
 func (s *Sim) Run() float64 {
 	s.run(math.Inf(1))
 	return s.now
@@ -317,18 +370,61 @@ func (s *Sim) RunUntil(deadline float64) {
 	}
 }
 
-// run executes every event at or before the deadline. A serial kernel pops
-// its one heap; a sharded kernel alternates coordinator events with
-// conservative windows (see shard.go).
+// ringFirst reports whether the coordinator's earliest event by
+// (time, seq) is the ring's head rather than the heap's top. The ring must
+// hold an event; callers test that inline, so the heap-only path pays no
+// call.
+func (s *Sim) ringFirst() bool {
+	r := s.ring.At(0)
+	if len(s.heap.events) == 0 {
+		return true
+	}
+	h := &s.heap.events[0]
+	return r.time < h.time || (r.time == h.time && r.seq < h.seq)
+}
+
+// coordMinTime returns the earliest coordinator event time, or +Inf when
+// none is pending.
+func (s *Sim) coordMinTime() float64 {
+	t := s.heap.minTime()
+	if s.ring.Len() > 0 {
+		t = min(t, s.ring.At(0).time)
+	}
+	return t
+}
+
+// popCoord removes and returns the coordinator's earliest event by
+// (time, seq), the ring's head or the heap's top. One must be queued.
+func (s *Sim) popCoord() event {
+	if s.ring.Len() > 0 && s.ringFirst() {
+		e, _ := s.ring.PopFront()
+		return e
+	}
+	return s.heap.pop()
+}
+
+// run executes every event at or before the deadline. A serial kernel
+// takes the coordinator's events in (time, seq) order; a sharded kernel
+// alternates them with conservative windows (see shard.go).
 func (s *Sim) run(deadline float64) {
 	if len(s.shards) == 0 {
-		for s.heap.len() > 0 && s.heap.events[0].time <= deadline {
-			e := s.heap.pop()
+		// popCoord, inlined with the deadline test: this is the hot loop.
+		for {
+			var e event
+			if s.ring.Len() > 0 && s.ringFirst() {
+				if s.ring.At(0).time > deadline {
+					return
+				}
+				e, _ = s.ring.PopFront()
+			} else if len(s.heap.events) > 0 && s.heap.events[0].time <= deadline {
+				e = s.heap.pop()
+			} else {
+				return
+			}
 			s.now = e.time
 			s.executed++
 			e.fn(e.arg)
 		}
-		return
 	}
 	if s.running {
 		panic("sim: Run is not reentrant")
@@ -350,7 +446,7 @@ func (s *Sim) run(deadline float64) {
 		}
 		if cmin <= smin {
 			// Coordinator phase: shards are parked, shared state is safe.
-			e := s.heap.pop()
+			e := s.popCoord()
 			s.now = e.time
 			s.executed++
 			e.fn(e.arg)

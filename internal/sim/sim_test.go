@@ -276,6 +276,12 @@ func chainStep(arg any) {
 	c.s.AfterFunc(c.step, chainStep, c)
 }
 
+// arriveStep is a pre-scheduled arrival: it schedules one follow-up, due
+// 8.5 arrival gaps later.
+func arriveStep(arg any) { arg.(*Sim).AfterFunc(8.5, settle, nil) }
+
+func settle(any) {}
+
 // Steady-state scheduling through the fast path must not allocate: the
 // event heap is value-based and its capacity is already at depth, so an
 // event costs one slice store and sift, nothing on the heap. This is the
@@ -316,6 +322,21 @@ func BenchmarkSimKernel(b *testing.B) {
 		for i := 0; i < b.N; i += depth {
 			deadline++
 			s.RunUntil(deadline)
+		}
+	})
+	b.Run("prescheduled", func(b *testing.B) {
+		// A fleet run's shape: arrivals scheduled up front in time order
+		// through the in-order path, 50,000 per run, each scheduling one
+		// follow-up. An op is one arrival and its follow-up.
+		var s Sim
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += 50_000 {
+			base := s.Now()
+			for j := 0; j < min(b.N-i, 50_000); j++ {
+				s.AtFuncInOrder(base+float64(j), arriveStep, &s)
+			}
+			s.Run()
 		}
 	})
 	b.Run("closure", func(b *testing.B) {

@@ -97,6 +97,10 @@ type KernelStats struct {
 	Lookahead float64
 	// CoordinatorEvents is how many events ran on the coordinator.
 	CoordinatorEvents uint64
+	// HeapPeak is the most events the coordinator's heap has held at
+	// once; the events waiting in its ring (see AtFuncInOrder) do not
+	// count.
+	HeapPeak int
 	// TotalEvents is CoordinatorEvents plus every shard's events.
 	TotalEvents uint64
 	// Windows is how many conservative windows the run advanced through.
@@ -130,6 +134,7 @@ func (s *Sim) Stats() KernelStats {
 		Shards:            max(len(s.shards), 1),
 		Lookahead:         s.lookahead,
 		CoordinatorEvents: s.executed,
+		HeapPeak:          s.heap.peak,
 		TotalEvents:       s.executed,
 		Windows:           s.windows,
 		BoundCoordinator:  s.boundCoord,
